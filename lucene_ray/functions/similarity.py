@@ -63,6 +63,7 @@ class BM25Similarity:
             raise ValueError(f"illegal b value: {b}, must be between 0 and 1")
         self.k1 = F32(k1)
         self.b = F32(b)
+        self._norm_cache: dict[tuple, np.ndarray] = {}
 
     def idf(self, doc_freq: int, doc_count: int) -> np.float32:
         """``(float) Math.log(1 + (docCount - docFreq + 0.5)/(docFreq + 0.5))``
@@ -75,11 +76,20 @@ class BM25Similarity:
 
     def norm_inverse_cache(self, stats: CollectionStatistics) -> np.ndarray:
         """``cache[i] = 1f / (k1 * ((1 - b) + b * LENGTH_TABLE[i] / avgdl))``
-        (:211-215), float32 op-for-op."""
+        (:211-215), float32 op-for-op. Memoized per (k1, b, avgdl) — every
+        scorer of a field shares one read-only table."""
         avgdl = self.avg_field_length(stats)
-        one = F32(1.0)
-        denom = self.k1 * ((one - self.b) + self.b * LENGTH_TABLE / avgdl)
-        return (one / denom).astype(np.float32)
+        key = (self.k1, self.b, avgdl)
+        table = self._norm_cache.get(key)
+        if table is None:
+            one = F32(1.0)
+            denom = self.k1 * ((one - self.b) + self.b * LENGTH_TABLE / avgdl)
+            table = (one / denom).astype(np.float32)
+            table.flags.writeable = False
+            if len(self._norm_cache) >= 64:
+                self._norm_cache.clear()
+            self._norm_cache[key] = table
+        return table
 
     def scorer(
         self,

@@ -18,6 +18,8 @@ default shards_per_actor keeps each actor's resident set bounded.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -51,13 +53,13 @@ class SearcherShard:
 
             self._chunks = ray.get(query_chunks_ref)
 
-    def _parsed_chunk(self, ci: int):
+    def _parsed_chunk(self, ci: int, searcher: IndexSearcher):
+        """Query chunk ``ci`` parsed through the index's own analyzer
+        (``IndexSearcher.parse``), as a local search would parse it."""
         hit = self._parsed.get(ci)
         if hit is None:
-            from lucene_ray.query import parse_query
-
             hit = self._parsed[ci] = [
-                (qid, qtext, parse_query(qtext)) for qid, qtext in self._chunks[ci]
+                (qid, qtext, searcher.parse(qtext)) for qid, qtext in self._chunks[ci]
             ]
         return hit
 
@@ -77,7 +79,7 @@ class SearcherShard:
         chunk_ids = batch.column("qchunk").to_pylist()
         for ci, shard in zip(chunk_ids, shards):
             searcher = self._searcher(tuple(shard))
-            for qid, qtext, q in self._parsed_chunk(int(ci)):
+            for qid, qtext, q in self._parsed_chunk(int(ci), searcher):
                 td = searcher.search(q, k=self.k, algo=self.algo)
                 for sd in td.score_docs:
                     qids.append(qid)
@@ -160,4 +162,14 @@ def search_distributed(
         g["rank"] = np.arange(1, len(g) + 1)
         return g[["query_id", "query", "rank", "doc_key", "score"]]
 
-    return cand.groupby("query_id").map_groups(merge_topk, batch_format="pandas")
+    # the shuffle drops the schema of an all-empty result; a zero-row block
+    # with the output schema keeps the columns when no query matches
+    import pyarrow.parquet as pq
+
+    key_type = pq.read_schema(
+        os.path.join(manifest.segment_dirs()[0], "docs.parquet")).field("doc_key").type
+    schema = pa.schema([("query_id", pa.int64()), ("query", pa.string()),
+                        ("rank", pa.int64()), ("doc_key", key_type),
+                        ("score", pa.float64())])
+    merged = cand.groupby("query_id").map_groups(merge_topk, batch_format="pandas")
+    return merged.union(ray.data.from_arrow(schema.empty_table()))

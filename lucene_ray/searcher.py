@@ -34,6 +34,7 @@ deterministic global order is the document key, so every sort here uses
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 from dataclasses import dataclass
 
@@ -257,6 +258,19 @@ class _SparseScores:
         self.counts = counts if counts is not None else np.ones(len(docs), dtype=np.int32)
 
 
+class _QueryTerms:
+    """The terms one query has resolved (the TermStates analogue, built once
+    at Weight creation in the reference): global statistics by dictionary
+    key, and scorers by (key, boost, field). Lives for one query, so it is
+    bounded by the query's own terms."""
+
+    __slots__ = ("stats", "scorers")
+
+    def __init__(self):
+        self.stats: dict[str, TermStatistics] = {}
+        self.scorers: dict[tuple, object] = {}
+
+
 class GlobalTermStats:
     """The materialized global term dictionary (index-time groupby(term).sum
     over per-segment partials — pipelines/index_pipeline.build_term_stats).
@@ -426,7 +440,7 @@ class IndexSearcher:
             self.sim = similarity
         else:
             self.sim = BM25Similarity() if mode == "lucene" else BM25ExactSimilarity()
-        self._ts_cache: dict[str, TermStatistics] = {}
+        self._query_terms: _QueryTerms | None = None
         # cumulative pruning telemetry (range pruning / sorted-index early
         # termination); read the delta around a call to measure
         self.range_stats = {"docs_examined": 0, "max_doc_total": 0}
@@ -466,7 +480,7 @@ class IndexSearcher:
             s.sim = similarity
         else:
             s.sim = BM25Similarity() if mode == "lucene" else BM25ExactSimilarity()
-        s._ts_cache = {}
+        s._query_terms = None
         s.range_stats = {"docs_examined": 0, "max_doc_total": 0}
         s.sort_stats = {"docs_examined": 0, "docs_matched": 0}
         s.mtq_stats = {"terms_scanned": 0, "terms_total": 0}
@@ -513,10 +527,25 @@ class IndexSearcher:
 
     # ---------------------------------------------------------------- stats
 
+    @contextlib.contextmanager
+    def _query_scope(self):
+        """Resolve each term of the query run inside at most once: global
+        statistics and scorers are memoized until the outermost scope ends."""
+        if self._query_terms is not None:  # nested: the outer query's scope
+            yield
+            return
+        self._query_terms = _QueryTerms()
+        try:
+            yield
+        finally:
+            self._query_terms = None
+
     def term_statistics(self, term: str) -> TermStatistics:
-        cached = self._ts_cache.get(term)
-        if cached is not None:
-            return cached
+        memo = self._query_terms
+        if memo is not None:
+            hit = memo.stats.get(term)
+            if hit is not None:
+                return hit
         if self.global_term_stats is not None:
             df, ttf = self.global_term_stats.lookup(term)
         else:
@@ -528,21 +557,28 @@ class IndexSearcher:
                     df += int(r.doc_freq[i])
                     ttf += int(r.total_tf[i])
         ts = TermStatistics(term, df, ttf)
-        self._ts_cache[term] = ts
+        if memo is not None:
+            memo.stats[term] = ts
         return ts
 
-    def _scorers_for(self, terms: list[str], boost: float = 1.0,
-                     field: str | None = None) -> dict:
-        """One BM25 scorer per term from GLOBAL stats — fixed before any
-        segment is scored, like TermQuery.createWeight (TermQuery.java:211).
-        ``terms`` are FULL dictionary keys (field-prefixed when multi)."""
-        out = {}
-        cstats = self._field_cstats(field)
-        for t in terms:
-            ts = self.term_statistics(t)
-            if ts.doc_freq > 0:
-                out[t] = self.sim.scorer(cstats, ts, boost=boost)
-        return out
+    def _term_scorer(self, term: str, boost: float = 1.0, field: str | None = None):
+        """The scorer of one FULL dictionary key (field-prefixed when multi)
+        from GLOBAL stats — fixed before any segment is scored, like
+        TermQuery.createWeight (TermQuery.java:211); None for a term no
+        document holds. Built once per query inside ``_query_scope``."""
+        memo = self._query_terms
+        key = (term, boost, field)
+        if memo is not None and key in memo.scorers:
+            return memo.scorers[key]
+        ts = self.term_statistics(term)
+        sc = self.sim.scorer(self._field_cstats(field), ts, boost=boost) if ts.doc_freq > 0 else None
+        if memo is not None:
+            memo.scorers[key] = sc
+        return sc
+
+    def _scorers_for(self, terms: list[str]) -> dict:
+        """``_term_scorer`` of each term that some document holds."""
+        return {t: sc for t in terms if (sc := self._term_scorer(t)) is not None}
 
     @staticmethod
     def _apply_live(r: SegmentReader, sp: _SparseScores) -> _SparseScores:
@@ -598,33 +634,36 @@ class IndexSearcher:
     ) -> TopDocs:
         if isinstance(query, str):
             query = self.parse(query)
-        use_wand = (
-            search_after is None
-            and self._wand_eligible(query)
-            and (algo == "wand" or (algo == "auto" and self._wand_worthwhile(query)))
-        )
-        if use_wand:
-            self.last_wand_stats = {"blocks_total": 0, "blocks_visited": 0,
-                                    "intervals_total": 0, "intervals_visited": 0}
-        parts = []
-        total = 0
-        for r in self.readers:
+        with self._query_scope():
+            use_wand = (
+                search_after is None
+                and self._wand_eligible(query)
+                and (algo == "wand" or (algo == "auto" and self._wand_worthwhile(query)))
+            )
             if use_wand:
-                sd, nhits = self._search_segment_wand(r, query, k, search_after)
-            else:
-                sp = self._apply_live(r, self._eval(r, query))
-                sd = self._top_of(r, sp, k, search_after)
-                nhits = len(sp.docs)
-            parts.append(sd)
-            total += nhits
+                self.last_wand_stats = {"blocks_total": 0, "blocks_visited": 0,
+                                        "intervals_total": 0, "intervals_visited": 0}
+                scorers = self._scorers_for(sorted(extract_terms(query)))
+            parts = []
+            total = 0
+            for r in self.readers:
+                if use_wand:
+                    sd, nhits = self._search_segment_wand(r, scorers, k, search_after)
+                else:
+                    sp = self._apply_live(r, self._eval(r, query))
+                    sd = self._top_of(r, sp, k, search_after)
+                    nhits = len(sp.docs)
+                parts.append(sd)
+                total += nhits
         return TopDocs(total, _merge_top(parts, k, search_after))
 
     def count(self, query: Query | str) -> int:
         if isinstance(query, str):
             query = self.parse(query)
-        return sum(
-            len(self._apply_live(r, self._eval(r, query)).docs) for r in self.readers
-        )
+        with self._query_scope():
+            return sum(
+                len(self._apply_live(r, self._eval(r, query)).docs) for r in self.readers
+            )
 
     def rescore(self, topdocs: TopDocs, query: Query | str, *,
                 weight: float = 1.0, k: int | None = None) -> TopDocs:
@@ -851,13 +890,13 @@ class IndexSearcher:
             hit = cache.get(ckey)
             if hit is not None:
                 return _SparseScores(hit[0], hit[1])
-            scorers = self._scorers_for([full], boost, field=q.field)
-            if full not in scorers:
+            scorer = self._term_scorer(full, boost, q.field)
+            if scorer is None:
                 return empty
-            docs, freqs = r.postings(full)
+            docs, freqs = r.postings(ti)
             if not len(docs):
                 return empty
-            scores = self._score_arrays(r, scorers[full], docs, freqs, q.field)
+            scores = self._score_arrays(r, scorer, docs, freqs, q.field)
             if len(cache) > 128:
                 cache.pop(next(iter(cache)))
             cache[ckey] = (docs, scores)
@@ -2694,7 +2733,7 @@ class IndexSearcher:
     # ------------------------------------------------------------ block-max
 
     def _search_segment_wand(
-        self, r: SegmentReader, q: Query, k: int, after
+        self, r: SegmentReader, scorers: dict, k: int, after
     ) -> tuple[list[ScoreDoc], int]:
         """Block-max pruned top-k for term/disjunction queries.
 
@@ -2708,16 +2747,14 @@ class IndexSearcher:
 
         Hit counting: exact up to the pruning point (the reference similarly
         reports a lower bound once pruning starts, TotalHits.Relation).
+
+        ``scorers`` maps each query term that some document holds to its
+        scorer, resolved once per query by ``search``.
         """
         from lucene_ray.functions.norms import encode_lengths
 
-        terms = sorted(extract_terms(q))
-        scorers = self._scorers_for(terms)
-        terms = [t for t in terms if t in scorers]
-        if not terms:
-            return [], 0
         infos = []
-        for t in terms:
+        for t, scorer in scorers.items():
             i = r.term_index(t)
             if i < 0:
                 continue
@@ -2731,21 +2768,20 @@ class IndexSearcher:
                 # (counts, flat freqs, flat lengths) views from the reader.
                 counts, flat_f, flat_l = imp
                 if self.mode == "lucene":
-                    pair_scores = scorers[t].score(
+                    pair_scores = scorer.score(
                         flat_f.astype(np.float32), encode_lengths(np.asarray(flat_l, dtype=np.int64))
                     )
                 else:
-                    pair_scores = scorers[t].score(
+                    pair_scores = scorer.score(
                         np.asarray(flat_f, dtype=np.float64),
                         np.asarray(flat_l, dtype=np.float64),
                     )
-                starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-                ubs = np.maximum.reduceat(pair_scores, starts)
+                ubs = np.maximum.reduceat(pair_scores, np.cumsum(counts) - counts)
             elif self.mode == "lucene":
-                ubs = scorers[t].score(blf.astype(np.float32), encode_lengths(blm))
+                ubs = scorer.score(blf.astype(np.float32), encode_lengths(blm))
             else:
-                ubs = scorers[t].score(blf.astype(np.float64), blm.astype(np.float64))
-            infos.append((t, i, bld, np.asarray(ubs, dtype=np.float64)))
+                ubs = scorer.score(blf.astype(np.float64), blm.astype(np.float64))
+            infos.append((scorer, i, bld, np.asarray(ubs, dtype=np.float64)))
         if not infos:
             return [], 0
 
@@ -2801,45 +2837,25 @@ class IndexSearcher:
                 if not len(chunk):
                     break
             chunk = np.sort(chunk)  # doc order within the chunk
+            in_chunk = np.zeros(len(boundaries), dtype=bool)
+            in_chunk[chunk] = True
             his_all = boundaries[chunk]
-            los_all = np.where(chunk > 0, boundaries[chunk - 1] + 1, 0)
             subs = []
-            for t, i, bld, _ in infos:
-                sel = his_all <= bld[-1]  # term exhausted past its last block
-                if not sel.any():
+            for scorer, i, bld, _ in infos:
+                # decode ONLY the blocks covering the chunk's intervals
+                # (ImpactsDISI skip semantics: pruned blocks are never
+                # decoded), then keep the docs whose interval is in the chunk
+                js = sorted(set(np.searchsorted(bld, his_all[his_all <= bld[-1]]).tolist()))
+                if not js:
                     continue
-                his = his_all[sel]
-                los = los_all[sel]
-                # one covering-block lookup for the whole chunk; group the
-                # (disjoint, doc-sorted) intervals by block so each block is
-                # decoded once and sliced with a vectorized range-gather
-                js = np.searchsorted(bld, his)
-                uj, starts_u = np.unique(js, return_index=True)
-                bounds_u = np.append(starts_u, len(js))
-                d_parts, f_parts = [], []
-                for g, j in enumerate(uj.tolist()):
-                    # decode ONLY the covering 128-doc block (ImpactsDISI
-                    # skip semantics: pruned blocks are never decoded)
-                    docs_i, freqs_i = r.postings_block(int(i), int(j))
-                    visited_blocks.add((int(i), int(j)))
-                    lo_g = los[bounds_u[g] : bounds_u[g + 1]]
-                    hi_g = his[bounds_u[g] : bounds_u[g + 1]]
-                    a = np.searchsorted(docs_i, lo_g)
-                    b = np.searchsorted(docs_i, hi_g, side="right")
-                    lens = b - a
-                    tot = int(lens.sum())
-                    if not tot:
-                        continue
-                    cs = np.cumsum(lens)
-                    idx = np.arange(tot) + np.repeat(
-                        a - np.concatenate([[0], cs[:-1]]), lens
-                    )
-                    d_parts.append(docs_i[idx])
-                    f_parts.append(freqs_i[idx])
-                if d_parts:
-                    d = np.concatenate(d_parts)
-                    sc = self._score_arrays(r, scorers[t], d, np.concatenate(f_parts))
-                    subs.append(_SparseScores(d, sc))
+                visited_blocks.update((i, j) for j in js)
+                blocks = [r.postings_block(i, j) for j in js]
+                d = np.concatenate([b[0] for b in blocks])
+                f = np.concatenate([b[1] for b in blocks])
+                keep = in_chunk[np.searchsorted(boundaries, d)]
+                d, f = d[keep], f[keep]
+                if len(d):
+                    subs.append(_SparseScores(d, self._score_arrays(r, scorer, d, f)))
             if stats is not None:
                 stats["intervals_visited"] += len(chunk)
             if subs:

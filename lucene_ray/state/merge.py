@@ -271,7 +271,7 @@ def merge_segment_group(index_dir: str, seg_names: list[str], out_name: str,
             # gather instead of three)
             comp = (
                 (gb.astype(np.int64) << np.int64(40))
-                | (lens_all << np.int64(20))
+                | (lens_all.astype(np.int64) << np.int64(20))
                 | (_CL - ff)
             )
             ks = comp[np.argsort(comp)]

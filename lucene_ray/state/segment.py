@@ -440,13 +440,21 @@ def write_segment(
 
 
 
+def _utf8(s: str) -> bytes:
+    """A dictionary key's UTF-8 bytes. ``surrogatepass`` encodes a lone
+    surrogate (which no stored term holds) at its code-point position, so a
+    query holding one sorts consistently and simply misses."""
+    return s.encode("utf-8", "surrogatepass")
+
+
 def _binary_views(arr) -> tuple[np.ndarray, memoryview]:
     """Zero-copy (byte offsets, data) view of a Binary column — blobs are
     sliced lazily instead of materialized as a Python list per reader."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     bufs = arr.buffers()
-    width = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
+    large = pa.types.is_large_binary(arr.type) or pa.types.is_large_string(arr.type)
+    width = np.int64 if large else np.int32
     off = np.frombuffer(bufs[1], dtype=width)[arr.offset : arr.offset + len(arr) + 1]
     data = memoryview(bufs[2]) if bufs[2] is not None else memoryview(b"")
     return off, data
@@ -470,10 +478,12 @@ def _nested_views(arr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class SegmentReader:
     """Point-in-time reader over one segment (the LeafReader analogue).
 
-    Loads the term dictionary into RAM once (sorted term array → binary
-    search, the moral equivalent of the block-tree terms index,
-    codecs/lucene90/blocktree/SegmentTermsEnum.java); postings decode on
-    demand per term. Intended to live inside a searcher actor's ``__init__``.
+    Loads the term dictionary into RAM once as the Arrow term column; point
+    lookups binary-search its raw UTF-8 offset and data buffers, comparing
+    bytes the way the block-tree terms dictionary compares ``BytesRef``s
+    (codecs/lucene90/blocktree/SegmentTermsEnum.java) and never decoding a
+    term. Postings decode on demand per term. Intended to live inside a
+    searcher actor's ``__init__``.
     """
 
     def __init__(self, seg_dir: str, preload: bool = True):
@@ -500,13 +510,18 @@ class SegmentReader:
     def _load(self, p: pa.Table, d: pa.Table) -> None:
         self._ptable = p  # owns every zero-copy buffer view below
         # term dictionary stays an ARROW string array; term_index/term_range
-        # binary-search it with O(log n) .as_py() probes — the full Python
-        # string list only materializes if a dictionary SCAN runs (wildcard/
-        # regexp/spell/merge), via the lazy .terms property
+        # binary-search its raw UTF-8 buffers (_bisect_terms) — the full
+        # Python string list only materializes if a dictionary SCAN runs
+        # (wildcard/regexp/spell/merge), via the lazy .terms property
         ta = p.column("term")
         self._terms_arr = ta.combine_chunks() if isinstance(ta, pa.ChunkedArray) else ta
         self._terms_np: np.ndarray | None = None
         self.n_terms = len(self._terms_arr)
+        off, data = _binary_views(self._terms_arr)
+        # memoryview indexing yields Python ints, several times cheaper per
+        # probe than indexing the numpy array
+        self._term_off = memoryview(off)
+        self._term_data = data
         self.doc_freq = p.column("doc_freq").to_numpy()
         self.total_tf = p.column("total_tf").to_numpy()
         self._singleton_doc = p.column("singleton_doc").to_numpy()
@@ -650,44 +665,47 @@ class SegmentReader:
             return self._terms_np[i]
         return self._terms_arr[i].as_py()
 
-    def _bisect_terms(self, key: str, side: str = "left") -> int:
-        """searchsorted over the Arrow term array without materializing it
-        (O(log n) single-string .as_py() probes)."""
-        if self._terms_np is not None:
-            return int(np.searchsorted(self._terms_np, key, side=side))
-        arr = self._terms_arr
-        lo, hi = 0, len(arr)
+    def _bisect_terms(self, key: bytes, side: str = "left") -> int:
+        """searchsorted of a UTF-8 key over the term column's raw bytes.
+
+        UTF-8 byte order is code-point order, which is the order Python
+        compares ``str`` in and the order the dictionary is written in, so
+        no term is decoded."""
+        off, data = self._term_off, self._term_data
+        lo, hi = 0, self.n_terms
         if side == "left":
             while lo < hi:
                 mid = (lo + hi) // 2
-                if arr[mid].as_py() < key:
+                if data[off[mid] : off[mid + 1]].tobytes() < key:
                     lo = mid + 1
                 else:
                     hi = mid
         else:
             while lo < hi:
                 mid = (lo + hi) // 2
-                if arr[mid].as_py() <= key:
+                if data[off[mid] : off[mid + 1]].tobytes() <= key:
                     lo = mid + 1
                 else:
                     hi = mid
         return lo
 
     def bisect(self, key: str, side: str = "left") -> int:
-        return self._bisect_terms(key, side)
+        return self._bisect_terms(_utf8(key), side)
 
     def term_index(self, term: str) -> int:
         """seekExact: index of term or -1."""
-        i = self._bisect_terms(term)
-        if i < self.n_terms and self.term_at(i) == term:
-            return int(i)
+        key = _utf8(term)
+        i = self._bisect_terms(key)
+        off = self._term_off
+        if i < self.n_terms and self._term_data[off[i] : off[i + 1]].tobytes() == key:
+            return i
         return -1
 
     def term_range(self, prefix: str) -> tuple[int, int]:
         """seekCeil range scan for PrefixQuery: [lo, hi) of terms with prefix."""
-        lo = self._bisect_terms(prefix)
+        lo = self.bisect(prefix)
         succ = prefix_successor(prefix)
-        hi = self._bisect_terms(succ) if succ is not None else self.n_terms
+        hi = self.bisect(succ) if succ is not None else self.n_terms
         return lo, hi
 
     # -- postings ----------------------------------------------------------

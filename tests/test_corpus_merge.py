@@ -211,3 +211,32 @@ def test_select_merges_too_big_excluded_unless_deleted():
     groups = select_merges(segs, merge_factor=4, max_merged_docs=1_000_000)
     # huge (> cap/2, no deletes) is not eligible; a+b merge
     assert groups == [["a", "b"]]
+
+
+def test_merge_group_with_2048_token_document(tmp_path):
+    """A document of 2,048 tokens must not overflow the merge's composite
+    (block, length, freq) impact sort key: ``2048 << 20`` does not fit an
+    int32."""
+    from lucene_ray.functions.analysis import Analyzer
+    from lucene_ray.state.merge import merge_segment_group
+    from lucene_ray.state.segment import (
+        SegmentReader,
+        build_segment_tables,
+        write_segment,
+    )
+
+    d = str(tmp_path / "idx")
+    an = Analyzer("standard")
+    long_doc = " ".join(["long"] * 2047 + ["tail"])
+    groups = {"seg-a": ([1, 2], [long_doc, "short long"]),
+              "seg-b": ([3], ["tail words"])}
+    for name, (keys, texts) in groups.items():
+        p, t, s = build_segment_tables(np.array(keys), texts, an)
+        write_segment(d, name, p, t, s, extra_meta={"part_id": 0})
+    merge_segment_group(d, ["seg-a", "seg-b"], "seg-m")
+    out = f"{d}/segments/seg-m"
+    assert check_segment(out) == []
+    r = SegmentReader(out)
+    assert int(r.dls.max()) == 2048
+    counts, freqs, lens = r.impacts(r.term_index("long"))
+    assert int(lens.max()) == 2048 and int(freqs.max()) == 2047

@@ -521,3 +521,56 @@ def test_block_join_parent_and_child(tmp_path, ray_session):
     assert len(tdc.score_docs) == n_children
     assert all(not k.endswith("-p") for k in
                (sd.doc_key for sd in tdc.score_docs))
+
+
+def test_distributed_search_uses_index_analyzer(ray_session, tmp_path):
+    """search_distributed parses through the index's analyzer, like
+    IndexSearcher.parse: stemmed query terms meet the stemmed index."""
+    import ray.data
+
+    from lucene_ray.pipelines.index_pipeline import build_index
+    from lucene_ray.pipelines.search_pipeline import search_distributed
+
+    texts = ["running fast", "he runs daily", "a long run", "runners running",
+             "walking slowly"]
+    d = str(tmp_path / "english")
+    build_index(ray.data.from_items([{"url": f"u{i}", "text": t} for i, t in enumerate(texts)]),
+                d, key_col="url", text_col="text", num_partitions=2, analyzer="english")
+    want = IndexSearcher(d).search("running", k=10).score_docs
+    assert len(want) == 4
+    out = search_distributed(d, ["running"], k=10, concurrency=1).to_pandas()
+    got = out.sort_values("rank")
+    assert got["doc_key"].tolist() == [sd.doc_key for sd in want]
+    assert np.allclose(got["score"].to_numpy(), [sd.score for sd in want])
+    empty = search_distributed(d, ["zzzz"], k=10, concurrency=1)
+    assert empty.count() == 0
+    assert empty.schema().names == ["query_id", "query", "rank", "doc_key", "score"]
+
+
+@pytest.mark.parametrize("algo", ["wand", "exhaustive"])
+def test_terms_resolved_once_per_query(index_dir, algo):
+    """Each query term's global statistics are looked up once per query,
+    not once per segment, and the dictionary is probed once per (segment,
+    term); nothing per term outlives the query."""
+    from lucene_ray.state.segment import SegmentReader
+
+    s = IndexSearcher(index_dir)
+    assert len(s.readers) == 4
+    lookups = []
+    real_lookup = s.global_term_stats.lookup
+    s.global_term_stats.lookup = lambda t: lookups.append(t) or real_lookup(t)
+    probes = []
+    real_term_index = SegmentReader.term_index
+    for r in s.readers:
+        r.term_index = lambda t, r=r: probes.append(t) or real_term_index(r, t)
+    want = s.search("merge spark window", k=5, algo=algo).score_docs
+    assert sorted(lookups) == ["merge", "spark", "window"]
+    assert sorted(probes) == sorted(["merge", "spark", "window"] * 4)
+    assert want
+    # a long run of distinct terms: the per-query resolution is released
+    # after every query, so the searcher holds no per-term state
+    vocab = sorted(set(s.readers[0].terms.tolist()))[:300]
+    for t in vocab:
+        s.search(t, k=3)
+        assert s._query_terms is None
+    assert len(lookups) == 3 + len(vocab)
