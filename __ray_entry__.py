@@ -211,8 +211,8 @@ SPAN_QUERIES = [("merge", "sort", 4), ("stream", "batch", 6)]
 
 
 def _q_span_near_topk(sf_dir: str) -> pa.Table:
-    """Ordered SpanNear gate: minimal-interval matcher (functions/intervals
-    .py) vs a SQL oracle that builds each chain (a → first b after a) and
+    """Ordered SpanNear gate: the interval-algebra span source
+    (functions/interval_algebra.IvSpanNear) vs a SQL oracle that builds each chain (a → first b after a) and
     keeps the minimal ones (max start per distinct end)."""
     from lucene_ray.query import SpanNearQuery
 

@@ -31,10 +31,18 @@ no emitted interval strictly contains another. Documents are small relative
 to the corpus, so these kernels run on the docID-conjunction candidates
 inside the per-segment search actors — the distribution story is identical
 to PhraseQuery's.
+
+The span family is expressed in the same algebra, so IntervalQuery and the
+span queries share one engine and one two-phase loop in the searcher:
+SpanNearQuery is ``IvSpanNear`` over IvTerm / IvSpanOr slots (nested spans
+are slots), SpanFirstQuery / SpanPositionRangeQuery is ``IvPositionRange``, and
+SpanNotQuery is ``non_overlapping(include, extend(exclude, post, pre))``.
+Spans keep their own scoring: BM25 over freq = Σ 1/(1 + gaps).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
@@ -126,7 +134,7 @@ def _chain(sub_lists, adjacent: bool):
                     ok = False
                     break
             else:
-                j = int(np.searchsorted(np.asarray(starts[k]), prev_end, side="right"))
+                j = bisect_right(starts[k], prev_end)
                 if j >= len(sub_lists[k]):
                     ok = False
                     break
@@ -160,6 +168,23 @@ def _sweep_unordered(sub_lists):
     return _minimal(cand)
 
 
+def _repeat(inner, r: int):
+    """Sliding windows of `r` consecutive intervals of `inner`; width is the
+    sum of the component extents, so gaps count the holes between them."""
+    if len(inner) < r:
+        return []
+    out = []
+    ext_sum = sum(iv[1] - iv[0] + 1 for iv in inner[:r])
+    for i in range(len(inner) - r + 1):
+        s = inner[i][0]
+        e = inner[i + r - 1][1]
+        out.append((s, e, ext_sum, (e - s + 1) - ext_sum))
+        if i + r < len(inner):
+            ext_sum += inner[i + r][1] - inner[i + r][0] + 1
+            ext_sum -= inner[i][1] - inner[i][0] + 1
+    return out
+
+
 @dataclass(frozen=True)
 class IvRepeat(IvSource):
     """RepeatingIntervalsSource: sliding window of `count` consecutive
@@ -170,20 +195,7 @@ class IvRepeat(IvSource):
     count: int
 
     def intervals(self, env):
-        inner = self.sub.intervals(env)
-        r = self.count
-        if len(inner) < r:
-            return []
-        out = []
-        ext_sum = sum(iv[1] - iv[0] + 1 for iv in inner[:r])
-        for i in range(len(inner) - r + 1):
-            s = inner[i][0]
-            e = inner[i + r - 1][1]
-            out.append((s, e, ext_sum, (e - s + 1) - ext_sum))
-            if i + r < len(inner):
-                ext_sum += inner[i + r][1] - inner[i + r][0] + 1
-                ext_sum -= inner[i][1] - inner[i][0] + 1
-        return out
+        return _repeat(self.sub.intervals(env), self.count)
 
     def min_extent(self):
         return self.count * self.sub.min_extent()
@@ -397,6 +409,107 @@ class IvExtend(IvSource):
 
     def min_extent(self):
         return self.before + self.sub.min_extent() + self.after
+
+    def leaf_terms(self):
+        return self.sub.leaf_terms()
+
+    def doc_plan(self):
+        return ("and", [self.sub])
+
+
+@dataclass(frozen=True)
+class IvSpanOr(IvSource):
+    """SpanOrQuery over terms: every sub-interval in start order, with no
+    minimization (IvOr keeps one of two equal intervals; SpanOr emits both,
+    e.g. two terms a word-delimiter filter put at one position)."""
+
+    subs: tuple[IvSource, ...]
+
+    def intervals(self, env):
+        return sorted(iv for s in self.subs for iv in s.intervals(env))
+
+    def min_extent(self):
+        return min(s.min_extent() for s in self.subs)
+
+    def leaf_terms(self):
+        return set().union(*(s.leaf_terms() for s in self.subs))
+
+    def doc_plan(self):
+        return ("or", list(self.subs))
+
+
+@dataclass(frozen=True)
+class IvSpanNear(IvSource):
+    """SpanNearQuery (spans/NearSpansOrdered, NearSpansUnordered) over slot
+    sources (IvTerm, IvSpanOr); nested spans are slots too.
+
+    Ordered: ``_chain`` links each slot to the first interval of the next
+    that starts after its end, so chained sub-spans never overlap. Equal
+    adjacent slots are not collapsed into an IvRepeat, whose sliding window
+    would also pair overlapping sub-spans. Unordered: slots whose intervals
+    in this document are identical form a repeat group of ``_repeat``
+    windows, so one occurrence cannot fill two slots; the groups then go
+    through ``_sweep_unordered``.
+
+    Intervals with more than ``slop`` gaps are dropped. The emitted width is
+    the extent, so a parent span chains this one as a single extent. The
+    emitted gaps are the span slack, clamped at 0 and always 0 for one slot;
+    SpanScorer's freq is Σ 1/(1 + gaps)."""
+
+    subs: tuple[IvSource, ...]
+    slop: int
+    in_order: bool
+
+    def intervals(self, env):
+        lists = [s.intervals(env) for s in self.subs]
+        if any(not L for L in lists):
+            return []
+        if self.in_order:
+            if len(lists) == 1:
+                ivs = [(s, e, w, 0) for s, e, w, _ in lists[0]]
+            else:
+                ivs = _chain(lists, adjacent=False)
+        else:
+            groups: list[list] = []
+            counts: list[int] = []
+            for L in lists:
+                if L in groups:
+                    counts[groups.index(L)] += 1
+                else:
+                    groups.append(L)
+                    counts.append(1)
+            windows = [_repeat(L, c) for L, c in zip(groups, counts)]
+            if any(not w for w in windows):
+                return []
+            ivs = _sweep_unordered(windows)
+        return [(s, e, e - s + 1, max(0, g)) for s, e, _, g in ivs if g <= self.slop]
+
+    def min_extent(self):
+        return sum(s.min_extent() for s in self.subs)
+
+    def leaf_terms(self):
+        return set().union(*(s.leaf_terms() for s in self.subs))
+
+    def doc_plan(self):
+        return ("and", list(self.subs))
+
+
+@dataclass(frozen=True)
+class IvPositionRange(IvSource):
+    """SpanPositionRangeQuery / SpanFirstQuery: intervals lying wholly in
+    [start, end), i.e. ``start <= s`` and ``e < end`` (the reference tests
+    ``spans.end <= end`` with an exclusive span end, one past ``e``)."""
+
+    sub: IvSource
+    start: int
+    end: int
+
+    def intervals(self, env):
+        return [iv for iv in self.sub.intervals(env)
+                if iv[0] >= self.start and iv[1] < self.end]
+
+    def min_extent(self):
+        return self.sub.min_extent()
 
     def leaf_terms(self):
         return self.sub.leaf_terms()

@@ -88,6 +88,11 @@ from lucene_ray.query import extract_terms
 from lucene_ray.state.manifest import Manifest
 from lucene_ray.state.segment import SegmentReader
 
+# phrase keys are doc << 21 | position (positions stay below the segment
+# writer's MAX_POSITION = 2^21)
+_POS_BITS = np.int64(21)
+_POS_SHIFT = np.int64(1) << _POS_BITS
+
 
 @dataclass
 class ScoreDoc:
@@ -429,25 +434,7 @@ class IndexSearcher:
         ts_path = os.path.join(index_dir, f"term_stats-{manifest.gen}.parquet")
         self.global_term_stats = GlobalTermStats(ts_path) if os.path.exists(ts_path) else None
         self.collection_stats = manifest.collection_stats()
-        # multi-field config (per-field postings keyed field\x1fterm)
-        cfg = manifest.config or {}
-        self.fields = tuple(cfg.get("text_cols") or ())
-        self.default_field = cfg.get("text_col", "text")
-        self._multi = len(self.fields) > 1
-        self._cstats_cache: dict = {}
-        self.mode = mode if similarity is None else "exact"
-        if similarity is not None:
-            self.sim = similarity
-        else:
-            self.sim = BM25Similarity() if mode == "lucene" else BM25ExactSimilarity()
-        self._query_terms: _QueryTerms | None = None
-        # cumulative pruning telemetry (range pruning / sorted-index early
-        # termination); read the delta around a call to measure
-        self.range_stats = {"docs_examined": 0, "max_doc_total": 0}
-        self.sort_stats = {"docs_examined": 0, "docs_matched": 0}
-        # MultiTermQuery dictionary-pruning telemetry: terms actually
-        # VERIFIED (regex/DP) vs the full dictionary a naive scan would walk
-        self.mtq_stats = {"terms_scanned": 0, "terms_total": 0}
+        self._configure(manifest.config, mode, similarity)
 
     @classmethod
     def from_readers(cls, readers, *, mode: str = "exact", config: dict | None = None,
@@ -455,7 +442,8 @@ class IndexSearcher:
         """Searcher over in-RAM readers (the MemoryIndex / percolator path):
         no manifest, no disk; collection + term statistics are the sums of
         the readers' per-segment partials (exactly what a committed manifest
-        would hold)."""
+        would hold). ``config`` takes the manifest config keys
+        (``analyzer``, ``text_col``, ``text_cols``)."""
         from lucene_ray.functions.similarity import CollectionStatistics
 
         s = cls.__new__(cls)
@@ -470,21 +458,32 @@ class IndexSearcher:
             sum_doc_freq=sum(r.meta["sum_doc_freq"] for r in s.readers),
             sum_total_term_freq=sum(r.meta["sum_total_term_freq"] for r in s.readers),
         )
-        cfg = config or {}
-        s.fields = tuple(cfg.get("text_cols") or ())
-        s.default_field = cfg.get("text_col", "text")
-        s._multi = len(s.fields) > 1
-        s._cstats_cache = {}
-        s.mode = mode if similarity is None else "exact"
-        if similarity is not None:
-            s.sim = similarity
-        else:
-            s.sim = BM25Similarity() if mode == "lucene" else BM25ExactSimilarity()
-        s._query_terms = None
-        s.range_stats = {"docs_examined": 0, "max_doc_total": 0}
-        s.sort_stats = {"docs_examined": 0, "docs_matched": 0}
-        s.mtq_stats = {"terms_scanned": 0, "terms_total": 0}
+        s._configure(config, mode, similarity)
         return s
+
+    def _configure(self, config: dict | None, mode: str, similarity) -> None:
+        """Field, analyzer, similarity and telemetry setup, from the
+        manifest config or the config given to ``from_readers``."""
+        cfg = config or {}
+        # multi-field config (per-field postings keyed field\x1fterm)
+        self.fields = tuple(cfg.get("text_cols") or ())
+        self.default_field = cfg.get("text_col", "text")
+        self._multi = len(self.fields) > 1
+        self._analyzer_spec = cfg.get("analyzer", "standard")
+        self._cstats_cache: dict = {}
+        self.mode = mode if similarity is None else "exact"
+        if similarity is not None:
+            self.sim = similarity
+        else:
+            self.sim = BM25Similarity() if mode == "lucene" else BM25ExactSimilarity()
+        self._query_terms: _QueryTerms | None = None
+        # cumulative pruning telemetry (range pruning / sorted-index early
+        # termination); read the delta around a call to measure
+        self.range_stats = {"docs_examined": 0, "max_doc_total": 0}
+        self.sort_stats = {"docs_examined": 0, "docs_matched": 0}
+        # MultiTermQuery dictionary-pruning telemetry: terms actually
+        # VERIFIED (regex/DP) vs the full dictionary a naive scan would walk
+        self.mtq_stats = {"terms_scanned": 0, "terms_total": 0}
 
     # ---------------------------------------------------------------- fields
 
@@ -601,9 +600,7 @@ class IndexSearcher:
         if an is None:
             from lucene_ray.functions.analysis import get_analyzer
 
-            spec = (self.manifest.config or {}).get("analyzer", "standard") \
-                if self.manifest else "standard"
-            an = self._parse_analyzer = get_analyzer(spec)
+            an = self._parse_analyzer = get_analyzer(self._analyzer_spec)
         return an
 
     def parse(self, s: str) -> Query:
@@ -1094,18 +1091,12 @@ class IndexSearcher:
             return self._eval_combined_field(r, q, boost)
         if isinstance(q, SynonymQuery):
             return self._eval_synonym(r, q, boost)
-        if isinstance(q, PhraseQuery):
-            return self._eval_phrase(r, q, boost)
-        if isinstance(q, MultiPhraseQuery):
+        if isinstance(q, (PhraseQuery, MultiPhraseQuery)):
             return self._eval_multi_phrase(r, q, boost)
         if isinstance(q, ComplexPhraseQuery):
             return self._eval_complex_phrase(r, q, boost)
-        if isinstance(q, SpanNearQuery):
-            return self._eval_span_near(r, q, boost)
-        if isinstance(q, SpanPositionRangeQuery):
-            return self._eval_span_position_range(r, q, boost)
-        if isinstance(q, SpanNotQuery):
-            return self._eval_span_not(r, q, boost)
+        if isinstance(q, (SpanNearQuery, SpanPositionRangeQuery, SpanNotQuery)):
+            return self._eval_span(r, q, boost)
         if isinstance(q, IntervalQuery):
             return self._eval_interval(r, q, boost)
         if isinstance(q, DisjunctionMaxQuery):
@@ -1402,12 +1393,7 @@ class IndexSearcher:
         fp = self._fp(None)
         tf: dict[str, int] = {}
         if text is not None:
-            from lucene_ray.functions.analysis import get_analyzer
-
-            an = analyzer or get_analyzer(
-                (self.manifest.config or {}).get("analyzer", "standard")
-                if self.manifest else "standard"
-            )
+            an = analyzer or self.query_analyzer()
             codes, vocab, _di, _pos, _dl = an.tokenize_batch_encoded([text])
             cnt = np.bincount(codes, minlength=len(vocab))
             tf = {str(vocab[i]): int(cnt[i]) for i in range(len(vocab)) if cnt[i]}
@@ -1460,7 +1446,7 @@ class IndexSearcher:
         top-k matching docs ordered by a doc-values column, ties by doc_key.
         Returns [(doc_key, field_value), ...]."""
         if isinstance(query, str):
-            query = parse_query(query)
+            query = self.parse(query)
         want_sort = [field, "desc" if descending else "asc"]
         rows = []
         for r in self.readers:
@@ -1498,7 +1484,7 @@ class IndexSearcher:
         (facet/FacetsCollector + LongValueFacetCounts analogue): per-segment
         partial bincounts merged on the way out."""
         if isinstance(query, str):
-            query = parse_query(query)
+            query = self.parse(query)
         out: dict = {}
         for r in self.readers:
             sp = self._apply_live(r, self._eval(r, query))
@@ -1517,7 +1503,7 @@ class IndexSearcher:
         indexing pass, bincount the ordinals, map through the sorted value
         dictionary; segment partials merge by value."""
         if isinstance(query, str):
-            query = parse_query(query)
+            query = self.parse(query)
         out: dict = {}
         for r in self.readers:
             dv = getattr(r, "sorted_set_dv", {}).get(field)
@@ -1575,7 +1561,7 @@ class IndexSearcher:
         in int64 (exact for integral columns), the float ops happen once in
         a fixed order so an SQL oracle reproduces them bit-for-bit."""
         if isinstance(query, str):
-            query = parse_query(query)
+            query = self.parse(query)
         n = 0
         s = 0
         sq = 0
@@ -1612,7 +1598,7 @@ class IndexSearcher:
         semantics), so this is NOT a groupby. Returns [(label, count)] in
         the given range order."""
         if isinstance(query, str):
-            query = parse_query(query)
+            query = self.parse(query)
         totals = np.zeros(len(ranges), dtype=np.int64)
         for r in self.readers:
             sp = self._apply_live(r, self._eval(r, query))
@@ -1641,7 +1627,7 @@ class IndexSearcher:
         so the driver-side merge is O(segments · keys · max_per_key).
         Returns [(rank, doc_key, key, score)]."""
         if isinstance(query, str):
-            query = parse_query(query)
+            query = self.parse(query)
         rd = round_digits
 
         cands: list[tuple] = []  # (-score_key, doc_key, key, score)
@@ -1700,7 +1686,7 @@ class IndexSearcher:
         root total. Returns [(path tuple, count)] sorted; rollup rows carry
         the prefix path (deeper levels as None)."""
         if isinstance(query, str):
-            query = parse_query(query)
+            query = self.parse(query)
         from collections import Counter
 
         counts: Counter = Counter()
@@ -1724,7 +1710,7 @@ class IndexSearcher:
         (round(score,6) desc, doc_key asc). Returns
         [(group, rank, doc_key, score), ...] sorted by (group, rank)."""
         if isinstance(query, str):
-            query = parse_query(query)
+            query = self.parse(query)
         acc: dict = {}
         for r in self.readers:
             sp = self._apply_live(r, self._eval(r, query))
@@ -2135,94 +2121,6 @@ class IndexSearcher:
 
     # ------------------------------------------------------------ phrase
 
-    def _eval_phrase(self, r: SegmentReader, q: PhraseQuery, boost: float) -> _SparseScores:
-        """Exact/sloppy phrase (PhraseQuery.java:71-147): two-phase — docID
-        intersection approximation, then position verification
-        (ExactPhraseMatcher.java:39-153 / SloppyPhraseMatcher.java).
-
-        Scored like the reference: phrase freq (count of matches; for sloppy,
-        Σ 1/(1+matchLength)) through BM25 with the MULTI-term idf sum.
-        """
-        empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
-        if self._multi and q.field and q.field not in self.fields:
-            return empty
-        if len(q.terms) == 1:
-            # PhraseQuery with one term rewrites to TermQuery
-            # (PhraseQuery.java rewrite(); the matcher needs >= 2 positions)
-            return self._eval(r, TermQuery(q.terms[0], q.field), boost)
-        fp = self._fp(q.field)
-        terms = list(q.terms)
-        idxs = [r.term_index(fp + t) for t in terms]
-        if any(i < 0 for i in idxs):
-            return empty
-        post = [r.postings(int(i)) for i in idxs]
-        pos_arrays = [r.positions(int(i)) for i in idxs]
-
-        if q.slop == 0:
-            # Vectorized exact matcher across ALL docs at once: encode each
-            # occurrence as key = doc * 2^21 + position (positions < MAX_POSITION
-            # = 2^21-ish, IndexingChain.java MAX_POSITION cap); a phrase start
-            # (d, p) matches iff for every i, (d, p+i) is an occurrence of
-            # term_i, i.e. keys_0 ∩ (keys_1 − 1) ∩ … — sorted int64 intersects,
-            # no per-doc Python loop (ExactPhraseMatcher semantics).
-            SHIFT = np.int64(1) << np.int64(21)
-            cache = getattr(r, "_poskey_cache", None)
-            if cache is None:
-                cache = r._poskey_cache = {}
-            keys = []
-            for ti, ((docs_i, freqs_i), pos_i) in enumerate(zip(post, pos_arrays)):
-                kk = cache.get(idxs[ti])
-                if kk is None:
-                    doc_rep = np.repeat(docs_i.astype(np.int64), freqs_i)
-                    kk = doc_rep * SHIFT + pos_i.astype(np.int64)
-                    if len(cache) > 64:
-                        cache.pop(next(iter(cache)))
-                    cache[idxs[ti]] = kk
-                keys.append(kk)
-            cand = keys[0]
-            for t_i in range(1, len(keys)):
-                cand, _, _ = _intersect_sorted(cand, keys[t_i] - t_i)
-                if not len(cand):
-                    return empty
-            docs64, counts = np.unique(cand >> np.int64(21), return_counts=True)
-            match_docs = docs64.astype(np.int32).tolist()
-            match_freqs = counts.astype(np.float64).tolist()
-        else:
-            # sloppy path: per-candidate-doc loop (candidates are the docID
-            # intersection — ConjunctionDISI approximation, SloppyPhraseMatcher
-            # .java:102-104); the per-doc matcher is the reference's exact
-            # pq interleaving algorithm (functions/sloppy.py)
-            from lucene_ray.functions.sloppy import sloppy_phrase_freq
-
-            cand = post[0][0]
-            for docs_i, _ in post[1:]:
-                cand, _, _ = _intersect_sorted(cand, docs_i)
-                if not len(cand):
-                    return empty
-            offsets = []
-            for (docs_i, freqs_i), _pa in zip(post, pos_arrays):
-                starts = np.concatenate([[0], np.cumsum(freqs_i)])
-                offsets.append((docs_i, starts))
-            match_docs = []
-            match_freqs = []
-            for d in cand.tolist():
-                sets = []
-                for t_i in range(len(terms)):
-                    docs_i, starts = offsets[t_i]
-                    j = int(np.searchsorted(docs_i, d))
-                    sets.append(pos_arrays[t_i][starts[j] : starts[j + 1]])
-                freq = sloppy_phrase_freq(sets, list(range(len(terms))), terms, q.slop)
-                if freq > 0:
-                    match_docs.append(d)
-                    match_freqs.append(freq)
-        if not match_docs:
-            return empty
-        docs = np.array(match_docs, dtype=np.int32)
-        freqs = np.array(match_freqs, dtype=np.float64)
-        tstats = [self.term_statistics(fp + t) for t in terms]
-        scorer = self.sim.scorer(self._field_cstats(q.field), tstats, boost=boost)
-        return _SparseScores(docs, self._score_arrays(r, scorer, docs, freqs, q.field))
-
     def _expand_dict_spec(self, fp: str, spec) -> list[str]:
         """All dictionary terms (UNION over every segment — MultiTermQuery's
         top-level-reader rewrite, so stats are segment-independent) accepted
@@ -2296,40 +2194,60 @@ class IndexSearcher:
             r, MultiPhraseQuery(positions, slop=q.slop, field=q.field), boost
         )
 
+    @staticmethod
+    def _poskeys(r: SegmentReader, i: int) -> np.ndarray:
+        """Sorted ``doc << 21 | position`` keys of term ordinal ``i``
+        (positions stay below MAX_POSITION = 2^21). Cached per reader and
+        read before anything is decoded, so a hot term's postings and
+        positions are decoded, and its keys built, once."""
+        cache = getattr(r, "_poskey_cache", None)
+        if cache is None:
+            cache = r._poskey_cache = {}
+        kk = cache.get(i)
+        if kk is None:
+            docs, freqs = r.postings(i)
+            kk = np.repeat(docs.astype(np.int64), freqs) * _POS_SHIFT
+            kk += r.positions(i).astype(np.int64)
+            if len(cache) > 64:
+                cache.pop(next(iter(cache)))
+            cache[i] = kk
+        return kk
+
     def _eval_multi_phrase(
-        self, r: SegmentReader, q: MultiPhraseQuery, boost: float
+        self, r: SegmentReader, q: PhraseQuery | MultiPhraseQuery, boost: float
     ) -> _SparseScores:
-        """MultiPhraseQuery (search/MultiPhraseQuery.java:47): each slot is
-        the UNION of its terms' (doc, position) keys (UnionPostingsEnum),
-        then the same consecutive-key intersect as the exact phrase matcher;
-        slop > 0 routes the unioned per-doc position sets through the
-        SloppyPhraseMatcher port with each SLOT as one pseudo-term (the
-        reference likewise drives one PostingsEnum per position)."""
+        """PhraseQuery and MultiPhraseQuery (search/PhraseQuery.java:71-147,
+        MultiPhraseQuery.java:47); a PhraseQuery is the case of one term per
+        slot. Each slot is the UNION of its terms' (doc, position) keys
+        (UnionPostingsEnum). Exact: a phrase start (d, p) matches iff every
+        slot j holds (d, p + j), one sorted int64 intersect per slot across
+        all docs (ExactPhraseMatcher). slop > 0: docID conjunction, then the
+        SloppyPhraseMatcher port per candidate doc with each SLOT as one
+        pseudo-term (the reference likewise drives one PostingsEnum per
+        position). Scored through BM25 with the phrase freq and the idf
+        summed over every slot term some document holds."""
         empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
         if self._multi and q.field and q.field not in self.fields:
             return empty
+        if isinstance(q, PhraseQuery):
+            slots = [(t,) for t in q.terms]
+        else:
+            slots = list(q.positions)
+        if not slots:
+            return empty
+        if len(slots) == 1 and len(slots[0]) == 1:
+            # a one-term phrase rewrites to a TermQuery (PhraseQuery /
+            # MultiPhraseQuery rewrite; the matcher needs >= 2 positions)
+            return self._eval(r, TermQuery(slots[0][0], q.field), boost)
         fp = self._fp(q.field)
-        slots = list(q.positions)
-        if len(slots) == 1:
-            # rewrites to a SynonymQuery-like union; score each term alone
-            # (MultiPhraseQuery.java rewrite to TermQuery for 1x1)
-            if len(slots[0]) == 1:
-                return self._eval(r, TermQuery(slots[0][0], q.field), boost)
-        SHIFT = np.int64(1) << np.int64(21)
         slot_keys: list[np.ndarray] = []
         for slot in slots:
-            idxs = [i for i in (r.term_index(fp + t) for t in slot) if i >= 0]
-            if not idxs:
+            parts = [self._poskeys(r, i)
+                     for i in (r.term_index(fp + t) for t in slot) if i >= 0]
+            if not parts:
                 return empty  # no accepted term of this slot exists here
-            parts = []
-            for i in idxs:
-                docs_i, freqs_i = r.postings(int(i))
-                pos_i = r.positions(int(i))
-                doc_rep = np.repeat(docs_i.astype(np.int64), freqs_i)
-                parts.append(doc_rep * SHIFT + pos_i.astype(np.int64))
             # distinct terms never share a position, so the union is disjoint
-            kk = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
-            slot_keys.append(kk)
+            slot_keys.append(parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts)))
 
         if q.slop == 0:
             cand = slot_keys[0]
@@ -2337,16 +2255,17 @@ class IndexSearcher:
                 cand, _, _ = _intersect_sorted(cand, slot_keys[j] - j)
                 if not len(cand):
                     return empty
-            docs64, counts = np.unique(cand >> np.int64(21), return_counts=True)
+            docs64, counts = np.unique(cand >> _POS_BITS, return_counts=True)
             match_docs = docs64.astype(np.int32)
             match_freqs = counts.astype(np.float64)
         else:
             from lucene_ray.functions.sloppy import sloppy_phrase_freq
 
-            doc_sets = [np.unique(kk >> np.int64(21)) for kk in slot_keys]
-            cand = doc_sets[0]
-            for ds in doc_sets[1:]:
-                cand, _, _ = _intersect_sorted(cand, ds)
+            cand = None
+            for kk in slot_keys:
+                d = kk >> _POS_BITS  # sorted: keep each run's first doc
+                d = d[np.concatenate(([True], d[1:] != d[:-1]))]
+                cand = d if cand is None else _intersect_sorted(cand, d)[0]
                 if not len(cand):
                     return empty
             labels = [tuple(sorted(slot)) for slot in slots]
@@ -2354,9 +2273,9 @@ class IndexSearcher:
             for d in cand.tolist():
                 sets = []
                 for kk in slot_keys:
-                    lo = int(np.searchsorted(kk, np.int64(d) * SHIFT))
-                    hi = int(np.searchsorted(kk, (np.int64(d) + 1) * SHIFT))
-                    sets.append((kk[lo:hi] & (SHIFT - 1)).astype(np.int64))
+                    lo = int(np.searchsorted(kk, np.int64(d) * _POS_SHIFT))
+                    hi = int(np.searchsorted(kk, (np.int64(d) + 1) * _POS_SHIFT))
+                    sets.append((kk[lo:hi] & (_POS_SHIFT - 1)).astype(np.int64))
                 freq = sloppy_phrase_freq(sets, list(range(len(slots))), labels, q.slop)
                 if freq > 0:
                     md.append(d)
@@ -2368,10 +2287,16 @@ class IndexSearcher:
 
         tstats = [self.term_statistics(fp + t) for slot in slots for t in slot]
         tstats = [ts for ts in tstats if ts.doc_freq > 0]
-        scorer = self.sim.scorer(self._field_cstats(q.field), tstats, boost=boost)
-        return _SparseScores(
-            match_docs, self._score_arrays(r, scorer, match_docs, match_freqs, q.field)
-        )
+        return self._score_positional(r, tstats, match_docs, match_freqs, boost, q.field)
+
+    def _score_positional(self, r: SegmentReader, tstats, docs, freqs, boost: float,
+                          field: str | None = None) -> _SparseScores:
+        """BM25 of per-doc positional freqs (phrase or span), with the idf
+        summed over ``tstats`` in order."""
+        docs = np.asarray(docs, dtype=np.int32)
+        freqs = np.asarray(freqs, dtype=np.float64)
+        scorer = self.sim.scorer(self._field_cstats(field), tstats, boost=boost)
+        return _SparseScores(docs, self._score_arrays(r, scorer, docs, freqs, field))
 
     def _expand_span_slots(self, q: SpanNearQuery):
         """Normalize q.terms into slots of concrete terms: strings pass
@@ -2416,216 +2341,142 @@ class IndexSearcher:
         cache[q.terms] = out
         return out
 
-    def _span_resolve(self, r: SegmentReader, q: SpanNearQuery):
-        """Recursive span resolution (spans inside spans — the
-        NearSpansOrdered nesting of the reference). Returns
-        ``(stats_terms, cand, extents_of)`` or None when some slot matches
-        nothing in this segment:
+    def _span_source(self, q: Query):
+        """A span query as an interval-algebra source, with the list of terms
+        its idf sums over; None when a slot expands to nothing.
 
-        - ``stats_terms``: every leaf term in the tree (for idf);
-        - ``cand``: sorted candidate docIDs (conjunction of slot docs);
-        - ``extents_of(d)``: this query's minimal matches in doc ``d`` as
-          (start, end, gaps) triples, already filtered by ``q.slop``.
+        SpanNearQuery is IvSpanNear over IvTerm / IvSpanOr slots (a nested
+        SpanNearQuery is a slot, allowed under an ordered parent only);
+        SpanPositionRangeQuery is IvPositionRange; SpanNotQuery is
+        ``non_overlapping(include, extend(exclude, post, pre))``; a bare
+        TermQuery is a one-slot span (SpanTermQuery). The idf terms are
+        every slot term in slot order, repeats and terms no document holds
+        included (a set of leaves would drop both)."""
+        from lucene_ray.functions import interval_algebra as ia
 
-        Nested sub-spans are allowed only under an ORDERED parent (extent
-        chaining); an unordered parent requires leaf slots — the flat
-        position-list matcher."""
-        from lucene_ray.functions.intervals import (
-            minimal_extent_chains_ordered,
-            minimal_intervals_unordered,
-        )
-
-        fp = self._fp(None)
+        if isinstance(q, SpanPositionRangeQuery):
+            got = self._span_source(q.match)
+            if got is None:
+                return None
+            return ia.IvPositionRange(got[0], q.start, q.end), got[1]
+        if isinstance(q, SpanNotQuery):
+            got = self._span_source(q.include)
+            exc = self._span_source(q.exclude) if got is not None else None
+            if exc is None:
+                return got
+            return ia.non_overlapping(got[0], ia.extend(exc[0], q.post, q.pre)), got[1]
+        if isinstance(q, TermQuery):
+            q = SpanNearQuery([(q.term,)], slop=0, in_order=True)
+        if not isinstance(q, SpanNearQuery):
+            raise TypeError(f"not a span query: {q!r}")
         slots = self._expand_span_slots(q)
         if slots is None:
             return None
-        stats_terms: list[str] = []
-        resolved = []  # per slot: ("leaf", entries) | ("sub", extents_of)
-        cand = None
+        subs, terms = [], []
         for slot in slots:
             if isinstance(slot, SpanNearQuery):
                 if not q.in_order:
                     raise TypeError(
                         "nested span clauses require an ordered parent "
                         "(NearSpansUnordered extent nesting not supported)")
-                sub = self._span_resolve(r, slot)
-                if sub is None:
+                got = self._span_source(slot)
+                if got is None:
                     return None
-                sub_terms, sub_cand, sub_extents = sub
-                stats_terms.extend(sub_terms)
-                resolved.append(("sub", sub_extents))
-                sd = sub_cand
+                subs.append(got[0])
+                terms.extend(got[1])
             else:
-                idxs = [i for i in (r.term_index(fp + t) for t in slot) if i >= 0]
-                if not idxs:
-                    return None  # no term of this slot exists here
-                stats_terms.extend(slot)
-                entries = []
-                for i in idxs:
-                    docs_i, freqs_i = r.postings(int(i))
-                    starts = np.concatenate([[0], np.cumsum(freqs_i)])
-                    entries.append((docs_i, starts, r.positions(int(i))))
-                resolved.append(("leaf", entries))
-                sd = (
-                    entries[0][0]
-                    if len(entries) == 1
-                    else np.unique(np.concatenate([e[0] for e in entries]))
-                )
-            cand = sd if cand is None else _intersect_sorted(cand, sd)[0]
-            if not len(cand):
-                return None
+                terms.extend(slot)
+                leaves = tuple(ia.IvTerm(t) for t in slot)
+                subs.append(leaves[0] if len(leaves) == 1 else ia.IvSpanOr(leaves))
+        return ia.IvSpanNear(tuple(subs), q.slop, q.in_order), terms
 
-        def leaf_positions(entries, d: int) -> np.ndarray:
-            parts = []
-            for docs_i, starts, pos_i in entries:
+    def _eval_span(self, r: SegmentReader, q: Query, boost: float) -> _SparseScores:
+        """SpanNearQuery, SpanPositionRangeQuery (SpanFirstQuery) and
+        SpanNotQuery: the query's interval source (``_span_source``) through
+        the two-phase loop shared with IntervalQuery. Slots with
+        alternatives behave as SpanOr; nested SpanNearQuery slots chain by
+        extents. freq = Σ 1/(1 + gaps) over the intervals in start order
+        (SpanScorer sloppyFreq), scored through BM25 with the idf summed
+        over every slot term."""
+        empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
+        got = self._span_source(q)
+        if got is None:
+            return empty
+        src, terms = got
+        docs, freqs = [], []
+        for d, ivs in self._two_phase(r, src, None):
+            docs.append(d)
+            freqs.append(sum(1.0 / (1.0 + g) for _, _, _, g in ivs))
+        if not docs:
+            return empty
+        fp = self._fp(None)
+        tstats = [self.term_statistics(fp + t) for t in terms]
+        return self._score_positional(r, tstats, docs, freqs, boost)
+
+    def _two_phase(self, r: SegmentReader, src, field: str | None):
+        """The positional engine's two-phase loop (IntervalQuery.java:59,
+        IntervalScorer.java; the spans' ConjunctionDISI approximation). The
+        docID approximation comes from the source's doc_plan (conjunction →
+        postings intersect, disjunction → union, negative filters → positive
+        side only); each candidate doc then runs the source's per-doc
+        minimal-interval kernels. Yields ``(doc, intervals)`` for the docs
+        with at least one interval, in doc order. Leaves with no field read
+        ``field`` (None: the default field)."""
+        from lucene_ray.functions import interval_algebra as ia
+
+        leaves = sorted(src.leaf_terms(), key=lambda ft: (ft[0] or "", ft[1]))
+        # per-leaf postings + flat positions, sliced per doc below
+        post = {}
+        for fld, t in leaves:
+            i = r.term_index(self._fp(fld if fld is not None else field) + t)
+            if i < 0:
+                post[(fld, t)] = None
+                continue
+            docs_i, freqs_i = r.postings(int(i))
+            starts = np.concatenate([[0], np.cumsum(freqs_i)])
+            post[(fld, t)] = (docs_i, starts, r.positions(int(i)))
+
+        def cand(s):
+            if isinstance(s, ia.IvTerm):
+                p = post.get((s.field, s.term))
+                return p[0] if p is not None else np.empty(0, dtype=np.int32)
+            mode, kids = s.doc_plan()
+            if mode == "first":
+                return cand(kids[0])
+            sets = [cand(k) for k in kids]
+            if mode == "and":
+                out = sets[0]
+                for d in sets[1:]:
+                    out, _, _ = _intersect_sorted(out, d)
+                    if not len(out):
+                        break
+                return out
+            return (
+                np.unique(np.concatenate(sets)).astype(np.int32)
+                if sets
+                else np.empty(0, dtype=np.int32)
+            )
+
+        for d in cand(src).tolist():
+            env = {}
+            for ft in leaves:
+                p = post[ft]
+                if p is None:
+                    continue
+                docs_i, starts, flat = p
                 j = int(np.searchsorted(docs_i, d))
                 if j < len(docs_i) and docs_i[j] == d:
-                    parts.append(pos_i[starts[j] : starts[j + 1]])
-            if len(parts) == 1:
-                return parts[0]
-            return np.sort(np.concatenate(parts))
-
-        n = len(resolved)
-
-        def extents_of(d: int):
-            if q.in_order and any(kind == "sub" for kind, _ in resolved):
-                ext_lists = []
-                for kind, payload in resolved:
-                    if kind == "leaf":
-                        ext_lists.append(
-                            [(int(p), int(p)) for p in leaf_positions(payload, d)]
-                        )
-                    else:
-                        ext_lists.append([(s, e) for s, e, _ in payload(d)])
-                chains = minimal_extent_chains_ordered(ext_lists)
-                return [(s, e, g) for s, e, g in chains if g <= q.slop]
-            sets = [leaf_positions(p, d) for _, p in resolved]
-            if q.in_order:
-                chains = minimal_extent_chains_ordered(
-                    [[(int(p), int(p)) for p in s] for s in sets]
-                )
-                return [(s, e, g) for s, e, g in chains if g <= q.slop]
-            out = []
-            for s, e in minimal_intervals_unordered(sets):
-                w = max(0, (e - s) - (n - 1))
-                if w <= q.slop:
-                    out.append((s, e, w))
-            return out
-
-        return stats_terms, cand, extents_of
-
-    def _score_span_matches(self, r, stats_terms, match_docs, match_freqs, boost):
-        if not match_docs:
-            return _SparseScores(
-                np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64)
-            )
-        fp = self._fp(None)
-        docs = np.array(match_docs, dtype=np.int32)
-        freqs = np.array(match_freqs, dtype=np.float64)
-        tstats = [self.term_statistics(fp + t) for t in stats_terms]
-        scorer = self.sim.scorer(self._field_cstats(None), tstats, boost=boost)
-        return _SparseScores(docs, self._score_arrays(r, scorer, docs, freqs))
-
-    def _eval_span_near(self, r: SegmentReader, q: SpanNearQuery, boost: float) -> _SparseScores:
-        """SpanNearQuery: docID conjunction, then the per-doc minimal-interval
-        matcher (functions/intervals.py); scored like a phrase (multi-term
-        idf sum through BM25 with the span freq). Slots with alternatives
-        behave as SpanOr; nested SpanNearQuery slots chain by extents."""
-        empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
-        got = self._span_resolve(r, q)
-        if got is None:
-            return empty
-        stats_terms, cand, extents_of = got
-        match_docs, match_freqs = [], []
-        for d in cand.tolist():
-            freq = sum(1.0 / (1.0 + g) for _, _, g in extents_of(d))
-            if freq > 0:
-                match_docs.append(d)
-                match_freqs.append(freq)
-        return self._score_span_matches(r, stats_terms, match_docs, match_freqs, boost)
-
-    @staticmethod
-    def _as_span(q: Query) -> SpanNearQuery:
-        """Wrap a bare TermQuery as a 1-slot span (SpanTermQuery)."""
-        if isinstance(q, SpanNearQuery):
-            return q
-        if isinstance(q, TermQuery):
-            return SpanNearQuery([(q.term,)], slop=0, in_order=True)
-        raise TypeError(f"not a span query: {q!r}")
-
-    def _eval_span_position_range(
-        self, r: SegmentReader, q: "SpanPositionRangeQuery", boost: float
-    ) -> _SparseScores:
-        """SpanPositionRangeQuery / SpanFirstQuery: keep only the match's
-        minimal intervals lying entirely within [start, end) (spans/
-        SpanPositionRangeQuery.java accepts start <= spans.start and
-        spans.end <= end, with the reference's exclusive endPosition =
-        inclusive end + 1)."""
-        empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
-        m = self._as_span(q.match)
-        got = self._span_resolve(r, m)
-        if got is None:
-            return empty
-        stats_terms, cand, extents_of = got
-        match_docs, match_freqs = [], []
-        for d in cand.tolist():
-            freq = sum(
-                1.0 / (1.0 + w)
-                for s, e, w in extents_of(d)
-                if s >= q.start and e < q.end
-            )
-            if freq > 0:
-                match_docs.append(d)
-                match_freqs.append(freq)
-        return self._score_span_matches(r, stats_terms, match_docs, match_freqs, boost)
-
-    def _eval_span_not(
-        self, r: SegmentReader, q: "SpanNotQuery", boost: float
-    ) -> _SparseScores:
-        """SpanNotQuery: include spans with no exclude span within ``pre``
-        positions before / ``post`` after (spans/SpanNotQuery.java overlap
-        test on the candidate's extended window)."""
-        empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
-        inc = self._as_span(q.include)
-        got = self._span_resolve(r, inc)
-        if got is None:
-            return empty
-        stats_terms, cand, extents_of = got
-        got_exc = self._span_resolve(r, self._as_span(q.exclude))
-        exc_cand = got_exc[1] if got_exc is not None else None
-        match_docs, match_freqs = [], []
-        for d in cand.tolist():
-            eivs = []
-            if got_exc is not None and exc_cand is not None:
-                j = int(np.searchsorted(exc_cand, d))
-                if j < len(exc_cand) and exc_cand[j] == d:
-                    eivs = got_exc[2](d)
-            freq = sum(
-                1.0 / (1.0 + w)
-                for s, e, w in extents_of(d)
-                if not any(
-                    s2 <= e + q.post and e2 >= s - q.pre for s2, e2, _ in eivs
-                )
-            )
-            if freq > 0:
-                match_docs.append(d)
-                match_freqs.append(freq)
-        return self._score_span_matches(r, stats_terms, match_docs, match_freqs, boost)
+                    env[ft] = flat[starts[j] : starts[j + 1]]
+            ivs = src.intervals(env)
+            if ivs:
+                yield d, ivs
 
     def _eval_interval(self, r: SegmentReader, q: IntervalQuery, boost: float) -> _SparseScores:
-        """IntervalQuery: two-phase evaluation (IntervalQuery.java:59,
-        IntervalScorer.java). The docID approximation comes from the source's
-        doc_plan (conjunction → postings intersect, disjunction → union,
-        negative filters → positive side only); each candidate doc then runs
-        the per-doc minimal-interval kernels, freq = Σ 1/max(extent -
+        """IntervalQuery (IntervalQuery.java:59, IntervalScorer.java): the
+        source's intervals from the two-phase loop, freq = Σ 1/max(extent -
         minExtent + 1, 1), scored through the saturation (or sigmoid)
         function — similarity-independent, bounded by boost."""
         from lucene_ray.functions import interval_algebra as ia
-
-        empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
-
-        def key(field, term):
-            return self._fp(field if field is not None else q.field) + term
 
         def expand(s):
             # per-segment MultiTermIntervalsSource expansion (Intervals.prefix
@@ -2665,58 +2516,8 @@ class IndexSearcher:
 
         src = expand(q.source)
         min_extent = src.min_extent()
-        leaves = sorted(src.leaf_terms(), key=lambda ft: (ft[0] or "", ft[1]))
-
-        # per-leaf postings + flat positions, sliced per doc below
-        post = {}
-        for fld, t in leaves:
-            i = r.term_index(key(fld, t))
-            if i < 0:
-                post[(fld, t)] = None
-                continue
-            docs_i, freqs_i = r.postings(int(i))
-            starts = np.concatenate([[0], np.cumsum(freqs_i)])
-            post[(fld, t)] = (docs_i, starts, r.positions(int(i)))
-
-        def cand(s):
-            if isinstance(s, ia.IvTerm):
-                p = post.get((s.field, s.term))
-                return p[0] if p is not None else np.empty(0, dtype=np.int32)
-            mode, kids = s.doc_plan()
-            if mode == "first":
-                return cand(kids[0])
-            sets = [cand(k) for k in kids]
-            if mode == "and":
-                out = sets[0]
-                for d in sets[1:]:
-                    out, _, _ = _intersect_sorted(out, d)
-                    if not len(out):
-                        break
-                return out
-            return (
-                np.unique(np.concatenate(sets)).astype(np.int32)
-                if sets
-                else np.empty(0, dtype=np.int32)
-            )
-
-        cand_docs = cand(src)
-        if not len(cand_docs):
-            return empty
-
         match_docs, scores = [], []
-        for d in cand_docs.tolist():
-            env = {}
-            for ft in leaves:
-                p = post[ft]
-                if p is None:
-                    continue
-                docs_i, starts, flat = p
-                j = int(np.searchsorted(docs_i, d))
-                if j < len(docs_i) and docs_i[j] == d:
-                    env[ft] = flat[starts[j] : starts[j + 1]]
-            ivs = src.intervals(env)
-            if not ivs:
-                continue
+        for d, ivs in self._two_phase(r, src, q.field):
             freq = ia.interval_freq(ivs, min_extent)
             if q.exp is not None:
                 s_ = ia.sigmoid_score(freq, q.pivot, q.exp, boost)
@@ -2724,8 +2525,6 @@ class IndexSearcher:
                 s_ = ia.saturation_score(freq, q.pivot, boost)
             match_docs.append(d)
             scores.append(s_)
-        if not match_docs:
-            return empty
         return _SparseScores(
             np.array(match_docs, dtype=np.int32), np.array(scores, dtype=np.float64)
         )

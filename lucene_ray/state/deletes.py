@@ -86,14 +86,14 @@ def _commit_or_cleanup(index_dir: str, manifest, changed: dict, written: list[st
 def delete_by_query(index_dir: str, query) -> int:
     """Mark every doc matching ``query`` dead; commits a new manifest
     generation. Returns the number of newly deleted docs."""
-    from lucene_ray.query import Query, parse_query
+    from lucene_ray.query import Query
     from lucene_ray.searcher import IndexSearcher
 
-    if isinstance(query, str):
-        query = parse_query(query)
-    assert isinstance(query, Query)
     manifest = Manifest.load(index_dir)
     searcher = IndexSearcher(index_dir)
+    if isinstance(query, str):
+        query = searcher.parse(query)
+    assert isinstance(query, Query)
     n_deleted = 0
     changed: dict[str, dict] = {}
     written: list[str] = []

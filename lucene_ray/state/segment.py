@@ -92,7 +92,7 @@ def prefix_successor(prefix: str) -> str | None:
 
 
 # Token-position cap: positions share an int64 with docIDs in the exact
-# phrase matcher (doc << 21 | pos, searcher._eval_phrase), mirroring the
+# phrase matcher (doc << 21 | pos, searcher._poskeys), mirroring the
 # reference's IndexWriter MAX_POSITION bound on absurdly long documents.
 MAX_POSITION = 1 << 21
 

@@ -547,6 +547,51 @@ def test_distributed_search_uses_index_analyzer(ray_session, tmp_path):
     assert empty.schema().names == ["query_id", "query", "rank", "doc_key", "score"]
 
 
+def test_string_queries_use_index_analyzer(ray_session, tmp_path):
+    """Every searcher entry that takes query text parses it through the
+    index's analyzer, as search and count do; so does delete_by_query."""
+    import ray.data
+
+    from lucene_ray.pipelines.index_pipeline import build_index
+    from lucene_ray.state.deletes import delete_by_query
+
+    texts = ["the runner was running fast", "he runs daily", "nothing here"]
+    rows = [{"url": f"u{i}", "text": t, "grp": i % 2, "n": 10 + i, "tags": [f"t{i}"]}
+            for i, t in enumerate(texts)]
+    d = str(tmp_path / "english")
+    build_index(ray.data.from_items(rows), d, key_col="url", text_col="text",
+                num_partitions=1, analyzer="english",
+                docvalue_cols=("grp", "n", "tags"))
+    s = IndexSearcher(d)
+    assert s.count("running") == 2
+    assert len(s.search("running", k=10).score_docs) == 2
+    assert sum(s.facet_counts("running", "grp").values()) == 2
+    assert sum(s.facet_counts_multi("running", "tags").values()) == 2
+    assert s.dv_stats("running", "n")["count"] == 2
+    assert len(s.grouped_topk("running", "grp")) == 2
+    assert len(s.search_by_field("running", "n")) == 2
+    assert s.range_facet_counts("running", "n", [("all", 0, 100)]) == [("all", 2)]
+    assert len(s.diversified_topk("running", "grp")) == 2
+    assert dict(s.taxonomy_counts("running", ["grp"]))[()] == 2
+    assert delete_by_query(d, "running") == 2
+    assert IndexSearcher(d).count("running") == 0
+
+
+def test_from_readers_uses_config_analyzer():
+    """A searcher over in-RAM readers parses with the analyzer named in its
+    config, so MemoryIndex(analyzer=...) finds stemmed text by query text."""
+    from lucene_ray.query import TermQuery
+    from lucene_ray.state.memory import MemoryIndex
+
+    m = MemoryIndex(["a", "b", "c"],
+                    ["the runner was running fast", "he runs daily", "nothing here"],
+                    analyzer="english")
+    assert m.count(TermQuery("run")) == 2
+    assert m.count("running") == 2
+    assert [sd.doc_key for sd in m.search("running").score_docs] == \
+        [sd.doc_key for sd in m.search(TermQuery("run")).score_docs]
+
+
 @pytest.mark.parametrize("algo", ["wand", "exhaustive"])
 def test_terms_resolved_once_per_query(index_dir, algo):
     """Each query term's global statistics are looked up once per query,

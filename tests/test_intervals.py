@@ -1,4 +1,6 @@
-"""Minimal-interval spans — kernel vs brute force + end-to-end SpanNearQuery."""
+"""Minimal-interval spans — the interval-algebra span source (IvSpanNear)
+and the ordered / unordered combinators vs brute force, plus end-to-end
+SpanNearQuery."""
 
 from __future__ import annotations
 
@@ -8,11 +10,38 @@ import random
 import numpy as np
 import pytest
 
-from lucene_ray.functions.intervals import (
-    minimal_intervals_ordered,
-    minimal_intervals_unordered,
-    span_near_freq,
-)
+from lucene_ray.functions import interval_algebra as ia
+
+
+def _span_intervals(pos_lists, in_order: bool, slop: int = 1 << 30):
+    """IvSpanNear over one term per clause, each term holding that
+    clause's positions (equal lists behave as a repeated query term)."""
+    env = {(None, f"t{i}"): np.asarray(p, dtype=np.int64)
+           for i, p in enumerate(pos_lists)}
+    subs = tuple(ia.IvTerm(f"t{i}") for i in range(len(pos_lists)))
+    return ia.IvSpanNear(subs, slop, in_order).intervals(env)
+
+
+def minimal_intervals_ordered(pos_lists):
+    return [(s, e) for s, e, _, _ in _span_intervals(pos_lists, True)]
+
+
+def minimal_intervals_unordered(pos_lists):
+    return [(s, e) for s, e, _, _ in _span_intervals(pos_lists, False)]
+
+
+def span_near_freq(pos_lists, slop: int, in_order: bool) -> float:
+    """SpanScorer freq: Σ 1/(1+gaps) over the span's intervals."""
+    return sum(1.0 / (1.0 + g) for _, _, _, g in _span_intervals(pos_lists, in_order, slop))
+
+
+def _combinator_intervals(pos_lists, ordered: bool):
+    """The IntervalQuery combinators over distinct terms."""
+    env = {(None, f"t{i}"): np.asarray(p, dtype=np.int64)
+           for i, p in enumerate(pos_lists)}
+    names = [f"t{i}" for i in range(len(pos_lists))]
+    src = ia.ordered(*names) if ordered else ia.unordered(*names)
+    return [(s, e) for s, e, _, _ in src.intervals(env)]
 
 
 def brute_minimal(pos_lists, ordered: bool):
@@ -58,6 +87,8 @@ def test_minimal_intervals_match_bruteforce_random():
         got_o = minimal_intervals_ordered(lists)
         want_o = brute_minimal(lists, ordered=True)
         assert got_o == want_o, (lists, got_o, want_o)
+        assert _combinator_intervals(lists, ordered=False) == want_u
+        assert _combinator_intervals(lists, ordered=True) == want_o
 
 
 def test_span_near_freq_examples():

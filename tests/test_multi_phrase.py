@@ -106,3 +106,12 @@ def test_missing_slot_term_ignored_missing_slot_empty(idx):
         s.search(MultiPhraseQuery((("microsoft",), ("zzzznope",))), k=100).score_docs
         == []
     )
+
+
+def test_empty_phrase_matches_nothing(idx):
+    # `""` parses to a phrase with no terms: it matches nothing, and an
+    # optional empty phrase leaves the rest of the query alone
+    s = IndexSearcher(idx)
+    assert s.count(PhraseQuery([])) == 0
+    assert s.count(MultiPhraseQuery([])) == 0
+    assert s.count('microsoft ""') == s.count("microsoft")

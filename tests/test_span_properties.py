@@ -1,7 +1,11 @@
 """Randomized span conformance: the engine's span family vs an independent
 brute-force matcher over in-RAM mini-indexes (MemoryIndex-style), covering
 SpanNear ordered/unordered with slot alternatives, nested ordered spans,
-SpanFirst and SpanNot."""
+SpanFirst and SpanNot. SpanNear, SpanFirst and SpanNot also check scores:
+the brute-force span freq Σ 1/(1+slack) through a textbook BM25 whose idf
+sums over every slot term, repeats and absent alternatives included."""
+
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +101,47 @@ def _engine_docs(searcher, q):
     return sorted(sd.doc_key for sd in searcher.search(q, 100).score_docs)
 
 
+def _engine_scores(searcher, q):
+    return {sd.doc_key: sd.score for sd in searcher.search(q, 100).score_docs}
+
+
+def _ref_span_freq(tokens, q):
+    """Σ 1/(1+slack) over the brute-force minimal extents of a flat
+    SpanNearQuery, in start order; slack = extent beyond the n slots."""
+    n = len(q.terms)
+    return sum(1.0 / (1.0 + max(0, (e - s) - (n - 1)))
+               for s, e in _ref_extents(tokens, q))
+
+
+def _idf_terms(q):
+    """The terms a span's idf sums over: every slot term, in slot order."""
+    out = []
+    for slot in q.terms:
+        out.extend([slot] if isinstance(slot, str) else sorted(set(slot)))
+    return out
+
+
+def _ref_bm25(docs, idf_terms, freqs, k1=1.2, b=0.75):
+    """Textbook BM25 (the from_readers default, exact lengths) of each doc
+    index in ``freqs`` — stats counted from the token lists directly."""
+    n = len(docs)
+    avgdl = sum(len(t) for t in docs) / n
+    idf = 0.0
+    for t in idf_terms:
+        df = sum(1 for toks in docs if t in toks)
+        idf += math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+    return {
+        f"d{i:03d}": idf * f * (k1 + 1) / (f + k1 * (1 - b + b * len(docs[i]) / avgdl))
+        for i, f in freqs.items()
+    }
+
+
+def _assert_scores(got, want):
+    assert sorted(got) == sorted(want)
+    for key, score in want.items():
+        assert got[key] == pytest.approx(score, rel=1e-9), key
+
+
 docs_strategy = st.lists(
     st.lists(st.sampled_from(VOCAB), min_size=1, max_size=12),
     min_size=1,
@@ -118,10 +163,8 @@ docs_strategy = st.lists(
 def test_span_near_matches_bruteforce(ray_session, docs, slots, slop, in_order):
     q = SpanNearQuery(slots, slop=slop, in_order=in_order)
     s = _mini_searcher(docs)
-    expect = sorted(
-        f"d{i:03d}" for i, toks in enumerate(docs) if _ref_extents(toks, q)
-    )
-    assert _engine_docs(s, q) == expect
+    freqs = {i: f for i, toks in enumerate(docs) if (f := _ref_span_freq(toks, q))}
+    _assert_scores(_engine_scores(s, q), _ref_bm25(docs, _idf_terms(q), freqs))
 
 
 @given(docs_strategy, st.sampled_from(VOCAB), st.integers(1, 6))
@@ -129,11 +172,12 @@ def test_span_near_matches_bruteforce(ray_session, docs, slots, slop, in_order):
 def test_span_first_matches_bruteforce(ray_session, docs, term, end):
     q = SpanFirstQuery(TermQuery(term), end)
     s = _mini_searcher(docs)
-    expect = sorted(
-        f"d{i:03d}" for i, toks in enumerate(docs)
-        if any(p < end for p in _slot_positions(toks, term))
-    )
-    assert _engine_docs(s, q) == expect
+    freqs = {}
+    for i, toks in enumerate(docs):
+        n_first = sum(1 for p in _slot_positions(toks, term) if p < end)
+        if n_first:
+            freqs[i] = float(n_first)
+    _assert_scores(_engine_scores(s, q), _ref_bm25(docs, [term], freqs))
 
 
 @given(docs_strategy, st.sampled_from(VOCAB), st.sampled_from(VOCAB),
@@ -142,15 +186,15 @@ def test_span_first_matches_bruteforce(ray_session, docs, term, end):
 def test_span_not_matches_bruteforce(ray_session, docs, inc, exc, pre, post):
     q = SpanNotQuery(TermQuery(inc), TermQuery(exc), pre=pre, post=post)
     s = _mini_searcher(docs)
-    expect = []
+    freqs = {}
     for i, toks in enumerate(docs):
         ip = _slot_positions(toks, inc)
         ep = _slot_positions(toks, exc)
         keep = [p for p in ip
                 if not any(p - pre <= p2 <= p + post for p2 in ep)]
         if keep:
-            expect.append(f"d{i:03d}")
-    assert _engine_docs(s, q) == sorted(expect)
+            freqs[i] = float(len(keep))
+    _assert_scores(_engine_scores(s, q), _ref_bm25(docs, [inc], freqs))
 
 
 def test_nested_ordered_matches_bruteforce(ray_session):
