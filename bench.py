@@ -1,8 +1,11 @@
 """Benchmark driver — headline pipelines over $GRAFT_SF_DIR at $RAY_GRAFT_CPUS.
 
-Prints ONE JSON line:
+Prints ONE JSON line, kept under 2 KB so a log tail holds all of it:
   {"metric": ..., "value": <total sec>, "unit": "sec",
-   "queries": {stage: sec, ...}, "sf": ..., "num_cpus": N, ...}
+   "queries": {stage: sec, ...}, "sf": ..., "num_cpus": N, ...,
+   "detail_file": "bench_detail.json"}
+Every trial's stage walls, the fault flags and the per-shape query latency
+go to ``bench_detail.json`` beside this script.
 
 ``--scaling`` runs the same job twice in fresh processes at two parallelism
 levels (default num_cpus=2 and 8; override with SCALE_LO/SCALE_HI) and
@@ -52,6 +55,8 @@ STAGES = os.environ.get("BENCH_STAGES", "all")
 # slows a run — with every trial's raw stage times and a fault-episode flag
 # kept in the same JSON so the record adjudicates itself.
 TRIALS = int(os.environ.get("BENCH_TRIALS", "3"))
+DETAIL_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_detail.json")
+DETAIL_KEYS = ("trials_per_stage_sec", "fault_flags", "query_latency")
 
 
 def run_bench() -> dict:
@@ -470,7 +475,8 @@ def rec0_docs(trials: list[dict]) -> int:
 
 def run_scaling() -> dict:
     def run(ncpu: int) -> dict:
-        env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), BENCH_STAGES="core")
+        env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), BENCH_STAGES="core",
+                   BENCH_CHILD="1")
         out = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
                              capture_output=True, text=True, check=True,
                              cwd=os.path.dirname(os.path.abspath(__file__))).stdout
@@ -513,10 +519,25 @@ def run_scaling() -> dict:
     }
 
 
+def record_line(rec: dict) -> str:
+    """The record's stdout line: the DETAIL_KEYS fields move to DETAIL_FILE
+    (the line names it, and counts the fault flags)."""
+    detail = {k: rec.pop(k) for k in DETAIL_KEYS if k in rec}
+    if detail:
+        with open(DETAIL_FILE, "w") as f:
+            json.dump(detail, f, indent=1)
+        rec["detail_file"] = os.path.basename(DETAIL_FILE)
+    if "fault_flags" in detail:
+        rec["n_fault_flags"] = len(detail["fault_flags"])
+    return json.dumps(rec)
+
+
 if __name__ == "__main__":
     if "--scaling" in sys.argv:
         print(json.dumps(run_scaling()))
-    elif TRIALS > 1 and not os.environ.get("BENCH_CHILD") and STAGES == "all":
-        print(json.dumps(run_trials(TRIALS)))
+    elif os.environ.get("BENCH_CHILD"):
+        print(json.dumps(run_bench()))  # read whole by the parent's run_trials
+    elif TRIALS > 1 and STAGES == "all":
+        print(record_line(run_trials(TRIALS)))
     else:
-        print(json.dumps(run_bench()))
+        print(record_line(run_bench()))

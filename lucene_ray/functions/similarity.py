@@ -25,7 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lucene_ray.cache import LRUCache
 from lucene_ray.functions.norms import LENGTH_TABLE
+
+NORM_CACHE_ENTRIES = 64  # norm-inverse tables, one per (k1, b, avgdl)
 
 F32 = np.float32
 
@@ -63,7 +66,7 @@ class BM25Similarity:
             raise ValueError(f"illegal b value: {b}, must be between 0 and 1")
         self.k1 = F32(k1)
         self.b = F32(b)
-        self._norm_cache: dict[tuple, np.ndarray] = {}
+        self._norm_cache = LRUCache(NORM_CACHE_ENTRIES)
 
     def idf(self, doc_freq: int, doc_count: int) -> np.float32:
         """``(float) Math.log(1 + (docCount - docFreq + 0.5)/(docFreq + 0.5))``
@@ -86,9 +89,7 @@ class BM25Similarity:
             denom = self.k1 * ((one - self.b) + self.b * LENGTH_TABLE / avgdl)
             table = (one / denom).astype(np.float32)
             table.flags.writeable = False
-            if len(self._norm_cache) >= 64:
-                self._norm_cache.clear()
-            self._norm_cache[key] = table
+            self._norm_cache.put(key, table)
         return table
 
     def scorer(

@@ -34,6 +34,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from lucene_ray.cache import LRUCache
+
+SHARD_GRAPH_CACHE_ENTRIES = 32  # loaded (ids, graph) shards per actor
+
 
 class HnswGraph:
     """One shard's HNSW graph over L2-normalized vectors."""
@@ -289,22 +293,20 @@ class HnswShardSearcher:
     a long-lived actor that has seen many shards doesn't grow unboundedly."""
 
     def __init__(self, index_dir: str, qref, *, k: int, ef: int,
-                 exclude_self: bool, max_cached_shards: int = 32):
+                 exclude_self: bool):
         import ray
 
         self.index_dir = index_dir
         self.k = k
         self.ef = ef
         self.exclude_self = exclude_self
-        self.max_cached = max_cached_shards
         self.qids, self.qm = ray.get(qref)  # fetched ONCE per actor
-        self._cache: dict[str, tuple[np.ndarray, HnswGraph]] = {}
+        self._cache = LRUCache(SHARD_GRAPH_CACHE_ENTRIES)
 
     def _shard(self, name: str) -> tuple[np.ndarray, "HnswGraph"]:
-        hit = self._cache.pop(name, None)
-        if hit is not None:
-            self._cache[name] = hit  # LRU reinsertion
-            return hit
+        return self._cache.get_or_put(name, lambda: self._load_shard(name))
+
+    def _load_shard(self, name: str) -> tuple[np.ndarray, "HnswGraph"]:
         d = os.path.join(self.index_dir, name)
         vt = pq.read_table(os.path.join(d, "vectors.parquet"))
         ids = vt.column("vec_id").to_numpy()
@@ -313,9 +315,6 @@ class HnswShardSearcher:
             meta = json.load(f)
         g = HnswGraph.from_tables(
             pq.read_table(os.path.join(d, "graph.parquet")), meta, vecs)
-        if len(self._cache) >= self.max_cached:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[name] = (ids, g)
         return ids, g
 
     def __call__(self, batch: pa.Table) -> pa.Table:

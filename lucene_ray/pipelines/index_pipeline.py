@@ -117,6 +117,22 @@ class _BuildSegment:
         # top-k can early-terminate (index/IndexSorter.java)
         self.index_sort = tuple(index_sort) if index_sort else None
 
+    def manifest_config(self) -> dict:
+        """The manifest config keys that record how segments were built."""
+        return {
+            "key_col": self.key_col,
+            "text_col": self.text_col,
+            "analyzer": self.analyzer_kind,
+            "num_partitions": self.num_partitions,
+            "store_positions": self.store_positions,
+            "store_offsets": self.store_offsets,
+            "store_term_vectors": self.store_term_vectors,
+            "store_payloads": self.store_payloads,
+            "docvalue_cols": list(self.docvalue_cols),
+            "text_cols": list(self.text_cols),
+            "index_sort": list(self.index_sort) if self.index_sort else None,
+        }
+
     def __call__(self, group: pa.Table) -> pa.Table:
         part_id = int(group.column("__part_id")[0].as_py())
         meta = self.build(group, part_id)
@@ -276,15 +292,15 @@ def build_index(
 
     metas: list[dict] = list(done.values())
     remaining = set(range(num_partitions)) - set(done.keys())
+    builder = _BuildSegment(index_dir, key_col, text_col, analyzer, store_positions,
+                            num_partitions, docvalue_cols, text_cols, index_sort,
+                            store_offsets, store_term_vectors,
+                            store_payloads)
     if remaining:
         ds = ds.map_batches(
             _AddPartId(partition_col or key_col, num_partitions, frozenset(done.keys())),
             batch_format="pyarrow",
         )
-        builder = _BuildSegment(index_dir, key_col, text_col, analyzer, store_positions,
-                                num_partitions, docvalue_cols, text_cols, index_sort,
-                                store_offsets, store_term_vectors,
-                                store_payloads)
 
         def build_one_segment(group: pa.Table) -> pa.Table:
             return builder(group)
@@ -294,7 +310,15 @@ def build_index(
             metas.append(json.loads(row["meta"]))
 
     metas.sort(key=lambda m: m["part_id"])
-    prev_gen = Manifest.latest_gen(index_dir)
+    return _commit_build(index_dir, metas, len(done), builder.manifest_config())
+
+
+def _commit_build(index_dir: str, metas: list[dict], n_resumed: int,
+                  config: dict) -> Manifest:
+    """Commit a build's segment metas as the next manifest generation, with
+    the build metrics (per segment: ``n_partitions`` counts the committed
+    segments, ``n_partitions_resumed`` those kept from an earlier run), then
+    materialize the global term statistics. Shared by both build paths."""
     import time as _time
 
     build_secs = [m.get("build_sec", 0.0) for m in metas]
@@ -302,32 +326,15 @@ def build_index(
     metrics = {
         "committed_unix": round(_time.time(), 3),
         "n_partitions": len(metas),
-        "n_partitions_resumed": len(done),
+        "n_partitions_resumed": n_resumed,
         "n_docs": n_docs,
         "sum_partition_build_sec": round(sum(build_secs), 3),
         "max_partition_build_sec": round(max(build_secs), 4) if build_secs else 0,
         "docs_per_partition_sec": round(
             n_docs / sum(build_secs), 1) if sum(build_secs) else None,
     }
-    manifest = Manifest(
-        index_dir,
-        prev_gen + 1,
-        metas,
-        config={
-            "metrics": metrics,
-            "key_col": key_col,
-            "text_col": text_col,
-            "analyzer": analyzer,
-            "num_partitions": num_partitions,
-            "store_positions": store_positions,
-            "store_offsets": store_offsets,
-            "store_term_vectors": store_term_vectors,
-            "store_payloads": store_payloads,
-            "docvalue_cols": list(docvalue_cols),
-            "text_cols": list(text_cols),
-            "index_sort": list(index_sort) if index_sort else None,
-        },
-    )
+    manifest = Manifest(index_dir, Manifest.latest_gen(index_dir) + 1, metas,
+                        config={"metrics": metrics, **config})
     manifest.commit()
     build_term_stats(index_dir, manifest)
     return manifest
@@ -445,39 +452,8 @@ def build_index_by_file(
             metas.extend(json.loads(ray.get(ref)))
 
     metas.sort(key=lambda m: (m["part_id"], m.get("sub") or 0))
-    prev_gen = Manifest.latest_gen(index_dir)
-    import time as _time
-
-    build_secs = [m.get("build_sec", 0.0) for m in metas]
-    manifest = Manifest(
-        index_dir,
-        prev_gen + 1,
-        metas,
-        config={
-            "metrics": {
-                "committed_unix": round(_time.time(), 3),
-                "n_partitions": n,
-                "n_partitions_resumed": len(done),
-                "n_docs": sum(m["max_doc"] for m in metas),
-                "sum_partition_build_sec": round(sum(build_secs), 3),
-            },
-            "key_col": key_col,
-            "text_col": text_col,
-            "analyzer": analyzer,
-            "num_partitions": n,
-            "store_positions": store_positions,
-            "store_offsets": store_offsets,
-            "store_term_vectors": store_term_vectors,
-            "store_payloads": store_payloads,
-            "docvalue_cols": list(docvalue_cols),
-            "text_cols": list(text_cols),
-            "index_sort": list(index_sort) if index_sort else None,
-            "partition_by": "input_file",
-        },
-    )
-    manifest.commit()
-    build_term_stats(index_dir, manifest)
-    return manifest
+    return _commit_build(index_dir, metas, sum(len(ms) for ms in done.values()),
+                         {**builder.manifest_config(), "partition_by": "input_file"})
 
 
 def add_indexes(dest_dir: str, source_dirs: list[str]) -> Manifest:

@@ -24,7 +24,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from lucene_ray.cache import LRUCache
 from lucene_ray.searcher import IndexSearcher
+
+SHARD_SEARCHER_CACHE_ENTRIES = 8  # open shard searchers per actor
 
 
 class SearcherShard:
@@ -35,13 +38,12 @@ class SearcherShard:
     """
 
     def __init__(self, index_dir: str, mode: str, k: int, algo: str = "auto",
-                 max_cached_shards: int = 8, query_chunks_ref=None):
+                 query_chunks_ref=None):
         self.index_dir = index_dir
         self.mode = mode
         self.k = k
         self.algo = algo
-        self.max_cached = max_cached_shards
-        self._searchers: dict[tuple, IndexSearcher] = {}
+        self._searchers = LRUCache(SHARD_SEARCHER_CACHE_ENTRIES)
         # query chunks are BROADCAST once (ray.put) and parsed once per actor
         # — each work row is (shard, chunk id), so the shipped rows are
         # O(shards × chunks), not O(queries × shards), and no query string is
@@ -64,14 +66,9 @@ class SearcherShard:
         return hit
 
     def _searcher(self, shard: tuple) -> IndexSearcher:
-        s = self._searchers.get(shard)
-        if s is None:
-            if len(self._searchers) >= self.max_cached:
-                self._searchers.pop(next(iter(self._searchers)))
-            seg_names = [x for x in shard if not x.startswith("g")]  # drop gen tag
-            s = IndexSearcher(self.index_dir, mode=self.mode, segment_names=seg_names)
-            self._searchers[shard] = s
-        return s
+        return self._searchers.get_or_put(shard, lambda: IndexSearcher(
+            self.index_dir, mode=self.mode,
+            segment_names=[x for x in shard if not x.startswith("g")]))  # drop gen tag
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         qids, queries, keys, scores = [], [], [], []

@@ -40,9 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lucene_ray.cache import LRUCache
 from lucene_ray.functions.similarity import (
     BM25ExactSimilarity,
     BM25Similarity,
+    CollectionStatistics,
     TermStatistics,
 )
 from lucene_ray.query import (
@@ -86,12 +88,15 @@ from lucene_ray.query import (
 )
 from lucene_ray.query import extract_terms
 from lucene_ray.state.manifest import Manifest
-from lucene_ray.state.segment import SegmentReader
+from lucene_ray.state.segment import POS_BITS, POS_SHIFT, SegmentReader
 
-# phrase keys are doc << 21 | position (positions stay below the segment
-# writer's MAX_POSITION = 2^21)
-_POS_BITS = np.int64(21)
-_POS_SHIFT = np.int64(1) << _POS_BITS
+# entry bounds of the caches the searcher owns: what depends on its
+# statistics or config. Per-reader bounds scale with the searcher's readers.
+TERM_STATS_RANGE_CACHE_ENTRIES = 8  # lazily loaded term-stats range files
+TERM_SCORE_CACHE_ENTRIES = 128  # per reader: (docs, BM25 scores) of a term
+FILTER_CACHE_ENTRIES = 64  # per reader: matching docs of a filter clause
+JOIN_CACHE_ENTRIES = 16  # from-side (value -> score) tables of joins
+EXPANSION_CACHE_ENTRIES = 4096  # complex-phrase and span slot expansions
 
 
 @dataclass
@@ -116,13 +121,6 @@ def _merge_top(parts: list[list[ScoreDoc]], k: int, after: tuple | None = None) 
         a_score, a_key = after
         allsd = [sd for sd in allsd if (-sd.score, sd.doc_key) > (-a_score, a_key)]
     return heapq.nsmallest(k, allsd, key=ScoreDoc.sort_key)
-
-
-class _CacheToken:
-    """Weak-referenceable per-searcher identity for reader-attached caches
-    (plain object() has no __weakref__ slot)."""
-
-    __slots__ = ("__weakref__",)
 
 
 def _wildcard_literal_prefix(pattern: str) -> str:
@@ -320,7 +318,8 @@ class GlobalTermStats:
             self._file_min = [b[0] for b in bounds]
             self._file_max = [b[1] for b in bounds]
             self._files = [b[2] for b in bounds]
-            self._range_cache: dict = {}  # file -> (terms, df, ttf), LRU ≤ 8
+            # file -> (terms, df, ttf)
+            self._range_cache = LRUCache(TERM_STATS_RANGE_CACHE_ENTRIES)
             return
         t = pq.read_table(path)
         self.terms = np.asarray(t.column("term").to_pylist(), dtype=object)
@@ -335,25 +334,20 @@ class GlobalTermStats:
             self.total_tf = self.total_tf[order]
 
     def _range_arrays(self, f: str):
+        return self._range_cache.get_or_put(f, lambda: self._read_range(f))
+
+    @staticmethod
+    def _read_range(f: str):
         import pyarrow.parquet as pq
 
-        hit = self._range_cache.pop(f, None)
-        if hit is None:
-            t = pq.read_table(f)
-            terms = np.asarray(t.column("term").to_pylist(), dtype=object)
-            order = None
-            if len(terms) > 1 and not np.all(terms[:-1] <= terms[1:]):
-                order = np.argsort(terms)
-                terms = terms[order]
-            df = t.column("doc_freq").to_numpy()
-            ttf = t.column("total_tf").to_numpy()
-            if order is not None:
-                df, ttf = df[order], ttf[order]
-            hit = (terms, df, ttf)
-            if len(self._range_cache) >= 8:
-                self._range_cache.pop(next(iter(self._range_cache)))
-        self._range_cache[f] = hit
-        return hit
+        t = pq.read_table(f)
+        terms = np.asarray(t.column("term").to_pylist(), dtype=object)
+        df = t.column("doc_freq").to_numpy()
+        ttf = t.column("total_tf").to_numpy()
+        if len(terms) > 1 and not np.all(terms[:-1] <= terms[1:]):
+            order = np.argsort(terms)
+            terms, df, ttf = terms[order], df[order], ttf[order]
+        return terms, df, ttf
 
     def lookup(self, term: str) -> tuple[int, int]:
         if not self.eager:
@@ -389,11 +383,6 @@ class IndexSearcher:
         import os
 
         self.index_dir = index_dir
-        # unique per-searcher cache token: reader-attached caches key on this
-        # OBJECT (identity; strong ref prevents id-recycling aliasing across
-        # searchers that share readers via from_readers; weak-keyed caches
-        # drop a dead searcher's entries automatically)
-        self._cache_token = _CacheToken()
         manifest = Manifest.load(index_dir)
         self.manifest = manifest
         dirs = manifest.segment_dirs()
@@ -444,11 +433,8 @@ class IndexSearcher:
         the readers' per-segment partials (exactly what a committed manifest
         would hold). ``config`` takes the manifest config keys
         (``analyzer``, ``text_col``, ``text_cols``)."""
-        from lucene_ray.functions.similarity import CollectionStatistics
-
         s = cls.__new__(cls)
         s.index_dir = None
-        s._cache_token = _CacheToken()
         s.manifest = None
         s.readers = list(readers)
         s.global_term_stats = None
@@ -470,7 +456,26 @@ class IndexSearcher:
         self.default_field = cfg.get("text_col", "text")
         self._multi = len(self.fields) > 1
         self._analyzer_spec = cfg.get("analyzer", "standard")
-        self._cstats_cache: dict = {}
+        # per-field CollectionStatistics (each field has its own avgdl —
+        # FieldInvertState is per field in the reference), summed over every
+        # segment of the index like collection_stats, so a searcher over a
+        # subset of the segments still scores with the global statistics
+        metas = (self.manifest.segments if self.manifest is not None
+                 else [r.meta for r in self.readers])
+        sums: dict[str, list[int]] = {}
+        for seg in metas:
+            for f, fs in (seg.get("field_stats") or {}).items():
+                acc = sums.setdefault(f, [0, 0, 0, 0])
+                acc[0] += fs["max_doc"]
+                acc[1] += fs["doc_count"]
+                acc[2] += fs["sum_doc_freq"]
+                acc[3] += fs["sum_total_term_freq"]
+        self._field_stats = {f: CollectionStatistics(*v) for f, v in sums.items()}
+        n = max(1, len(self.readers))
+        self._term_scores = LRUCache(TERM_SCORE_CACHE_ENTRIES * n)
+        self._filters = LRUCache(FILTER_CACHE_ENTRIES * n)
+        self._joins = LRUCache(JOIN_CACHE_ENTRIES)
+        self._expansions = LRUCache(EXPANSION_CACHE_ENTRIES)
         self.mode = mode if similarity is None else "exact"
         if similarity is not None:
             self.sim = similarity
@@ -496,27 +501,12 @@ class IndexSearcher:
         return (field or self.default_field) + FIELD_SEP
 
     def _field_cstats(self, field: str | None):
-        """Per-field CollectionStatistics (each field has its own avgdl —
-        FieldInvertState is per field in the reference)."""
+        """CollectionStatistics of ``field`` (of the whole index when it is
+        single-field)."""
         if not self._multi:
             return self.collection_stats
         f = field or self.default_field
-        hit = self._cstats_cache.get(f)
-        if hit is None:
-            from lucene_ray.functions.similarity import CollectionStatistics
-
-            md = dc = sdf = sttf = 0
-            for seg in self.manifest.segments:
-                fs = seg.get("field_stats", {}).get(f)
-                if fs is None:
-                    continue
-                md += fs["max_doc"]
-                dc += fs["doc_count"]
-                sdf += fs["sum_doc_freq"]
-                sttf += fs["sum_total_term_freq"]
-            hit = CollectionStatistics(md, dc, sdf, sttf)
-            self._cstats_cache[f] = hit
-        return hit
+        return self._field_stats.get(f) or CollectionStatistics(0, 0, 0, 0)
 
     def _field_norms(self, r: SegmentReader, field: str | None):
         if self._multi:
@@ -869,22 +859,11 @@ class IndexSearcher:
             if ti < 0:
                 return empty
             # per-(segment, term, boost) score cache: BM25 term scores are a
-            # pure function of the (fixed) global stats + per-doc norms, so a
-            # warm searcher serves repeated terms without re-scoring. The
-            # OUTER map is weak-keyed by the live searcher's cache token —
-            # no id() aliasing across searchers that share readers, and a
-            # dead searcher's entries vanish with it instead of squatting in
-            # the bounded cache
-            import weakref
-
-            outer = getattr(r, "_term_score_cache", None)
-            if outer is None:
-                outer = r._term_score_cache = weakref.WeakKeyDictionary()
-            cache = outer.get(self._cache_token)
-            if cache is None:
-                cache = outer[self._cache_token] = {}
-            ckey = (ti, float(boost), self.mode)
-            hit = cache.get(ckey)
+            # pure function of the searcher's (fixed) global stats + per-doc
+            # norms, so a warm searcher serves repeated terms without
+            # re-scoring
+            ckey = (r, ti, float(boost))
+            hit = self._term_scores.get(ckey)
             if hit is not None:
                 return _SparseScores(hit[0], hit[1])
             scorer = self._term_scorer(full, boost, q.field)
@@ -894,9 +873,7 @@ class IndexSearcher:
             if not len(docs):
                 return empty
             scores = self._score_arrays(r, scorer, docs, freqs, q.field)
-            if len(cache) > 128:
-                cache.pop(next(iter(cache)))
-            cache[ckey] = (docs, scores)
+            self._term_scores.put(ckey, (docs, scores))
             return _SparseScores(docs, scores)
         if isinstance(q, PayloadScoreQuery):
             # queries/payloads/PayloadScoreQuery.java: per-doc aggregate of
@@ -1184,21 +1161,13 @@ class IndexSearcher:
         return _SparseScores(a.docs[keep], a.scores[keep], a.counts[keep])
 
     def _filter_docs(self, r: SegmentReader, q: Query) -> np.ndarray:
-        cache = getattr(r, "_filter_cache", None)
-        if cache is None:
-            cache = r._filter_cache = {}
         try:
-            hit = cache.pop(q, None)  # pop+reinsert = LRU via insertion order
+            hit = self._filters.get((r, q))
         except TypeError:  # unhashable query (custom fn) — evaluate directly
             return self._eval(r, q).docs
-        if hit is not None:
-            cache[q] = hit
-            return hit
-        docs = self._eval(r, q).docs
-        if len(cache) >= 64:
-            cache.pop(next(iter(cache)))
-        cache[q] = docs
-        return docs
+        if hit is None:
+            hit = self._filters.put((r, q), self._eval(r, q).docs)
+        return hit
 
     def _eval_bool(self, r: SegmentReader, q: BooleanQuery, boost: float) -> _SparseScores:
         empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
@@ -1731,13 +1700,10 @@ class IndexSearcher:
         """Global (from_field value → aggregated score) map for a JoinQuery —
         computed ONCE across all segments per (query, boost) and cached
         (JoinUtil's first phase: collect fromField terms + scores)."""
-        cache = getattr(self, "_join_cache", None)
-        if cache is None:
-            cache = self._join_cache = {}
-        key = (q, float(boost), self.mode)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+        return self._joins.get_or_put((q, float(boost)),
+                                      lambda: self._join_table(q, boost))
+
+    def _join_table(self, q: JoinQuery, boost: float):
         vals_parts, score_parts = [], []
         for r in self.readers:
             sp = self._apply_live(r, self._eval(r, q.from_query, boost))
@@ -1746,30 +1712,23 @@ class IndexSearcher:
             vals_parts.append(np.asarray(r.doc_values[q.from_field][sp.docs]))
             score_parts.append(sp.scores)
         if not vals_parts:
-            out = (np.empty(0), np.empty(0))
-        else:
-            vals = np.concatenate(vals_parts)
-            scores = np.concatenate(score_parts)
-            uniq, inv = np.unique(vals, return_inverse=True)
-            if q.score_mode == "none":
-                agg = np.full(len(uniq), boost)
-            else:
-                sums = np.zeros(len(uniq))
-                np.add.at(sums, inv, scores)
-                if q.score_mode == "sum":
-                    agg = sums
-                elif q.score_mode == "max":
-                    agg = np.full(len(uniq), -np.inf)
-                    np.maximum.at(agg, inv, scores)
-                elif q.score_mode == "avg":
-                    agg = sums / np.bincount(inv, minlength=len(uniq))
-                else:
-                    raise ValueError(f"unknown score_mode {q.score_mode!r}")
-            out = (uniq, agg)
-        if len(cache) > 16:
-            cache.pop(next(iter(cache)))
-        cache[key] = out
-        return out
+            return np.empty(0), np.empty(0)
+        vals = np.concatenate(vals_parts)
+        scores = np.concatenate(score_parts)
+        uniq, inv = np.unique(vals, return_inverse=True)
+        if q.score_mode == "none":
+            return uniq, np.full(len(uniq), boost)
+        sums = np.zeros(len(uniq))
+        np.add.at(sums, inv, scores)
+        if q.score_mode == "sum":
+            return uniq, sums
+        if q.score_mode == "max":
+            agg = np.full(len(uniq), -np.inf)
+            np.maximum.at(agg, inv, scores)
+            return uniq, agg
+        if q.score_mode == "avg":
+            return uniq, sums / np.bincount(inv, minlength=len(uniq))
+        raise ValueError(f"unknown score_mode {q.score_mode!r}")
 
     def _eval_join(self, r: SegmentReader, q: JoinQuery, boost: float) -> _SparseScores:
         empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
@@ -2158,14 +2117,9 @@ class IndexSearcher:
         """Expand slot atom specs against the union dictionary, once per
         query (cached). Returns the slot term tuples, or None if some slot
         matches nothing."""
-        cache = getattr(self, "_cpq_cache", None)
-        if cache is None:
-            cache = self._cpq_cache = {}
-        hit = cache.get(q)
-        if hit is not None or q in cache:
-            return hit
-        if len(cache) >= 4096:  # bound a long-lived actor's footprint
-            cache.clear()
+        return self._expansions.get_or_put(q, lambda: self._complex_phrase_slots(q))
+
+    def _complex_phrase_slots(self, q: "ComplexPhraseQuery"):
         fp = self._fp(q.field)
         positions = []
         for slot in q.positions:
@@ -2173,11 +2127,9 @@ class IndexSearcher:
             for spec in slot:
                 terms.extend(self._expand_dict_spec(fp, spec))
             if not terms:
-                cache[q] = None
                 return None
             positions.append(tuple(dict.fromkeys(sorted(terms))))
-        cache[q] = tuple(positions)
-        return cache[q]
+        return tuple(positions)
 
     def _eval_complex_phrase(
         self, r: SegmentReader, q: "ComplexPhraseQuery", boost: float
@@ -2193,25 +2145,6 @@ class IndexSearcher:
         return self._eval_multi_phrase(
             r, MultiPhraseQuery(positions, slop=q.slop, field=q.field), boost
         )
-
-    @staticmethod
-    def _poskeys(r: SegmentReader, i: int) -> np.ndarray:
-        """Sorted ``doc << 21 | position`` keys of term ordinal ``i``
-        (positions stay below MAX_POSITION = 2^21). Cached per reader and
-        read before anything is decoded, so a hot term's postings and
-        positions are decoded, and its keys built, once."""
-        cache = getattr(r, "_poskey_cache", None)
-        if cache is None:
-            cache = r._poskey_cache = {}
-        kk = cache.get(i)
-        if kk is None:
-            docs, freqs = r.postings(i)
-            kk = np.repeat(docs.astype(np.int64), freqs) * _POS_SHIFT
-            kk += r.positions(i).astype(np.int64)
-            if len(cache) > 64:
-                cache.pop(next(iter(cache)))
-            cache[i] = kk
-        return kk
 
     def _eval_multi_phrase(
         self, r: SegmentReader, q: PhraseQuery | MultiPhraseQuery, boost: float
@@ -2242,7 +2175,7 @@ class IndexSearcher:
         fp = self._fp(q.field)
         slot_keys: list[np.ndarray] = []
         for slot in slots:
-            parts = [self._poskeys(r, i)
+            parts = [r.poskeys(i)
                      for i in (r.term_index(fp + t) for t in slot) if i >= 0]
             if not parts:
                 return empty  # no accepted term of this slot exists here
@@ -2255,7 +2188,7 @@ class IndexSearcher:
                 cand, _, _ = _intersect_sorted(cand, slot_keys[j] - j)
                 if not len(cand):
                     return empty
-            docs64, counts = np.unique(cand >> _POS_BITS, return_counts=True)
+            docs64, counts = np.unique(cand >> POS_BITS, return_counts=True)
             match_docs = docs64.astype(np.int32)
             match_freqs = counts.astype(np.float64)
         else:
@@ -2263,7 +2196,7 @@ class IndexSearcher:
 
             cand = None
             for kk in slot_keys:
-                d = kk >> _POS_BITS  # sorted: keep each run's first doc
+                d = kk >> POS_BITS  # sorted: keep each run's first doc
                 d = d[np.concatenate(([True], d[1:] != d[:-1]))]
                 cand = d if cand is None else _intersect_sorted(cand, d)[0]
                 if not len(cand):
@@ -2273,9 +2206,9 @@ class IndexSearcher:
             for d in cand.tolist():
                 sets = []
                 for kk in slot_keys:
-                    lo = int(np.searchsorted(kk, np.int64(d) * _POS_SHIFT))
-                    hi = int(np.searchsorted(kk, (np.int64(d) + 1) * _POS_SHIFT))
-                    sets.append((kk[lo:hi] & (_POS_SHIFT - 1)).astype(np.int64))
+                    lo = int(np.searchsorted(kk, np.int64(d) * POS_SHIFT))
+                    hi = int(np.searchsorted(kk, (np.int64(d) + 1) * POS_SHIFT))
+                    sets.append((kk[lo:hi] & (POS_SHIFT - 1)).astype(np.int64))
                 freq = sloppy_phrase_freq(sets, list(range(len(slots))), labels, q.slop)
                 if freq > 0:
                     md.append(d)
@@ -2305,17 +2238,12 @@ class IndexSearcher:
         Wrapper rewrite — global, so stats are segment-independent).
         Returns tuple of term tuples, or None if some spec slot expands to
         nothing (an empty SpanOr matches nothing)."""
-        cache = getattr(self, "_span_slot_cache", None)
-        if cache is None:
-            cache = self._span_slot_cache = {}
-        if q.terms in cache:
-            return cache[q.terms]
-        if len(cache) >= 4096:  # bound a long-lived actor's footprint
-            cache.clear()
+        return self._expansions.get_or_put(q.terms, lambda: self._span_slots(q.terms))
+
+    def _span_slots(self, slot_specs):
         fp = self._fp(None)
         slots = []
-        out = None
-        for slot in q.terms:
+        for slot in slot_specs:
             if isinstance(slot, str):
                 slots.append((slot,))
                 continue
@@ -2334,12 +2262,9 @@ class IndexSearcher:
                 else:
                     raise TypeError(f"unknown span slot spec {item!r}")
             if not terms:
-                break
+                return None
             slots.append(tuple(dict.fromkeys(sorted(terms))))
-        else:
-            out = tuple(slots)
-        cache[q.terms] = out
-        return out
+        return tuple(slots)
 
     def _span_source(self, q: Query):
         """A span query as an interval-algebra source, with the list of terms

@@ -43,6 +43,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from lucene_ray.cache import LRUCache
 from lucene_ray.functions.analysis import Analyzer
 from lucene_ray.functions.norms import decode_norms, encode_lengths
 from lucene_ray.functions.postings import (
@@ -55,6 +56,12 @@ from lucene_ray.functions.postings import (
 )
 
 META_NAME = "meta.json"
+
+# entry bounds of the per-reader caches (decoded postings lists, single
+# decoded 128-doc blocks, phrase position keys)
+DECODE_CACHE_ENTRIES = 256
+BLOCK_CACHE_ENTRIES = 4096
+POSKEY_CACHE_ENTRIES = 64
 
 # utf-8 byte → character-class bucket for the fuzzy counting filter:
 # a-z → 0-25, 0-9 → 26-35, other lead bytes → 36, continuation bytes → 37
@@ -92,9 +99,11 @@ def prefix_successor(prefix: str) -> str | None:
 
 
 # Token-position cap: positions share an int64 with docIDs in the exact
-# phrase matcher (doc << 21 | pos, searcher._poskeys), mirroring the
+# phrase matcher (doc << 21 | pos, SegmentReader.poskeys), mirroring the
 # reference's IndexWriter MAX_POSITION bound on absurdly long documents.
-MAX_POSITION = 1 << 21
+POS_BITS = np.int64(21)
+POS_SHIFT = np.int64(1) << POS_BITS
+MAX_POSITION = int(POS_SHIFT)
 
 
 def build_segment_tables(
@@ -597,11 +606,12 @@ class SegmentReader:
         # live-docs side bitset (None = all live); attached by the searcher
         # from the manifest's del_gen (deletes.py)
         self.live: np.ndarray | None = None
-        # decoded-postings LRU (term cache for hot query terms; bounded —
-        # the analogue of reusing a TermsEnum/postings reader across queries)
-        self._decode_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._decode_cache_max = 256
-        self._block_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # caches of what depends only on the segment bytes: decoded postings
+        # of hot query terms (the analogue of reusing a TermsEnum/postings
+        # reader across queries), single blocks, phrase position keys
+        self._decode_cache = LRUCache(DECODE_CACHE_ENTRIES)
+        self._block_cache = LRUCache(BLOCK_CACHE_ENTRIES)
+        self._poskey_cache = LRUCache(POSKEY_CACHE_ENTRIES)
         self._key_rank: np.ndarray | None = None
         self._char_counts: np.ndarray | None = None
 
@@ -724,11 +734,20 @@ class SegmentReader:
         hit = self._decode_cache.get(i)
         if hit is not None:
             return hit
-        out = decode_postings(self._packed_blob(i))
-        if len(self._decode_cache) >= self._decode_cache_max:
-            self._decode_cache.pop(next(iter(self._decode_cache)))
-        self._decode_cache[i] = out
-        return out
+        return self._decode_cache.put(i, decode_postings(self._packed_blob(i)))
+
+    def poskeys(self, i: int) -> np.ndarray:
+        """Sorted ``doc << POS_BITS | position`` int64 keys of term ordinal
+        ``i`` (the exact phrase matcher's input). Cached, and read before
+        anything is decoded, so a hot term's postings and positions are
+        decoded, and its keys built, once."""
+        kk = self._poskey_cache.get(i)
+        if kk is None:
+            docs, freqs = self.postings(i)
+            kk = np.repeat(docs.astype(np.int64), freqs) * POS_SHIFT
+            kk += self.positions(i).astype(np.int64)
+            self._poskey_cache.put(i, kk)
+        return kk
 
     def positions(self, term: str | int) -> np.ndarray:
         """Concatenated int32 positions, doc-major, aligned with freqs."""
@@ -809,18 +828,12 @@ class SegmentReader:
             d, f = full
             lo, hi = j * BLOCK_SIZE, (j + 1) * BLOCK_SIZE
             return d[lo:hi], f[lo:hi]
-        cache = self._block_cache
-        hit = cache.get((i, j))
+        hit = self._block_cache.get((i, j))
         if hit is not None:
             return hit
         rel, f, _ = decode_postings_block_range(self._packed_blob(i), j, j + 1)
-        bo = self._bld_off
-        base = int(self._bld_vals[bo[i] + j - 1]) if j > 0 else 0
-        out = ((rel + base).astype(np.int32), f)
-        if len(cache) >= 4096:
-            cache.pop(next(iter(cache)))
-        cache[(i, j)] = out
-        return out
+        base = int(self._bld_vals[self._bld_off[i] + j - 1]) if j > 0 else 0
+        return self._block_cache.put((i, j), ((rel + base).astype(np.int32), f))
 
     def impacts(self, i: int):
         """Per-block competitive impacts as zero-copy views:

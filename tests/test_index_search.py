@@ -400,6 +400,32 @@ def test_build_by_file_matches_groupby_build(ray_session, tmp_path):
     )
 
 
+def test_build_paths_commit_same_metrics(ray_session, tmp_path):
+    """Both build paths commit through one step: the same manifest metric
+    keys, ``n_partitions`` counting committed segments, and the same
+    config apart from the by-file layout marker."""
+    import pandas as pd
+
+    from lucene_ray.pipelines.index_pipeline import build_index, build_index_by_file
+
+    src = tmp_path / "src"
+    src.mkdir()
+    for i in range(2):
+        pd.DataFrame({"url": [f"u{i}{j}" for j in range(3)],
+                      "text": [f"alpha beta{j} gamma{i}" for j in range(3)]}
+                     ).to_parquet(src / f"part-{i}.parquet")
+    shuffled = build_index(str(src), str(tmp_path / "shuffle"), num_partitions=2)
+    by_file = build_index_by_file(str(src), str(tmp_path / "by_file"))
+    ms, mf = shuffled.config["metrics"], by_file.config["metrics"]
+    assert set(ms) == set(mf)
+    assert ms["n_partitions"] == len(shuffled.segments)
+    assert mf["n_partitions"] == len(by_file.segments) == 2
+    assert mf["n_docs"] == ms["n_docs"] == 6
+    assert set(by_file.config) - set(shuffled.config) == {"partition_by"}
+    resumed = build_index_by_file(str(src), str(tmp_path / "by_file"))
+    assert resumed.config["metrics"]["n_partitions_resumed"] == 2
+
+
 def test_index_sort_early_termination_and_range_pruning(tmp_path, ray_session):
     import pandas as pd
 

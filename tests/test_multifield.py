@@ -152,6 +152,22 @@ def test_phrase_on_field(idx, pdf):
         assert int(row.doc_id) in {sd.doc_key for sd in td.score_docs}
 
 
+def test_from_readers_multifield_matches_index(idx):
+    """A searcher over a multi-field index's readers (no manifest) sums the
+    per-field statistics from the readers' metas and scores like the index's
+    own searcher; field-scoped and default-field queries both work."""
+    disk = IndexSearcher(idx)
+    mem = IndexSearcher.from_readers(
+        disk.readers, mode="lucene",
+        config={"text_col": "body", "text_cols": ["title", "body"]})
+    for q in ["merge", "title:merge", "body:spark window", '"merge spark"',
+              TermQuery("merge", field="title")]:
+        want = [(sd.doc_key, sd.score) for sd in disk.search(q, k=20).score_docs]
+        assert want, q
+        assert [(sd.doc_key, sd.score) for sd in mem.search(q, k=20).score_docs] == want, q
+    assert mem._field_cstats("title") == disk._field_cstats("title")
+
+
 def test_multifield_checkindex(idx):
     from lucene_ray.state.manifest import Manifest
     from lucene_ray.state.segment import check_segment

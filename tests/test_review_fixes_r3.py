@@ -103,22 +103,38 @@ def test_term_spans_mixed_index_clean_error(tmp_path, ray_session):
 
 
 def test_term_score_cache_weak_eviction(small_idx, ray_session):
+    """Term scores are cached by the searcher that computed them: a second
+    searcher over the same readers with other scoring settings gets its own
+    scores, and a dropped searcher is freed together with its cache."""
     import gc
+    import weakref
 
+    from lucene_ray.functions.similarity import BM25Similarity
     from lucene_ray.query import TermQuery
     from lucene_ray.searcher import IndexSearcher
 
+    def scores(s):
+        return [(sd.doc_key, sd.score) for sd in s.search(TermQuery("fish"), k=5).score_docs]
+
     s1 = IndexSearcher(small_idx)
-    s1.search(TermQuery("fish"), k=5)
+    first = scores(s1)
+    assert len(s1._term_scores) == 1
     readers = s1.readers
-    outer = readers[0]._term_score_cache
-    assert len(outer) == 1
-    s2 = IndexSearcher.from_readers(readers, config={"text_col": "text"})
-    s2.search(TermQuery("fish"), k=5)
-    assert len(outer) == 2
+
+    def other():
+        return IndexSearcher.from_readers(readers, config={"text_col": "text"},
+                                          similarity=BM25Similarity(k1=2.0))
+
+    s2 = other()
+    assert scores(s2) != first
+    assert scores(s2) == scores(other())  # a cache hit scores as a cold searcher
+    assert len(s2._term_scores) == 1
+    assert scores(s1) == first
+
+    ref = weakref.ref(s1)
     del s1
     gc.collect()
-    assert len(outer) == 1  # dead searcher's entries evicted
+    assert ref() is None
 
 
 def test_merge_composite_guard_constant():
