@@ -1183,11 +1183,12 @@ def _facet_index(sf_dir: str) -> str:
 def _q_facet_multi(sf_dir: str) -> pa.Table:
     """Multi-valued (SortedSet DV) facet counts of ``tags`` over the docs
     matching 'merge'."""
+    from lucene_ray.collectors import facet_counts_multi
     from lucene_ray.query import TermQuery
     from lucene_ray.searcher import IndexSearcher
 
     s = IndexSearcher(_facet_index(sf_dir), mode="exact")
-    fc = s.facet_counts_multi(TermQuery("merge"), "tags")
+    fc = facet_counts_multi(s, TermQuery("merge"), "tags")
     tags = sorted(fc)
     return pa.table({
         "tag": pa.array(tags, type=pa.string()),
@@ -1992,10 +1993,11 @@ def _q_synonym_graph_topk(sf_dir: str) -> pa.Table:
 
 
 def _q_sort_by_field(sf_dir: str) -> pa.Table:
+    from lucene_ray.collectors import search_by_field
     from lucene_ray.query import TermQuery
 
     s = _searcher(sf_dir)
-    rows = s.search_by_field(TermQuery("merge"), "n_chars", k=K, descending=True)
+    rows = search_by_field(s, TermQuery("merge"), "n_chars", k=K, descending=True)
     return pa.table(
         {
             "rank": pa.array(range(1, len(rows) + 1), type=pa.int64()),
@@ -2162,11 +2164,12 @@ def _sorted_gate_index(sf_dir: str) -> str:
 
 
 def _q_sorted_index_topk(sf_dir: str) -> pa.Table:
+    from lucene_ray.collectors import search_by_field
     from lucene_ray.query import TermQuery
     from lucene_ray.searcher import IndexSearcher
 
     s = IndexSearcher(_sorted_gate_index(sf_dir), mode="exact")
-    rows = s.search_by_field(TermQuery("merge"), "n_chars", k=K, descending=True)
+    rows = search_by_field(s, TermQuery("merge"), "n_chars", k=K, descending=True)
     assert s.sort_stats["docs_examined"] <= s.sort_stats["docs_matched"]
     return pa.table(
         {
@@ -2208,10 +2211,11 @@ def _q_taxonomy_facets(sf_dir: str) -> pa.Table:
     """Hierarchical (source → lang) facet counts with rollup for docs
     matching 'merge' (TaxonomyFacetCounts analogue; oracle = GROUP BY
     ROLLUP)."""
+    from lucene_ray.collectors import taxonomy_counts
     from lucene_ray.query import TermQuery
 
     s = _searcher(sf_dir)
-    rows = s.taxonomy_counts(TermQuery("merge"), ["source", "lang"])
+    rows = taxonomy_counts(s, TermQuery("merge"), ["source", "lang"])
     src, lng, cnt = [], [], []
     for path, n in rows:
         src.append(path[0] if len(path) >= 1 else "*")
@@ -2423,10 +2427,11 @@ NCHAR_RANGES = [("short", 0, 800), ("mid", 600, 2000), ("long", 1500, 1_000_000_
 def _q_range_facets(sf_dir: str) -> pa.Table:
     """Numeric range facets over n_chars for docs matching 'merge'
     (facet/range/LongRangeFacetCounts.java:42; overlapping ranges)."""
+    from lucene_ray.collectors import range_facet_counts
     from lucene_ray.query import TermQuery
 
     s = _searcher(sf_dir)
-    rows = s.range_facet_counts(TermQuery("merge"), "n_chars", NCHAR_RANGES)
+    rows = range_facet_counts(s, TermQuery("merge"), "n_chars", NCHAR_RANGES)
     return pa.table(
         {
             "range_id": pa.array(list(range(len(rows))), type=pa.int64()),
@@ -2442,10 +2447,12 @@ SUGGEST_PREFIXES = ["me", "wi", "s", "ba"]
 def _q_suggest_topk(sf_dir: str) -> pa.Table:
     """Weighted prefix completion (suggest/.../AnalyzingSuggester analogue,
     weight = total term frequency, order (weight desc, term asc))."""
+    from lucene_ray.suggest import suggest_terms
+
     s = _searcher(sf_dir)
     pr, rk, tm, wt = [], [], [], []
     for p in SUGGEST_PREFIXES:
-        for rank, (t, w) in enumerate(s.suggest_terms(p, k=5), start=1):
+        for rank, (t, w) in enumerate(suggest_terms(s, p, k=5), start=1):
             pr.append(p)
             rk.append(rank)
             tm.append(t)
@@ -2463,11 +2470,12 @@ def _q_suggest_topk(sf_dir: str) -> pa.Table:
 def _q_diversified_topk(sf_dir: str) -> pa.Table:
     """Diversified top-k for 'merge': ≤2 docs per lang
     (misc/search/DiversifiedTopDocsCollector.java:63)."""
+    from lucene_ray.collectors import diversified_topk
     from lucene_ray.query import TermQuery
 
     s = _searcher(sf_dir)
-    rows = s.diversified_topk(
-        TermQuery("merge"), "lang", max_per_key=2, k=K, round_digits=6
+    rows = diversified_topk(
+        s, TermQuery("merge"), "lang", max_per_key=2, k=K, round_digits=6
     )
     return pa.table(
         {
@@ -2519,10 +2527,11 @@ def _q_covering_topk(sf_dir: str) -> pa.Table:
 def _q_dv_stats(sf_dir: str) -> pa.Table:
     """Doc-values statistics over matching docs
     (misc/DocValuesStats.java + DocValuesStatsCollector)."""
+    from lucene_ray.collectors import dv_stats
     from lucene_ray.query import TermQuery
 
     s = _searcher(sf_dir)
-    st = s.dv_stats(TermQuery("merge"), "n_chars")
+    st = dv_stats(s, TermQuery("merge"), "n_chars")
     return pa.table(
         {
             "count": pa.array([st["count"]], type=pa.int64()),
@@ -2543,10 +2552,11 @@ def _q_drill_sideways(sf_dir: str) -> pa.Table:
     """DrillSideways gate (facet/DrillSideways.java): for base query
     'merge' with drill-downs lang=en AND source=src1, each dimension's
     sideways counts apply every OTHER dimension's filter but not its own."""
+    from lucene_ray.collectors import drill_sideways
     from lucene_ray.query import TermQuery
 
     s = _searcher(sf_dir)
-    out = s.drill_sideways(TermQuery("merge"), DRILL, k=K)
+    out = drill_sideways(s, TermQuery("merge"), DRILL, k=K)
     dims, vals, ns = [], [], []
     for dim in sorted(out["facets"]):
         fc = out["facets"][dim]
@@ -2577,10 +2587,11 @@ FROM d WHERE lang = 'en' GROUP BY source
 
 
 def _q_facet_lang(sf_dir: str) -> pa.Table:
+    from lucene_ray.collectors import facet_counts
     from lucene_ray.query import TermQuery
 
     s = _searcher(sf_dir)
-    fc = s.facet_counts(TermQuery("merge"), "lang")
+    fc = facet_counts(s, TermQuery("merge"), "lang")
     langs = sorted(fc)
     return pa.table(
         {
@@ -2591,10 +2602,11 @@ def _q_facet_lang(sf_dir: str) -> pa.Table:
 
 
 def _q_grouped_topk(sf_dir: str) -> pa.Table:
+    from lucene_ray.collectors import grouped_topk
     from lucene_ray.query import TermQuery
 
     s = _searcher(sf_dir)
-    rows = s.grouped_topk(TermQuery("merge"), "lang", k_per_group=2)
+    rows = grouped_topk(s, TermQuery("merge"), "lang", k_per_group=2)
     return pa.table(
         {
             "lang": pa.array([g for g, *_ in rows], type=pa.string()),
@@ -3964,7 +3976,7 @@ FROM cand WHERE rank <= 5 ORDER BY prefix, rank
 
 def _sql_diversified_topk(term: str = "merge", m: int = 2, k: int = K) -> str:
     # greedy-in-rank-order with a per-key cap == keep rows whose within-key
-    # rank ≤ m, then global top-k (see IndexSearcher.diversified_topk)
+    # rank ≤ m, then global top-k (see collectors.diversified_topk)
     return f"""
 WITH {_BASE},
 scored AS (

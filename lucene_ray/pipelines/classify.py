@@ -278,7 +278,7 @@ def knn_classify(searcher, text: str, *, k: int = 10, class_field: str = "lang",
     The knn query is every distinct analyzed input token as a SHOULD
     TermQuery — the reference's MoreLikeThis selection at
     minTermFreq=minDocFreq=1 with boost off; pass ``query`` to use a custom
-    selection (e.g. ``searcher.more_like_this``'s top-terms)."""
+    selection (e.g. ``suggest.more_like_this``'s top-terms)."""
     from lucene_ray.query import BooleanQuery, TermQuery
 
     if query is None:

@@ -361,7 +361,9 @@ def knn_hnsw(index_dir: str, query_ids, query_vecs, *, k: int = 10,
                                    ef=ef, exclude_self=exclude_self),
         batch_format="pyarrow",
         batch_size=1,
-        concurrency=n_actors,
+        # autoscaling from one actor: a fixed pool larger than the session's
+        # CPUs would wait forever for actors it can never place
+        concurrency=(1, n_actors),
     )
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:

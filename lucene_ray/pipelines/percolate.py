@@ -6,11 +6,11 @@ internally by indexing the document into a MemoryIndex
 (memory/.../MemoryIndex.java:161) and running the queries against it.
 
 Ray-Data-first shape: the (small) query set is parsed once per actor
-(``__init__``), each batch of documents is inverted IN RAM with the normal
-invert kernel (``build_segment_tables`` → ``SegmentReader.from_tables`` — a
-batch-sized MemoryIndex), and every registered query runs against that
-mini-index. Matching is a per-batch vectorized evaluation, the stream never
-materializes, and the output is (doc key, query id) match pairs.
+(``__init__``), each batch of documents is inverted IN RAM into a
+batch-sized ``MemoryIndex`` (state/memory.py), and every registered query
+runs against that mini-index. Matching is a per-batch vectorized
+evaluation, the stream never materializes, and the output is (doc key,
+query id) match pairs.
 
 Scoring note: percolation is a MATCH decision (Monitor semantics), so any
 per-batch collection statistics are fine — matching is stats-independent
@@ -19,7 +19,6 @@ for every query type this engine supports.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 
@@ -116,15 +115,11 @@ class Percolator:
         self.stats = {"queries_run": 0, "queries_skipped": 0}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from lucene_ray.searcher import IndexSearcher
-        from lucene_ray.state.segment import SegmentReader, build_segment_tables
+        from lucene_ray.state.memory import MemoryIndex
 
-        ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
-        p, d, stats = build_segment_tables(
-            ids, batch.column(self.text_col), self.analyzer
-        )
-        reader = SegmentReader.from_tables(p, d, {"name": "mem", **stats})
-        searcher = IndexSearcher.from_readers([reader])
+        mem = MemoryIndex(batch.column(self.id_col).to_numpy(zero_copy_only=False),
+                          batch.column(self.text_col), analyzer=self.analyzer)
+        reader = mem.reader
         present = (
             {reader.terms[i] for i in range(reader.n_terms)}
             if any(pf[0] != "always" for pf in self.prefilters.values())
@@ -140,11 +135,9 @@ class Percolator:
                 self.stats["queries_skipped"] += 1
                 continue
             self.stats["queries_run"] += 1
-            for r in searcher.readers:
-                sp = searcher._eval(r, q)
-                if len(sp.docs):
-                    out_doc.extend(reader.doc_keys[sp.docs].tolist())
-                    out_q.extend([qid] * len(sp.docs))
+            for r, docs, _ in mem.searcher.matches(q):
+                out_doc.extend(r.doc_keys[docs].tolist())
+                out_q.extend([qid] * len(docs))
         return pa.table(
             {
                 self.id_col: pa.array(out_doc),

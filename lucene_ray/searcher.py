@@ -178,34 +178,6 @@ def _regex_literal_prefix(pattern: str) -> str:
     return "".join(out)
 
 
-def _prefix_edit_distance(typed: str, term: str, max_edits: int) -> int:
-    """min over term prefixes of ED(typed, term[:j]) if <= max_edits else -1
-    — the Levenshtein-automaton prefix acceptance of FuzzySuggester."""
-    if term.startswith(typed):
-        return 0
-    n = len(typed)
-    prev = list(range(n + 1))
-    best = -1
-    limit = min(len(term), n + max_edits)
-    for j in range(1, limit + 1):
-        c = term[j - 1]
-        cur = [j] + [0] * n
-        row_min = j
-        for i in range(1, n + 1):
-            cur[i] = min(
-                prev[i] + 1,
-                cur[i - 1] + 1,
-                prev[i - 1] + (typed[i - 1] != c),
-            )
-            row_min = min(row_min, cur[i])
-        if cur[n] <= max_edits and (best < 0 or cur[n] < best):
-            best = cur[n]
-        if row_min > max_edits and (best < 0):
-            return best
-        prev = cur
-    return best
-
-
 def _bounded_edit_distance(a: str, b: str, max_edits: int) -> int:
     """Levenshtein distance if ≤ max_edits else -1 (banded DP, early exit)."""
     if a == b:
@@ -259,6 +231,46 @@ class _SparseScores:
         self.docs = docs
         self.scores = scores
         self.counts = counts if counts is not None else np.ones(len(docs), dtype=np.int32)
+
+
+_EMPTY = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
+
+
+def _const(docs: np.ndarray, boost: float) -> _SparseScores:
+    """Constant-score matches: every doc scores ``boost``."""
+    return _SparseScores(docs, np.full(len(docs), boost))
+
+
+def _summed_tf(postings) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-doc Σ freq over several ``(docs, freqs)`` postings: the sorted
+    int32 docIDs and float64 summed freqs; None when none holds a doc."""
+    parts = [(d, f) for d, f in postings if len(d)]
+    if not parts:
+        return None
+    uniq, inv = np.unique(np.concatenate([d for d, _ in parts]), return_inverse=True)
+    tf = np.zeros(len(uniq))
+    np.add.at(tf, inv, np.concatenate([f for _, f in parts]).astype(np.float64))
+    return uniq.astype(np.int32), tf
+
+
+def _aggregate(keys: np.ndarray, scores: np.ndarray, mode: str, boost: float):
+    """Group ``scores`` by ``keys`` under a join ScoreMode (none/sum/max/avg
+    — JoinUtil and ToParentBlockJoinQuery): the sorted unique keys and each
+    group's score ("none" scores every group ``boost``)."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    if mode == "none":
+        return uniq, np.full(len(uniq), boost)
+    sums = np.zeros(len(uniq))
+    np.add.at(sums, inv, scores)
+    if mode == "sum":
+        return uniq, sums
+    if mode == "max":
+        agg = np.full(len(uniq), -np.inf)
+        np.maximum.at(agg, inv, scores)
+        return uniq, agg
+    if mode == "avg":
+        return uniq, sums / np.bincount(inv, minlength=len(uniq))
+    raise ValueError(f"unknown score_mode {mode!r}")
 
 
 class _QueryTerms:
@@ -644,13 +656,21 @@ class IndexSearcher:
                 total += nhits
         return TopDocs(total, _merge_top(parts, k, search_after))
 
-    def count(self, query: Query | str) -> int:
+    def matches(self, query: Query | str):
+        """The live matches of ``query``, one segment at a time: yields
+        ``(reader, docs, scores)`` — sorted local docIDs and their scores —
+        for each segment with at least one live match. Strings parse through
+        ``parse``; every term resolves once for the whole iteration."""
         if isinstance(query, str):
             query = self.parse(query)
         with self._query_scope():
-            return sum(
-                len(self._apply_live(r, self._eval(r, query)).docs) for r in self.readers
-            )
+            for r in self.readers:
+                sp = self._apply_live(r, self._eval(r, query))
+                if len(sp.docs):
+                    yield r, sp.docs, sp.scores
+
+    def count(self, query: Query | str) -> int:
+        return sum(len(docs) for _, docs, _ in self.matches(query))
 
     def rescore(self, topdocs: TopDocs, query: Query | str, *,
                 weight: float = 1.0, k: int | None = None) -> TopDocs:
@@ -661,22 +681,16 @@ class IndexSearcher:
         semantics).
 
         Cost note: the vectorized engine has no per-doc scorer advance, so
-        the rescore query is evaluated ONCE per segment that holds a
-        candidate (full postings eval, then filtered to the top-k keys) —
-        unlike the reference's advance-to-hit scorers. That is fine for the
-        intended shape (a heavier query over a k-sized candidate list whose
-        eval cost is dominated by per-query setup); segments with no
-        candidate docs are skipped entirely."""
-        if isinstance(query, str):
-            query = self.parse(query)
+        the rescore query is evaluated ONCE per segment (full postings
+        eval, then filtered to the top-k keys) — unlike the reference's
+        advance-to-hit scorers. That is fine for the intended shape (a
+        heavier query over a k-sized candidate list whose eval cost is
+        dominated by per-query setup)."""
         k = k or len(topdocs.score_docs)
         keys = {sd.doc_key for sd in topdocs.score_docs}
         second: dict = {}
-        for r in self.readers:
-            if not np.isin(r.doc_keys, list(keys)).any():
-                continue  # no candidates in this segment — skip the eval
-            sp = self._apply_live(r, self._eval(r, query))
-            for d, sc in zip(sp.docs.tolist(), sp.scores.tolist()):
+        for r, docs, scores in self.matches(query):
+            for d, sc in zip(docs.tolist(), scores.tolist()):
                 dk = r.doc_keys[d]
                 if dk in keys:
                     second[dk] = second.get(dk, 0.0) + sc
@@ -748,6 +762,9 @@ class IndexSearcher:
                 if j < len(d_) and d_[j] == doc:
                     tf = int(f_[j])
             ts = self.term_statistics(fp + q.term)
+            # the length of the term's own field (0 for a field not indexed)
+            dl = (float(self._field_norms(r, q.field)[1][doc]) if not self._multi
+                  or (q.field or self.default_field) in self.fields else 0.0)
             v = value_of(q, boost)
             return {"description": f"weight({q.term} in {doc})", "value": v,
                     "match": tf > 0,
@@ -759,12 +776,31 @@ class IndexSearcher:
                         {"description": "total_term_freq",
                          "value": float(ts.total_term_freq), "match": True,
                          "details": []},
-                        {"description": "dl", "value": float(r.dls[doc]),
-                         "match": True, "details": []},
+                        {"description": "dl", "value": dl, "match": True,
+                         "details": []},
                     ]}
         v = value_of(q, boost)
         return {"description": type(q).__name__, "value": v, "match": v != 0.0,
                 "details": []}
+
+    def document(self, doc_key) -> dict | None:
+        """Stored-fields retrieval (IndexSearcher.doc / StoredFields analogue):
+        the per-doc row from the docs table — key, doc-values columns, norms.
+        The wide original text lives in the source parquet row store (the
+        design's stored-fields layer); everything indexed as doc values is
+        available here."""
+        for r in self.readers:
+            pos = np.flatnonzero(r.doc_keys == doc_key)
+            if len(pos):
+                i = int(pos[0])
+                if r.live is not None and not r.live[i]:
+                    continue  # deleted (or superseded by an update) here
+                out = {"doc_key": doc_key, "dl": int(r.dls[i])}
+                for name, arr in r.doc_values.items():
+                    v = arr[i]
+                    out[name] = v.item() if hasattr(v, "item") else v
+                return out
+        return None
 
     def _top_of(self, r: SegmentReader, sp: _SparseScores, k: int, after) -> list[ScoreDoc]:
         scores = sp.scores
@@ -850,238 +886,200 @@ class IndexSearcher:
         return scorer.score(freqs, dls[docs])
 
     def _eval(self, r: SegmentReader, q: Query, boost: float = 1.0) -> _SparseScores:
-        empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
-        if isinstance(q, TermQuery):
-            if self._multi and q.field and q.field not in self.fields:
-                return empty
-            full = self._fp(q.field) + q.term
-            ti = r.term_index(full)
-            if ti < 0:
-                return empty
-            # per-(segment, term, boost) score cache: BM25 term scores are a
-            # pure function of the searcher's (fixed) global stats + per-doc
-            # norms, so a warm searcher serves repeated terms without
-            # re-scoring
-            ckey = (r, ti, float(boost))
-            hit = self._term_scores.get(ckey)
-            if hit is not None:
-                return _SparseScores(hit[0], hit[1])
-            scorer = self._term_scorer(full, boost, q.field)
-            if scorer is None:
-                return empty
-            docs, freqs = r.postings(ti)
-            if not len(docs):
-                return empty
-            scores = self._score_arrays(r, scorer, docs, freqs, q.field)
-            self._term_scores.put(ckey, (docs, scores))
-            return _SparseScores(docs, scores)
-        if isinstance(q, PayloadScoreQuery):
-            # queries/payloads/PayloadScoreQuery.java: per-doc aggregate of
-            # the term's occurrence payloads (stream is doc-major, so one
-            # ufunc.reduceat per segment), optionally × the term's own score
-            full = self._fp(q.field) + q.term
-            ti = r.term_index(full)
-            if ti < 0:
-                return empty
-            docs, freqs = r.postings(ti)
-            if not len(docs):
-                return empty
-            pays = r.payloads(ti)
-            if len(pays) != int(freqs.sum()):
-                raise ValueError(
-                    "PayloadScoreQuery needs an index built with "
-                    "store_payloads=True")
-            starts = np.concatenate(
-                [[0], np.cumsum(freqs[:-1], dtype=np.int64)])
-            if q.func == "sum":
-                agg = np.add.reduceat(pays.astype(np.float64), starts)
-            elif q.func == "max":
-                agg = np.maximum.reduceat(pays, starts).astype(np.float64)
-            elif q.func == "min":
-                agg = np.minimum.reduceat(pays, starts).astype(np.float64)
-            elif q.func == "avg":
-                agg = np.add.reduceat(pays.astype(np.float64), starts) / freqs
-            else:
-                raise ValueError(f"unknown payload function {q.func!r}")
-            scores = agg * boost
-            if q.include_span_score:
-                sub = self._eval(r, TermQuery(q.term, q.field))
-                scores = scores * sub.scores  # same doc order: one term
-            return _SparseScores(docs, scores)
-        if isinstance(q, BoostQuery):
-            return self._eval(r, q.query, boost * q.boost)
-        if isinstance(q, ConstantScoreQuery):
-            sub = self._eval(r, q.query)
-            return _SparseScores(sub.docs, np.full(len(sub.docs), q.score * boost))
-        if isinstance(q, MatchAllDocsQuery):
-            docs = np.arange(r.max_doc, dtype=np.int32)
-            return _SparseScores(docs, np.full(r.max_doc, boost))
-        if isinstance(q, MatchNoDocsQuery):
-            return empty
-        if isinstance(q, PrefixQuery):
-            # MultiTermQuery CONSTANT_SCORE rewrite: matching docs score boost.
-            lo, hi = r.term_range(self._fp(q.field) + q.prefix)
-            docs = self._union_docs(r, range(lo, hi))
-            return _SparseScores(docs, np.full(len(docs), boost))
-        if isinstance(q, TermInSetQuery):
-            fp = self._fp(q.field)
-            idxs = [i for t in q.terms if (i := r.term_index(fp + t)) >= 0]
-            docs = self._union_docs(r, idxs)
-            return _SparseScores(docs, np.full(len(docs), boost))
-        if isinstance(q, WildcardQuery):
-            fp = self._fp(q.field)
-            idxs = self._wildcard_idxs(r, fp, q.pattern)
-            docs = self._union_docs(r, idxs)
-            return _SparseScores(docs, np.full(len(docs), boost))
-        if isinstance(q, RegexpQuery):
-            fp = self._fp(q.field)
-            idxs = self._regexp_idxs(r, fp, q.pattern)
-            docs = self._union_docs(r, idxs)
-            return _SparseScores(docs, np.full(len(docs), boost))
-        if isinstance(q, TermRangeQuery):
-            fp = self._fp(q.field)
-            lo = 0 if q.lower is None else r.bisect(
-                fp + q.lower, side="left" if q.include_lower else "right"
-            )
-            hi = r.n_terms if q.upper is None else r.bisect(
-                fp + q.upper, side="right" if q.include_upper else "left"
-            )
-            if fp and q.upper is None:
-                hi = r.term_range(fp)[1]
-            if fp and q.lower is None:
-                lo = r.term_range(fp)[0]
-            docs = self._union_docs(r, range(lo, hi))
-            return _SparseScores(docs, np.full(len(docs), boost))
-        if isinstance(q, FunctionScoreQuery):
-            sub = self._eval(r, q.query, boost)
-            if not len(sub.docs):
-                return sub
-            dv = {name: arr[sub.docs] for name, arr in r.doc_values.items()}
-            new_scores = np.asarray(q.fn(sub.scores, dv), dtype=np.float64)
-            return _SparseScores(sub.docs, new_scores, sub.counts)
-        if isinstance(q, DocValuesTermQuery):
-            vals = r.doc_values[q.field]
-            docs = np.flatnonzero(vals == q.value).astype(np.int32)
-            return _SparseScores(docs, np.full(len(docs), boost))
-        if isinstance(q, NumericRangeQuery):
-            # BKD-style pruning: binary search the per-reader sorted column
-            # (PointRangeQuery over Lucene90PointsFormat semantics) — only
-            # the in-range docs are ever touched, not an O(maxDoc) mask
-            sv, od = r.numeric_index(q.field)
-            lo_i = 0 if q.lower is None else int(
-                np.searchsorted(sv, q.lower, side="left" if q.include_lower else "right")
-            )
-            hi_i = len(sv) if q.upper is None else int(
-                np.searchsorted(sv, q.upper, side="right" if q.include_upper else "left")
-            )
-            st = self.range_stats
-            st["docs_examined"] += max(0, hi_i - lo_i)
-            st["max_doc_total"] += r.max_doc
-            if hi_i <= lo_i:
-                return empty
-            docs = np.sort(od[lo_i:hi_i])
-            return _SparseScores(docs, np.full(len(docs), boost))
-        if isinstance(q, ToParentBlockJoinQuery):
-            return self._eval_block_join_parent(r, q, boost)
-        if isinstance(q, ToChildBlockJoinQuery):
-            return self._eval_block_join_child(r, q, boost)
-        if isinstance(q, JoinQuery):
-            return self._eval_join(r, q, boost)
-        if isinstance(q, PointBoxQuery):
-            kd = r.kd_index(q.field_x, q.field_y)
-            docs, examined = kd.box(q.x0, q.x1, q.y0, q.y1)
-            st = self.range_stats
-            st["docs_examined"] += examined + len(docs)
-            st["max_doc_total"] += r.max_doc
-            return _SparseScores(docs, np.full(len(docs), boost))
-        if isinstance(q, CoveringQuery):
-            subs = [self._eval(r, sub, boost) for sub in q.queries]
-            u = self._union(subs, r.max_doc)
-            if not len(u.docs):
-                return u
-            mins = np.asarray(r.doc_values[q.min_match_field][u.docs], dtype=np.int64)
-            keep = u.counts >= mins
-            return _SparseScores(u.docs[keep], u.scores[keep], u.counts[keep])
-        if isinstance(q, PointNDRangeQuery):
-            kd = r.kd_index_nd(q.fields)
-            docs, examined = kd.box(q.lows, q.highs)
-            st = self.range_stats
-            st["docs_examined"] += examined + len(docs)
-            st["max_doc_total"] += r.max_doc
-            return _SparseScores(docs, np.full(len(docs), boost))
-        if isinstance(q, SortedSetContainsQuery):
-            dv = getattr(r, "sorted_set_dv", {}).get(q.field)
-            if dv is None:
-                raise KeyError(
-                    f"no SortedSet doc-values column {q.field!r} in segment "
-                    f"{r.name}")
-            offsets, codes, vocab = dv
-            oi = int(np.searchsorted(vocab, q.value))
-            if oi >= len(vocab) or vocab[oi] != q.value:
-                return empty
-            # positions of the matching ordinal → owning docs via the
-            # offsets (one searchsorted; no per-doc loop)
-            hits = np.flatnonzero(codes == oi)
-            docs = np.unique(
-                np.searchsorted(offsets, hits, side="right") - 1
-            ).astype(np.int32)
-            return _SparseScores(docs, np.full(len(docs), boost))
-        if isinstance(q, GeoPolygonQuery):
-            from lucene_ray.functions.points import (polygon_bounding_box,
-                                                     polygon_contains)
+        """One segment's matches of ``q`` (deleted docs included), through
+        the evaluator of its exact type."""
+        ev = self._EVALUATORS.get(type(q))
+        if ev is None:
+            raise TypeError(f"unsupported query {q!r}")
+        return ev(self, r, q, boost)
 
-            kd = r.kd_index(q.lat_field, q.lon_field)
-            la0, la1, lo0, lo1 = polygon_bounding_box(q.rings)
-            cand, examined = kd.box(la0, la1, lo0, lo1)
-            st = self.range_stats
+    def _eval_term(self, r: SegmentReader, q: TermQuery, boost: float) -> _SparseScores:
+        if self._multi and q.field and q.field not in self.fields:
+            return _EMPTY
+        full = self._fp(q.field) + q.term
+        ti = r.term_index(full)
+        if ti < 0:
+            return _EMPTY
+        # per-(segment, term, boost) score cache: BM25 term scores are a
+        # pure function of the searcher's (fixed) global stats + per-doc
+        # norms, so a warm searcher serves repeated terms without re-scoring
+        ckey = (r, ti, float(boost))
+        hit = self._term_scores.get(ckey)
+        if hit is not None:
+            return _SparseScores(hit[0], hit[1])
+        scorer = self._term_scorer(full, boost, q.field)
+        if scorer is None:
+            return _EMPTY
+        docs, freqs = r.postings(ti)
+        if not len(docs):
+            return _EMPTY
+        scores = self._score_arrays(r, scorer, docs, freqs, q.field)
+        self._term_scores.put(ckey, (docs, scores))
+        return _SparseScores(docs, scores)
+
+    def _eval_payload(self, r: SegmentReader, q: PayloadScoreQuery,
+                      boost: float) -> _SparseScores:
+        """queries/payloads/PayloadScoreQuery.java: per-doc aggregate of the
+        term's occurrence payloads (stream is doc-major, so one
+        ufunc.reduceat per segment), optionally × the term's own score."""
+        ti = r.term_index(self._fp(q.field) + q.term)
+        if ti < 0:
+            return _EMPTY
+        docs, freqs = r.postings(ti)
+        if not len(docs):
+            return _EMPTY
+        pays = r.payloads(ti)
+        if len(pays) != int(freqs.sum()):
+            raise ValueError(
+                "PayloadScoreQuery needs an index built with "
+                "store_payloads=True")
+        starts = np.concatenate(
+            [[0], np.cumsum(freqs[:-1], dtype=np.int64)])
+        if q.func == "sum":
+            agg = np.add.reduceat(pays.astype(np.float64), starts)
+        elif q.func == "max":
+            agg = np.maximum.reduceat(pays, starts).astype(np.float64)
+        elif q.func == "min":
+            agg = np.minimum.reduceat(pays, starts).astype(np.float64)
+        elif q.func == "avg":
+            agg = np.add.reduceat(pays.astype(np.float64), starts) / freqs
+        else:
+            raise ValueError(f"unknown payload function {q.func!r}")
+        scores = agg * boost
+        if q.include_span_score:
+            sub = self._eval(r, TermQuery(q.term, q.field))
+            scores = scores * sub.scores  # same doc order: one term
+        return _SparseScores(docs, scores)
+
+    def _eval_function_score(self, r: SegmentReader, q: FunctionScoreQuery,
+                             boost: float) -> _SparseScores:
+        sub = self._eval(r, q.query, boost)
+        if not len(sub.docs):
+            return sub
+        dv = {name: arr[sub.docs] for name, arr in r.doc_values.items()}
+        new_scores = np.asarray(q.fn(sub.scores, dv), dtype=np.float64)
+        return _SparseScores(sub.docs, new_scores, sub.counts)
+
+    def _eval_ordinals(self, r: SegmentReader, q: Query, boost: float) -> _SparseScores:
+        """MultiTermQuery CONSTANT_SCORE rewrite: the dictionary ordinals
+        ``_ORDINALS`` accepts for the query's type; their docs union and
+        score ``boost``."""
+        ords = self._ORDINALS[type(q)](self, r, self._fp(q.field), q)
+        return _const(self._union_docs(r, ords), boost)
+
+    def _term_range_ords(self, r: SegmentReader, fp: str, q: TermRangeQuery):
+        lo, hi = r.term_range(fp)  # an open end stops at the field's terms
+        if q.lower is not None:
+            lo = r.bisect(fp + q.lower, side="left" if q.include_lower else "right")
+        if q.upper is not None:
+            hi = r.bisect(fp + q.upper, side="right" if q.include_upper else "left")
+        return range(lo, hi)
+
+    # -- doc values, points and geo
+
+    def _eval_numeric_range(self, r: SegmentReader, q: NumericRangeQuery,
+                            boost: float) -> _SparseScores:
+        """BKD-style pruning: binary search the per-reader sorted column
+        (PointRangeQuery over Lucene90PointsFormat semantics) — only the
+        in-range docs are ever touched, not an O(maxDoc) mask."""
+        sv, od = r.numeric_index(q.field)
+        lo_i = 0 if q.lower is None else int(
+            np.searchsorted(sv, q.lower, side="left" if q.include_lower else "right")
+        )
+        hi_i = len(sv) if q.upper is None else int(
+            np.searchsorted(sv, q.upper, side="right" if q.include_upper else "left")
+        )
+        st = self.range_stats
+        st["docs_examined"] += max(0, hi_i - lo_i)
+        st["max_doc_total"] += r.max_doc
+        if hi_i <= lo_i:
+            return _EMPTY
+        return _const(np.sort(od[lo_i:hi_i]), boost)
+
+    def _kd_boxes(self, r: SegmentReader, kd, boxes) -> list[np.ndarray]:
+        """The candidate docs of each kd-tree box, counted into
+        ``range_stats`` (the segment's max_doc once)."""
+        st = self.range_stats
+        out = []
+        for box in boxes:
+            cand, examined = kd.box(*box)
             st["docs_examined"] += examined + len(cand)
-            st["max_doc_total"] += r.max_doc
-            if not len(cand):
-                return empty
-            keep = polygon_contains(r.doc_values[q.lat_field][cand],
-                                    r.doc_values[q.lon_field][cand], q.rings)
-            docs = cand[keep]
-            return _SparseScores(docs, np.full(len(docs), boost))
-        if isinstance(q, GeoDistanceQuery):
-            from lucene_ray.functions.points import distance_bounding_boxes, haversine_meters
+            out.append(cand)
+        st["max_doc_total"] += r.max_doc
+        return out
 
-            kd = r.kd_index(q.lat_field, q.lon_field)
-            st = self.range_stats
-            parts = []
-            for lat0, lat1, lon0, lon1 in distance_bounding_boxes(q.lat, q.lon, q.radius_m):
-                cand, examined = kd.box(lat0, lat1, lon0, lon1)
-                st["docs_examined"] += examined + len(cand)
-                if len(cand):
-                    d = haversine_meters(
-                        r.doc_values[q.lat_field][cand],
-                        r.doc_values[q.lon_field][cand],
-                        q.lat,
-                        q.lon,
-                    )
-                    parts.append(cand[d <= q.radius_m])
-            st["max_doc_total"] += r.max_doc
-            docs = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int32)
-            return _SparseScores(docs, np.full(len(docs), boost))
-        if isinstance(q, FuzzyQuery):
-            return self._eval_fuzzy(r, q, boost)
-        if isinstance(q, CombinedFieldQuery):
-            return self._eval_combined_field(r, q, boost)
-        if isinstance(q, SynonymQuery):
-            return self._eval_synonym(r, q, boost)
-        if isinstance(q, (PhraseQuery, MultiPhraseQuery)):
-            return self._eval_multi_phrase(r, q, boost)
-        if isinstance(q, ComplexPhraseQuery):
-            return self._eval_complex_phrase(r, q, boost)
-        if isinstance(q, (SpanNearQuery, SpanPositionRangeQuery, SpanNotQuery)):
-            return self._eval_span(r, q, boost)
-        if isinstance(q, IntervalQuery):
-            return self._eval_interval(r, q, boost)
-        if isinstance(q, DisjunctionMaxQuery):
-            subs = [self._eval(r, d, boost) for d in q.disjuncts]
-            return self._dismax(subs, q.tie_breaker)
-        if isinstance(q, BooleanQuery):
-            return self._eval_bool(r, q, boost)
-        raise TypeError(f"unsupported query {q!r}")
+    def _eval_point_box(self, r: SegmentReader, q: PointBoxQuery,
+                        boost: float) -> _SparseScores:
+        kd = r.kd_index(q.field_x, q.field_y)
+        return _const(self._kd_boxes(r, kd, [(q.x0, q.x1, q.y0, q.y1)])[0], boost)
+
+    def _eval_point_nd(self, r: SegmentReader, q: PointNDRangeQuery,
+                       boost: float) -> _SparseScores:
+        kd = r.kd_index_nd(q.fields)
+        return _const(self._kd_boxes(r, kd, [(q.lows, q.highs)])[0], boost)
+
+    def _eval_geo_polygon(self, r: SegmentReader, q: GeoPolygonQuery,
+                          boost: float) -> _SparseScores:
+        from lucene_ray.functions.points import (polygon_bounding_box,
+                                                 polygon_contains)
+
+        kd = r.kd_index(q.lat_field, q.lon_field)
+        cand = self._kd_boxes(r, kd, [polygon_bounding_box(q.rings)])[0]
+        if not len(cand):
+            return _EMPTY
+        keep = polygon_contains(r.doc_values[q.lat_field][cand],
+                                r.doc_values[q.lon_field][cand], q.rings)
+        return _const(cand[keep], boost)
+
+    def _eval_geo_distance(self, r: SegmentReader, q: GeoDistanceQuery,
+                           boost: float) -> _SparseScores:
+        from lucene_ray.functions.points import distance_bounding_boxes, haversine_meters
+
+        kd = r.kd_index(q.lat_field, q.lon_field)
+        parts = []
+        for cand in self._kd_boxes(r, kd, distance_bounding_boxes(q.lat, q.lon, q.radius_m)):
+            if len(cand):
+                d = haversine_meters(r.doc_values[q.lat_field][cand],
+                                     r.doc_values[q.lon_field][cand], q.lat, q.lon)
+                parts.append(cand[d <= q.radius_m])
+        docs = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int32)
+        return _const(docs, boost)
+
+    def _eval_dv_term(self, r: SegmentReader, q: DocValuesTermQuery,
+                      boost: float) -> _SparseScores:
+        return _const(np.flatnonzero(r.doc_values[q.field] == q.value).astype(np.int32), boost)
+
+    def _eval_sorted_set(self, r: SegmentReader, q: SortedSetContainsQuery,
+                         boost: float) -> _SparseScores:
+        dv = r.sorted_set_dv.get(q.field)
+        if dv is None:
+            raise KeyError(
+                f"no SortedSet doc-values column {q.field!r} in segment "
+                f"{r.name}")
+        offsets, codes, vocab = dv
+        oi = int(np.searchsorted(vocab, q.value))
+        if oi >= len(vocab) or vocab[oi] != q.value:
+            return _EMPTY
+        # positions of the matching ordinal → owning docs via the offsets
+        # (one searchsorted; no per-doc loop)
+        hits = np.flatnonzero(codes == oi)
+        docs = np.unique(np.searchsorted(offsets, hits, side="right") - 1).astype(np.int32)
+        return _const(docs, boost)
+
+    # -- compound
+
+    def _eval_covering(self, r: SegmentReader, q: CoveringQuery,
+                       boost: float) -> _SparseScores:
+        u = self._union([self._eval(r, sub, boost) for sub in q.queries], r.max_doc)
+        if not len(u.docs):
+            return u
+        mins = np.asarray(r.doc_values[q.min_match_field][u.docs], dtype=np.int64)
+        keep = u.counts >= mins
+        return _SparseScores(u.docs[keep], u.scores[keep], u.counts[keep])
+
+    def _eval_dismax(self, r: SegmentReader, q: DisjunctionMaxQuery,
+                     boost: float) -> _SparseScores:
+        return self._dismax([self._eval(r, d, boost) for d in q.disjuncts], q.tie_breaker)
 
     @staticmethod
     def _union_docs(r: SegmentReader, term_indices) -> np.ndarray:
@@ -1103,7 +1101,7 @@ class IndexSearcher:
     def _union(subs: list[_SparseScores], max_doc: int | None = None) -> _SparseScores:
         subs = [s for s in subs if len(s.docs)]
         if not subs:
-            return _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
+            return _EMPTY
         total = sum(len(s.docs) for s in subs)
         if max_doc is not None and total * 4 > max_doc:
             # dense accumulators: per-sub docIDs are unique, so fancy-index
@@ -1133,7 +1131,7 @@ class IndexSearcher:
     def _dismax(self, subs: list[_SparseScores], tie: float) -> _SparseScores:
         subs = [s for s in subs if len(s.docs)]
         if not subs:
-            return _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
+            return _EMPTY
         docs = np.concatenate([s.docs for s in subs])
         scores = np.concatenate([s.scores for s in subs])
         uniq, inv = np.unique(docs, return_inverse=True)
@@ -1170,13 +1168,12 @@ class IndexSearcher:
         return hit
 
     def _eval_bool(self, r: SegmentReader, q: BooleanQuery, boost: float) -> _SparseScores:
-        empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
         result: _SparseScores | None = None
         for m in q.must:
             sub = self._eval(r, m, boost)
             result = sub if result is None else self._intersect(result, sub)
             if not len(result.docs):
-                return empty
+                return _EMPTY
         for f in q.filter:
             # FILTER: matches constrain, scores don't count. Results are
             # cached per (reader, query) — the LRUQueryCache analogue
@@ -1188,7 +1185,7 @@ class IndexSearcher:
                                 np.zeros(len(fdocs), dtype=np.int32))
             result = sub if result is None else self._intersect(result, sub)
             if not len(result.docs):
-                return empty
+                return _EMPTY
         if q.should:
             union = self._union([self._eval(r, s, boost) for s in q.should], r.max_doc)
             msm = q.minimum_should_match
@@ -1212,489 +1209,13 @@ class IndexSearcher:
                         add = np.where(hit, union.scores[pos_c], 0.0)
                         result = _SparseScores(result.docs, result.scores + add, result.counts)
         if result is None:
-            return empty
+            return _EMPTY
         for mn in q.must_not:
             sub = self._eval(r, mn)
             result = self._exclude(result, sub.docs)
             if not len(result.docs):
-                return empty
+                return _EMPTY
         return result
-
-    # ------------------------------- suggest / spell / more-like-this
-
-    def suggest_terms(self, prefix: str, k: int = 5) -> list[tuple[str, int]]:
-        """Prefix autocomplete (suggest/.../AnalyzingSuggester analogue with
-        weight = total term frequency): top-k dictionary terms with the
-        prefix, ordered by (ttf desc, term asc)."""
-        if self.global_term_stats is not None and self.global_term_stats.eager:
-            from lucene_ray.state.segment import prefix_successor
-
-            g = self.global_term_stats
-            lo = int(np.searchsorted(g.terms, prefix))
-            succ = prefix_successor(prefix)
-            hi = int(np.searchsorted(g.terms, succ)) if succ is not None else len(g.terms)
-            cand = [(int(g.total_tf[i]), str(g.terms[i])) for i in range(lo, hi)]
-        else:
-            agg: dict[str, int] = {}
-            for r in self.readers:
-                lo, hi = r.term_range(prefix)
-                for i in range(lo, hi):
-                    agg[r.terms[i]] = agg.get(r.terms[i], 0) + int(r.total_tf[i])
-            cand = [(c, t) for t, c in agg.items()]
-        cand.sort(key=lambda x: (-x[0], x[1]))
-        out = [(t, c) for c, t in cand[:k]]
-        return out
-
-    def fuzzy_suggest_terms(
-        self,
-        prefix: str,
-        k: int = 5,
-        *,
-        max_edits: int = 1,
-        non_fuzzy_prefix: int = 1,
-        min_fuzzy_length: int = 3,
-    ) -> list[tuple[str, int]]:
-        """Typo-tolerant autocomplete (suggest/.../analyzing/FuzzySuggester
-        .java defaults: maxEdits=1 after an exact 1-char prefix, fuzziness
-        only for inputs >= 3 chars): dictionary terms whose PREFIX is within
-        ``max_edits`` of the typed prefix, weighted by total term frequency,
-        ranked (edits asc, ttf desc, term asc) so exact-prefix completions
-        beat fuzzy ones like the reference's automaton weights."""
-        if len(prefix) < min_fuzzy_length or max_edits == 0:
-            return self.suggest_terms(prefix, k)
-        exact = prefix[:non_fuzzy_prefix]
-        if self.global_term_stats is not None and self.global_term_stats.eager:
-            from lucene_ray.state.segment import prefix_successor
-
-            g = self.global_term_stats
-            lo = int(np.searchsorted(g.terms, exact))
-            succ = prefix_successor(exact)
-            hi = int(np.searchsorted(g.terms, succ)) if succ is not None else len(g.terms)
-            pool = [(str(g.terms[i]), int(g.total_tf[i])) for i in range(lo, hi)]
-        else:
-            agg: dict[str, int] = {}
-            for r in self.readers:
-                lo, hi = r.term_range(exact)
-                for i in range(lo, hi):
-                    agg[r.terms[i]] = agg.get(r.terms[i], 0) + int(r.total_tf[i])
-            pool = list(agg.items())
-        cand = []
-        for term, w in pool:
-            ed = _prefix_edit_distance(prefix, term, max_edits)
-            if ed >= 0:
-                cand.append((ed, -w, term))
-        cand.sort()
-        return [(t, -nw) for _, nw, t in cand[:k]]
-
-    def spell_suggest(self, term: str, k: int = 3, max_edits: int = 2) -> list[str]:
-        """Did-you-mean (suggest/spell/DirectSpellChecker analogue): dictionary
-        terms within ``max_edits``, ranked by (edits asc, docFreq desc, term).
-
-        Candidate pruning is the EXACT multiset q-gram bound (admissible — the
-        n-gram stand-in for DirectSpellChecker's FuzzyTermsEnum automaton):
-        ed(q,t) ≤ e implies the MULTISET bigram overlap ≥ max(|q|,|t|) − 1 −
-        2e, so only terms violating that bound are skipped; terms whose bound
-        is ≤ 0 are always examined (the bound can't prune them). Verified
-        equal to the full scan by property test."""
-        fp = self._fp(None)
-        seen: dict[str, int] = {}
-        q_big: dict[str, int] = {}
-        for i in range(len(term) - 1):
-            g = term[i : i + 2]
-            q_big[g] = q_big.get(g, 0) + 1
-        lq = len(term)
-        for r in self.readers:
-            lo, hi = r.term_range(fp) if fp else (0, r.n_terms)
-            bg_index, lens = self._bigram_index(r, fp, lo, hi)
-            counts = np.zeros(hi - lo, dtype=np.int64)
-            for g, qc in q_big.items():
-                hit = bg_index.get(g)
-                if hit is not None:
-                    ids, tcs = hit
-                    counts[ids] += np.minimum(tcs, qc)
-            need = np.maximum(0, np.maximum(lq, lens) - 1 - 2 * max_edits)
-            for i in np.flatnonzero(counts >= need).tolist():
-                t = r.term_at(lo + i)[len(fp):]
-                if t == term or t in seen:
-                    continue
-                ed = _bounded_edit_distance(term, t, max_edits)
-                if ed > 0:
-                    seen[t] = ed
-        ranked = sorted(
-            seen.items(),
-            key=lambda kv: (kv[1], -self.term_statistics(fp + kv[0]).doc_freq, kv[0]),
-        )
-        return [t for t, _ in ranked[:k]]
-
-    @staticmethod
-    def _bigram_index(r: SegmentReader, fp: str, lo: int, hi: int):
-        """Lazy per-reader bigram → (term offsets, occurrence counts) plus the
-        per-term length array (for the q-gram bound)."""
-        cached = getattr(r, "_spell_bigrams", None)
-        if cached is not None and cached[0] == (fp, lo, hi):
-            return cached[1], cached[2]
-        bg: dict[str, list[int]] = {}
-        lens = np.zeros(hi - lo, dtype=np.int64)
-        for i in range(lo, hi):
-            t = r.term_at(i)[len(fp):]
-            lens[i - lo] = len(t)
-            for j in range(len(t) - 1):
-                bg.setdefault(t[j : j + 2], []).append(i - lo)
-        bgn = {}
-        for g, v in bg.items():
-            ids, tcs = np.unique(np.asarray(v, dtype=np.int64), return_counts=True)
-            bgn[g] = (ids, tcs.astype(np.int64))
-        r._spell_bigrams = ((fp, lo, hi), bgn, lens)
-        return bgn, lens
-
-    def more_like_this(self, doc_key, *, max_query_terms: int = 10,
-                       min_tf: int = 1, k: int = 10, text: str | None = None,
-                       analyzer=None) -> TopDocs:
-        """MoreLikeThis (queries/.../mlt/MoreLikeThis.java semantics): pick
-        the doc's top terms by tf·idf, search them as a SHOULD query with the
-        source doc excluded.
-
-        ``text`` — the document's stored text, when the caller has it (the
-        row store is the source parquet): the reference's
-        ``MoreLikeThis.like(Reader)`` path, which re-analyzes the text
-        instead of probing every dictionary term's postings. Without it the
-        dictionary-scan fallback runs (fine for bounded vocabularies)."""
-        fp = self._fp(None)
-        tf: dict[str, int] = {}
-        if text is not None:
-            an = analyzer or self.query_analyzer()
-            codes, vocab, _di, _pos, _dl = an.tokenize_batch_encoded([text])
-            cnt = np.bincount(codes, minlength=len(vocab))
-            tf = {str(vocab[i]): int(cnt[i]) for i in range(len(vocab)) if cnt[i]}
-        for r in self.readers if text is None else ():
-            pos = np.flatnonzero(r.doc_keys == doc_key)
-            if not len(pos):
-                continue
-            local = int(pos[0])
-            if getattr(r, "has_term_vectors", False):
-                # stored term vectors (Lucene90TermVectorsFormat path): the
-                # doc's terms come straight from the doc-major side file —
-                # no re-analysis, no O(dictionary) postings probe
-                terms_v, freqs_v = r.term_vector(local)
-                for t, f in zip(terms_v, freqs_v.tolist()):
-                    if not fp or t.startswith(fp):
-                        t = t[len(fp):]
-                        tf[t] = tf.get(t, 0) + int(f)
-                continue
-            lo, hi = r.term_range(fp) if fp else (0, r.n_terms)
-            for i in range(lo, hi):
-                docs, freqs = r.postings(int(i))
-                j = np.searchsorted(docs, local)
-                if j < len(docs) and docs[j] == local:
-                    t = r.terms[i][len(fp):]
-                    tf[t] = tf.get(t, 0) + int(freqs[j])
-        scored = []
-        cstats = self._field_cstats(None)
-        for t, f in tf.items():
-            if f < min_tf:
-                continue
-            ts = self.term_statistics(fp + t)
-            idf = float(np.log(1 + (cstats.doc_count - ts.doc_freq + 0.5)
-                               / (ts.doc_freq + 0.5)))
-            scored.append((-(f * idf), t))
-        scored.sort()
-        terms = [t for _, t in scored[:max_query_terms]]
-        if not terms:
-            return TopDocs(0, [])
-        q = BooleanQuery(should=[TermQuery(t) for t in terms])
-        td = self.search(q, k=k + 1)
-        td.score_docs = [sd for sd in td.score_docs if sd.doc_key != doc_key][:k]
-        return td
-
-    # ----------------------------------- field sort / facets / grouping
-
-    def search_by_field(
-        self, query: Query | str, field: str, k: int = 10, *, descending: bool = True
-    ) -> list[tuple]:
-        """TopFieldCollector analogue (search/TopFieldCollector.java:39-151):
-        top-k matching docs ordered by a doc-values column, ties by doc_key.
-        Returns [(doc_key, field_value), ...]."""
-        if isinstance(query, str):
-            query = self.parse(query)
-        want_sort = [field, "desc" if descending else "asc"]
-        rows = []
-        for r in self.readers:
-            sp = self._apply_live(r, self._eval(r, query))
-            if not len(sp.docs):
-                continue
-            if list(r.meta.get("index_sort") or ()) == want_sort:
-                # EARLY TERMINATION (TopFieldCollector.canEarlyTerminate,
-                # TopFieldCollector.java:150): this segment's docID order IS
-                # (field desc/asc, key asc), so the first k matching docIDs
-                # are the segment's top-k — no per-hit gather or sort
-                take = sp.docs[:k]
-                self.sort_stats["docs_examined"] += len(take)
-                self.sort_stats["docs_matched"] += len(sp.docs)
-                vals = r.doc_values[field][take]
-                keys = r.doc_keys[take]
-                rows.extend(zip(vals.tolist(), keys.tolist()))
-                continue
-            self.sort_stats["docs_examined"] += len(sp.docs)
-            self.sort_stats["docs_matched"] += len(sp.docs)
-            vals = r.doc_values[field][sp.docs]
-            keys = r.doc_keys[sp.docs]
-            idx = np.arange(len(vals))
-            if len(idx) > k * 4 and np.issubdtype(vals.dtype, np.number):
-                kk = min(k, len(idx))
-                thr = np.partition(vals, len(vals) - kk)[len(vals) - kk] if descending else \
-                    np.partition(vals, kk - 1)[kk - 1]
-                idx = np.flatnonzero(vals >= thr) if descending else np.flatnonzero(vals <= thr)
-            rows.extend((vals[i], keys[i]) for i in idx.tolist())
-        rows.sort(key=(lambda t: (-t[0], t[1])) if descending else (lambda t: (t[0], t[1])))
-        return [(kkey, val) for val, kkey in rows[:k]]
-
-    def facet_counts(self, query: Query | str, field: str) -> dict:
-        """Facet counting over a doc-values column for matching docs
-        (facet/FacetsCollector + LongValueFacetCounts analogue): per-segment
-        partial bincounts merged on the way out."""
-        if isinstance(query, str):
-            query = self.parse(query)
-        out: dict = {}
-        for r in self.readers:
-            sp = self._apply_live(r, self._eval(r, query))
-            if not len(sp.docs):
-                continue
-            vals, counts = np.unique(r.doc_values[field][sp.docs], return_counts=True)
-            for v, c in zip(vals.tolist(), counts.tolist()):
-                out[v] = out.get(v, 0) + c
-        return out
-
-    def facet_counts_multi(self, query: Query | str, field: str) -> dict:
-        """Multi-valued facet counting over a SortedSet doc-values column
-        (facet/sortedset/SortedSetDocValuesFacetCounts.java): each matching
-        doc contributes one count per stored value. Vectorized per segment:
-        gather the selected docs' ordinal ranges with one repeat-arange
-        indexing pass, bincount the ordinals, map through the sorted value
-        dictionary; segment partials merge by value."""
-        if isinstance(query, str):
-            query = self.parse(query)
-        out: dict = {}
-        for r in self.readers:
-            dv = getattr(r, "sorted_set_dv", {}).get(field)
-            if dv is None:
-                raise KeyError(
-                    f"no SortedSet doc-values column {field!r} in segment "
-                    f"{r.name} (index it as a list-typed docvalue col)")
-            offsets, codes, vocab = dv
-            sp = self._apply_live(r, self._eval(r, query))
-            docs = sp.docs
-            if not len(docs):
-                continue
-            starts = offsets[docs]
-            lens = offsets[docs + 1] - starts
-            m = int(lens.sum())
-            if not m:
-                continue
-            # flat indices of every (doc, value) pair of the selected docs
-            idx = np.repeat(starts - np.concatenate([[0], np.cumsum(lens)[:-1]]),
-                            lens) + np.arange(m, dtype=np.int64)
-            cnt = np.bincount(codes[idx], minlength=len(vocab))
-            for oi in np.flatnonzero(cnt):
-                v = vocab[oi]
-                out[v] = out.get(v, 0) + int(cnt[oi])
-        return out
-
-    def drill_sideways(self, base: Query | str, drill_downs: dict, k: int = 10):
-        """DrillSideways (facet/DrillSideways.java): drill-down hits = base
-        query filtered by EVERY selected dimension value; per-dimension
-        sideways facet counts are computed with all OTHER dimensions'
-        filters applied but NOT the dimension's own — so the UI can show
-        what the counts would be if that one selection were lifted.
-
-        ``drill_downs``: {dv_field: selected_value}. Returns
-        ``{"hits": TopDocs, "facets": {field: {value: count}}}``. Executed
-        as one filtered search plus one facet count per dimension (the
-        reference folds these into a single collector pass; same results)."""
-        if isinstance(base, str):
-            base = self.parse(base)
-        filters = {f: DocValuesTermQuery(f, v) for f, v in drill_downs.items()}
-        hits = self.search(
-            BooleanQuery(must=[base], filter=list(filters.values())), k
-        )
-        facets = {}
-        for dim in drill_downs:
-            others = [fq for f, fq in filters.items() if f != dim]
-            q = BooleanQuery(must=[base], filter=others) if others else base
-            facets[dim] = self.facet_counts(q, dim)
-        return {"hits": hits, "facets": facets}
-
-    def dv_stats(self, query: Query | str, field: str) -> dict:
-        """Aggregate statistics of a numeric doc-values column over matching
-        docs (misc/DocValuesStats.java + DocValuesStatsCollector): count,
-        min, max, sum, mean, variance (population), stddev. Sums accumulate
-        in int64 (exact for integral columns), the float ops happen once in
-        a fixed order so an SQL oracle reproduces them bit-for-bit."""
-        if isinstance(query, str):
-            query = self.parse(query)
-        n = 0
-        s = 0
-        sq = 0
-        mn: float | None = None
-        mx: float | None = None
-        for r in self.readers:
-            sp = self._apply_live(r, self._eval(r, query))
-            if not len(sp.docs):
-                continue
-            vals = np.asarray(r.doc_values[field][sp.docs], dtype=np.int64)
-            n += len(vals)
-            s += int(vals.sum())
-            sq += int((vals * vals).sum())
-            lo, hi = int(vals.min()), int(vals.max())
-            mn = lo if mn is None else min(mn, lo)
-            mx = hi if mx is None else max(mx, hi)
-        if n == 0:
-            return {"count": 0, "min": None, "max": None, "sum": 0,
-                    "mean": None, "variance": None, "stddev": None}
-        mean = s / n
-        var = sq / n - mean * mean
-        return {
-            "count": n, "min": mn, "max": mx, "sum": s,
-            "mean": mean, "variance": var, "stddev": float(np.sqrt(max(0.0, var))),
-        }
-
-    def range_facet_counts(
-        self, query: Query | str, field: str, ranges: list[tuple]
-    ) -> list[tuple]:
-        """Numeric range facets (facet/range/LongRangeFacetCounts.java:42):
-        for docs matching ``query``, count how many fall into each
-        ``(label, lo, hi)`` half-open range lo ≤ v < hi. Ranges may overlap —
-        each is counted independently (the reference's LongRange list
-        semantics), so this is NOT a groupby. Returns [(label, count)] in
-        the given range order."""
-        if isinstance(query, str):
-            query = self.parse(query)
-        totals = np.zeros(len(ranges), dtype=np.int64)
-        for r in self.readers:
-            sp = self._apply_live(r, self._eval(r, query))
-            if not len(sp.docs):
-                continue
-            vals = np.asarray(r.doc_values[field][sp.docs], dtype=np.float64)
-            for i, (_, lo, hi) in enumerate(ranges):
-                totals[i] += int(np.count_nonzero((vals >= lo) & (vals < hi)))
-        return [(label, int(totals[i])) for i, (label, *_rest) in enumerate(ranges)]
-
-    def diversified_topk(
-        self,
-        query: Query | str,
-        key_field: str,
-        max_per_key: int = 1,
-        k: int = 10,
-        round_digits: int | None = None,
-    ) -> list[tuple]:
-        """Diversified top-k (misc/search/DiversifiedTopDocsCollector.java:63):
-        global top-k by (score desc, doc_key asc) with at most ``max_per_key``
-        docs sharing a ``key_field`` value. Greedy-in-rank-order == "keep a
-        doc iff its within-key rank ≤ max_per_key, then global top-k" — a doc
-        beyond its key's top-``max_per_key`` is always preceded by enough
-        same-key docs to fill the cap. Per segment only the per-key
-        top-``max_per_key`` survivors are forwarded (the exact-merge bound),
-        so the driver-side merge is O(segments · keys · max_per_key).
-        Returns [(rank, doc_key, key, score)]."""
-        if isinstance(query, str):
-            query = self.parse(query)
-        rd = round_digits
-
-        cands: list[tuple] = []  # (-score_key, doc_key, key, score)
-        for r in self.readers:
-            sp = self._apply_live(r, self._eval(r, query))
-            if not len(sp.docs):
-                continue
-            keys = r.doc_values[key_field][sp.docs]
-            dks = r.doc_keys[sp.docs]
-            scores = np.round(sp.scores, rd) if rd is not None else sp.scores
-            per_key: dict = {}
-            for kk, dk, s0, s in zip(
-                keys.tolist(), dks.tolist(), scores.tolist(), sp.scores.tolist()
-            ):
-                per_key.setdefault(kk, []).append((-s0, dk, kk, s))
-            for lst in per_key.values():
-                cands.extend(heapq.nsmallest(max_per_key, lst))
-
-        cands.sort()
-        counts: dict = {}
-        out = []
-        for negs, dk, kk, s in cands:
-            c = counts.get(kk, 0)
-            if c >= max_per_key:
-                continue
-            counts[kk] = c + 1
-            out.append((len(out) + 1, dk, kk, s))
-            if len(out) >= k:
-                break
-        return out
-
-    def document(self, doc_key) -> dict | None:
-        """Stored-fields retrieval (IndexSearcher.doc / StoredFields analogue):
-        the per-doc row from the docs table — key, doc-values columns, norms.
-        The wide original text lives in the source parquet row store (the
-        design's stored-fields layer); everything indexed as doc values is
-        available here."""
-        for r in self.readers:
-            pos = np.flatnonzero(r.doc_keys == doc_key)
-            if len(pos):
-                i = int(pos[0])
-                if r.live is not None and not r.live[i]:
-                    continue  # deleted (or superseded by an update) here
-                out = {"doc_key": doc_key, "dl": int(r.dls[i])}
-                for name, arr in r.doc_values.items():
-                    v = arr[i]
-                    out[name] = v.item() if hasattr(v, "item") else v
-                return out
-        return None
-
-    def taxonomy_counts(self, query: Query | str, dims: list[str]) -> list[tuple]:
-        """Hierarchical facet counts with rollup (facet/.../taxonomy/
-        TaxonomyFacetCounts + DirectoryTaxonomyReader.java:61 semantics over
-        a flat dim hierarchy): for matching docs, counts for every path
-        prefix of the dim chain — ('src0',), ('src0','en'), … — plus the
-        root total. Returns [(path tuple, count)] sorted; rollup rows carry
-        the prefix path (deeper levels as None)."""
-        if isinstance(query, str):
-            query = self.parse(query)
-        from collections import Counter
-
-        counts: Counter = Counter()
-        for r in self.readers:
-            sp = self._apply_live(r, self._eval(r, query))
-            if not len(sp.docs):
-                continue
-            cols = [r.doc_values[d][sp.docs] for d in dims]
-            n = len(sp.docs)
-            counts[()] += n
-            for depth in range(1, len(dims) + 1):
-                keys = list(zip(*[c.tolist() for c in cols[:depth]]))
-                counts.update(keys)
-        return sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def grouped_topk(
-        self, query: Query | str, group_field: str, k_per_group: int = 2
-    ) -> list[tuple]:
-        """Two-pass grouping analogue (grouping/FirstPassGroupingCollector →
-        SecondPassGroupingCollector): top-k docs per group value by
-        (round(score,6) desc, doc_key asc). Returns
-        [(group, rank, doc_key, score), ...] sorted by (group, rank)."""
-        if isinstance(query, str):
-            query = self.parse(query)
-        acc: dict = {}
-        for r in self.readers:
-            sp = self._apply_live(r, self._eval(r, query))
-            if not len(sp.docs):
-                continue
-            groups = r.doc_values[group_field][sp.docs]
-            keys = r.doc_keys[sp.docs]
-            for g, kkey, s in zip(groups.tolist(), keys.tolist(), sp.scores.tolist()):
-                acc.setdefault(g, []).append((-np.round(s, 6), kkey, s))
-        out = []
-        for g in sorted(acc):
-            best = heapq.nsmallest(k_per_group, acc[g])
-            for rank, (_, kkey, s) in enumerate(best, start=1):
-                out.append((g, rank, kkey, s))
-        return out
 
     def _join_lut(self, q: JoinQuery, boost: float):
         """Global (from_field value → aggregated score) map for a JoinQuery —
@@ -1704,112 +1225,65 @@ class IndexSearcher:
                                       lambda: self._join_table(q, boost))
 
     def _join_table(self, q: JoinQuery, boost: float):
-        vals_parts, score_parts = [], []
-        for r in self.readers:
-            sp = self._apply_live(r, self._eval(r, q.from_query, boost))
-            if not len(sp.docs):
-                continue
-            vals_parts.append(np.asarray(r.doc_values[q.from_field][sp.docs]))
-            score_parts.append(sp.scores)
-        if not vals_parts:
+        vals, scores = [], []
+        for r, docs, sc in self.matches(BoostQuery(q.from_query, boost)):
+            vals.append(np.asarray(r.doc_values[q.from_field][docs]))
+            scores.append(sc)
+        if not vals:
             return np.empty(0), np.empty(0)
-        vals = np.concatenate(vals_parts)
-        scores = np.concatenate(score_parts)
-        uniq, inv = np.unique(vals, return_inverse=True)
-        if q.score_mode == "none":
-            return uniq, np.full(len(uniq), boost)
-        sums = np.zeros(len(uniq))
-        np.add.at(sums, inv, scores)
-        if q.score_mode == "sum":
-            return uniq, sums
-        if q.score_mode == "max":
-            agg = np.full(len(uniq), -np.inf)
-            np.maximum.at(agg, inv, scores)
-            return uniq, agg
-        if q.score_mode == "avg":
-            return uniq, sums / np.bincount(inv, minlength=len(uniq))
-        raise ValueError(f"unknown score_mode {q.score_mode!r}")
+        return _aggregate(np.concatenate(vals), np.concatenate(scores), q.score_mode, boost)
 
     def _eval_join(self, r: SegmentReader, q: JoinQuery, boost: float) -> _SparseScores:
-        empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
         uniq, agg = self._join_lut(q, boost)
         if not len(uniq):
-            return empty
+            return _EMPTY
         tvals = np.asarray(r.doc_values[q.to_field])
         pos = np.searchsorted(uniq, tvals)
         pos_c = np.minimum(pos, len(uniq) - 1)
         m = uniq[pos_c] == tvals
         docs = np.flatnonzero(m).astype(np.int32)
         if not len(docs):
-            return empty
+            return _EMPTY
         return _SparseScores(docs, agg[pos_c[m]])
 
     # ---------------------------------------------------------- block join
 
-    def _parents_of(self, r: SegmentReader) -> np.ndarray:
-        """Sorted local docIDs of parent docs (the parents-filter BitSet of
-        ToParentBlockJoinQuery; blocks are contiguous, parent last — the
-        layout pipelines/index_pipeline.build_index(partition_col=...) +
-        child-before-parent keys produce). Cached per reader."""
-        p = getattr(r, "_parent_docs", None)
-        if p is None:
-            p = r._parent_docs = np.flatnonzero(
-                r.doc_values["is_parent"] != 0
-            ).astype(np.int32)
-        return p
-
-    def _eval_block_join_parent(self, r, q, boost: float) -> _SparseScores:
-        empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
+    def _eval_block_join_parent(self, r: SegmentReader, q: ToParentBlockJoinQuery,
+                                boost: float) -> _SparseScores:
         child = self._eval(r, q.child_query, boost)
         if not len(child.docs):
-            return empty
-        parents = self._parents_of(r)
-        is_parent = r.doc_values["is_parent"]
-        mask = is_parent[child.docs] == 0  # a parent matching the child query joins nothing
+            return _EMPTY
+        parents = r.parent_docs()
+        # a parent matching the child query joins nothing
+        mask = r.doc_values["is_parent"][child.docs] == 0
         cdocs = child.docs[mask]
         cscores = child.scores[mask]
         if not len(cdocs):
-            return empty
+            return _EMPTY
         pi = np.searchsorted(parents, cdocs, side="left")  # next parent >= child
         ok = pi < len(parents)
-        pdocs = parents[pi[ok]]
-        cscores = cscores[ok]
-        uniq, inv = np.unique(pdocs, return_inverse=True)
-        if q.score_mode == "none":
-            return _SparseScores(uniq.astype(np.int32), np.full(len(uniq), boost))
-        sums = np.zeros(len(uniq))
-        np.add.at(sums, inv, cscores)
-        if q.score_mode == "sum":
-            out = sums
-        elif q.score_mode == "max":
-            out = np.full(len(uniq), -np.inf)
-            np.maximum.at(out, inv, cscores)
-        elif q.score_mode == "avg":
-            cnt = np.bincount(inv, minlength=len(uniq))
-            out = sums / cnt
-        else:
-            raise ValueError(f"unknown score_mode {q.score_mode!r}")
+        uniq, out = _aggregate(parents[pi[ok]], cscores[ok], q.score_mode, boost)
         return _SparseScores(uniq.astype(np.int32), out)
 
-    def _eval_block_join_child(self, r, q, boost: float) -> _SparseScores:
-        empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
+    def _eval_block_join_child(self, r: SegmentReader, q: ToChildBlockJoinQuery,
+                               boost: float) -> _SparseScores:
         parent = self._eval(r, q.parent_query, boost)
         if not len(parent.docs):
-            return empty
-        parents = self._parents_of(r)
+            return _EMPTY
+        parents = r.parent_docs()
         is_parent = r.doc_values["is_parent"]
         keep = is_parent[parent.docs] != 0
         pdocs = parent.docs[keep]
         pscores = parent.scores[keep]
         if not len(pdocs):
-            return empty
+            return _EMPTY
         pi = np.searchsorted(parents, pdocs)  # position of each parent
         starts = np.where(pi > 0, parents[np.maximum(pi - 1, 0)] + 1, 0)
         counts = pdocs - starts  # children per block
         m = counts > 0
         pdocs, pscores, starts, counts = pdocs[m], pscores[m], starts[m], counts[m]
         if not len(pdocs):
-            return empty
+            return _EMPTY
         total = int(counts.sum())
         run = np.concatenate([[0], np.cumsum(counts)[:-1]])
         docs = (np.repeat(starts - run, counts)
@@ -1817,7 +1291,29 @@ class IndexSearcher:
         scores = np.repeat(pscores, counts)
         return _SparseScores(docs, scores)
 
-    # -------------------------------------------------- fuzzy / synonym
+    # ----------------------------- dictionary enumeration / fuzzy / synonym
+
+    def _mtq_range(self, r: SegmentReader, fp: str, literal: str) -> tuple[int, int]:
+        """[lo, hi) of the dictionary slice a multi-term pattern with this
+        literal prefix must scan; the field's whole dictionary counts into
+        ``mtq_stats["terms_total"]`` (what a naive scan would walk)."""
+        flo, fhi = r.term_range(fp)
+        self.mtq_stats["terms_total"] += fhi - flo
+        return r.term_range(fp + literal)
+
+    def _char_filtered(self, r: SegmentReader, fp: str, req: np.ndarray,
+                       lo: int, hi: int, accept) -> list[int]:
+        """Indices in [lo, hi) whose term (minus ``fp``) ``accept``s, with
+        the verify run only on terms whose character histogram dominates
+        ``req`` — the vectorized counting filter for patterns with no
+        literal prefix to bound the scan."""
+        from lucene_ray.state.segment import char_count_vec
+
+        if fp:
+            req = req + char_count_vec(fp)
+        surv = lo + np.flatnonzero((r.char_counts[lo:hi] >= req).all(axis=1))
+        self.mtq_stats["terms_scanned"] += len(surv)
+        return [int(i) for i in surv if accept(r.term_at(int(i))[len(fp):])]
 
     def _wildcard_idxs(self, r: SegmentReader, fp: str, pattern: str) -> list[int]:
         """Wildcard → matching dictionary indices via automaton
@@ -1834,26 +1330,12 @@ class IndexSearcher:
                                                     required_char_vec)
 
         lit = _wildcard_literal_prefix(pattern)
-        if lit or fp:
-            lo, hi = r.term_range(fp + lit)
-        else:
-            lo, hi = 0, r.n_terms
-        flo, fhi = (r.term_range(fp) if fp else (0, r.n_terms))
-        self.mtq_stats["terms_total"] += fhi - flo
+        lo, hi = self._mtq_range(r, fp, lit)
         auto = WildcardAutomaton(pattern)
         if not lit and hi - lo > 64:
             req = required_char_vec(pattern)
             if req is not None:
-                if fp:
-                    from lucene_ray.state.segment import char_count_vec
-
-                    req = req + char_count_vec(fp)
-                surv = lo + np.flatnonzero(
-                    (r.char_counts[lo:hi] >= req).all(axis=1))
-                idxs = [int(i) for i in surv
-                        if auto.run(r.term_at(int(i))[len(fp):])]
-                self.mtq_stats["terms_scanned"] += len(surv)
-                return idxs
+                return self._char_filtered(r, fp, req, lo, hi, auto.run)
         idxs, examined = intersect_dictionary(r, fp, auto, lo, hi)
         self.mtq_stats["terms_scanned"] += examined
         return idxs
@@ -1866,31 +1348,16 @@ class IndexSearcher:
         common path; Python re fallback for RE2-unsupported syntax)."""
         import re as _re
 
-        lit = _regex_literal_prefix(pattern)
-        if lit or fp:
-            lo, hi = r.term_range(fp + lit)
-        else:
-            lo, hi = 0, r.n_terms
-        flo, fhi = (r.term_range(fp) if fp else (0, r.n_terms))
-        self.mtq_stats["terms_total"] += fhi - flo
-        if hi <= lo:
-            return []
         from lucene_ray.functions.automaton import regex_required_char_vec
 
+        lit = _regex_literal_prefix(pattern)
+        lo, hi = self._mtq_range(r, fp, lit)
+        if hi <= lo:
+            return []
         if not lit and hi - lo > 64:
             req = regex_required_char_vec(pattern)
             if req is not None:
-                if fp:
-                    from lucene_ray.state.segment import char_count_vec
-
-                    req = req + char_count_vec(fp)
-                surv = lo + np.flatnonzero(
-                    (r.char_counts[lo:hi] >= req).all(axis=1))
-                pat = _re.compile(pattern)
-                idxs = [int(i) for i in surv
-                        if pat.fullmatch(r.term_at(int(i))[len(fp):])]
-                self.mtq_stats["terms_scanned"] += len(surv)
-                return idxs
+                return self._char_filtered(r, fp, req, lo, hi, _re.compile(pattern).fullmatch)
         self.mtq_stats["terms_scanned"] += hi - lo
         import pyarrow.compute as pc
 
@@ -1915,14 +1382,7 @@ class IndexSearcher:
         keep the vectorized counting filter (character-histogram diff
         lower-bounds the distance) + banded-DP verify — cheaper than
         per-term automaton steps when the whole range fits a numpy pass."""
-        if prefix_length > 0:
-            lo, hi = r.term_range(fp + base[:prefix_length])
-        elif fp:
-            lo, hi = r.term_range(fp)
-        else:
-            lo, hi = 0, r.n_terms
-        flo, fhi = (r.term_range(fp) if fp else (0, r.n_terms))
-        self.mtq_stats["terms_total"] += fhi - flo
+        lo, hi = self._mtq_range(r, fp, base[:prefix_length])
         if hi <= lo:
             return []
         if hi - lo <= 64:
@@ -1968,46 +1428,29 @@ class IndexSearcher:
             else:
                 m = min(len(base), len(cand)) - q.prefix_length
                 tb = 1.0 - ed / max(m, 1)
-            sub = self._eval(r, TermQuery(cand), boost * tb)
-            if len(sub.docs):
-                subs.append(sub)
-        return self._dismax(subs, 0.0) if subs else _SparseScores(
-            np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64)
-        )
+            subs.append(self._eval(r, TermQuery(cand), boost * tb))
+        return self._dismax(subs, 0.0)
 
     def _eval_synonym(self, r: SegmentReader, q: SynonymQuery, boost: float) -> _SparseScores:
         """One pseudo-term (SynonymQuery.java:52-214): per-doc tf = Σ tf over
         synonyms, statistics blended as df = max docFreq, ttf = Σ (documented
         blend), scored through BM25 once."""
-        empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
         fp = self._fp(None)
         stats = [self.term_statistics(fp + t) for t in q.terms]
         stats = [s for s in stats if s.doc_freq > 0]
         if not stats:
-            return empty
+            return _EMPTY
         blended = TermStatistics(
             "|".join(q.terms),
             max(s.doc_freq for s in stats),
             sum(s.total_term_freq for s in stats),
         )
-        docs_all, freqs_all = [], []
-        for t in q.terms:
-            d, f = r.postings(fp + t)
-            if len(d):
-                docs_all.append(d)
-                freqs_all.append(f)
-        if not docs_all:
-            return empty
-        docs = np.concatenate(docs_all)
-        freqs = np.concatenate(freqs_all).astype(np.float64)
-        uniq, inv = np.unique(docs, return_inverse=True)
-        tf = np.zeros(len(uniq))
-        np.add.at(tf, inv, freqs)
+        got = _summed_tf([r.postings(fp + t) for t in q.terms])
+        if got is None:
+            return _EMPTY
+        docs, tf = got
         scorer = self.sim.scorer(self._field_cstats(None), blended, boost=boost)
-        return _SparseScores(
-            uniq.astype(np.int32),
-            self._score_arrays(r, scorer, uniq.astype(np.int32), tf),
-        )
+        return _SparseScores(docs, self._score_arrays(r, scorer, docs, tf))
 
     def _eval_combined_field(self, r: SegmentReader, q: CombinedFieldQuery,
                              boost: float) -> _SparseScores:
@@ -2020,7 +1463,6 @@ class IndexSearcher:
 
         from lucene_ray.state.segment import FIELD_SEP
 
-        empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
         if not self._multi:
             raise ValueError("CombinedFieldQuery requires a multi-field index")
         for f, _ in q.fields:
@@ -2044,7 +1486,7 @@ class IndexSearcher:
                 df = max(df, ts.doc_freq)
                 ttf += w * ts.total_term_freq
         if df == 0:
-            return empty
+            return _EMPTY
         pseudo_cstats = SimpleNamespace(
             max_doc=self.collection_stats.max_doc, doc_count=doc_count,
             sum_doc_freq=sum_df, sum_total_term_freq=sum_ttf,
@@ -2052,21 +1494,15 @@ class IndexSearcher:
         pseudo_ts = TermStatistics("pseudo_term", df, max(1.0, ttf))
         scorer = self.sim.scorer(pseudo_cstats, pseudo_ts, boost=boost)
 
-        docs_all, wf_all = [], []
+        parts = []
         for f, w in q.fields:
             for t in q.terms:
                 d, fr = r.postings(f + FIELD_SEP + t)
-                if len(d):
-                    docs_all.append(d)
-                    wf_all.append(w * fr.astype(np.float64))
-        if not docs_all:
-            return empty
-        docs = np.concatenate(docs_all)
-        wf = np.concatenate(wf_all)
-        uniq, inv = np.unique(docs, return_inverse=True)
-        tf = np.zeros(len(uniq))
-        np.add.at(tf, inv, wf)
-        uniq = uniq.astype(np.int32)
+                parts.append((d, w * fr.astype(np.float64)))
+        got = _summed_tf(parts)
+        if got is None:
+            return _EMPTY
+        uniq, tf = got
         dl = np.zeros(len(uniq))
         for f, w in q.fields:
             dl += w * r.dls_by_field[f][uniq]
@@ -2085,33 +1521,23 @@ class IndexSearcher:
         top-level-reader rewrite, so stats are segment-independent) accepted
         by one expansion spec: ``("term", t)``, ``("prefix", p)``,
         ``("wildcard", pat)`` or ``("fuzzy", t, max_edits)``."""
-        import re as _re
-
         kind = spec[0]
         if kind == "term":
             return [spec[1]] if any(
                 r.term_index(fp + spec[1]) >= 0 for r in self.readers
             ) else []
-        if kind == "prefix":
-            out: list[str] = []
-            for r in self.readers:
-                lo, hi = r.term_range(fp + spec[1])
-                out.extend(r.terms[i][len(fp):] for i in range(lo, hi))
-            return out
-        if kind == "wildcard":
-            out = []
-            for r in self.readers:
-                out.extend(r.term_at(i)[len(fp):]
-                           for i in self._wildcard_idxs(r, fp, spec[1]))
-            return out
-        if kind == "fuzzy":
-            base, max_edits = spec[1], spec[2]
-            out = []
-            for r in self.readers:
-                out.extend(r.term_at(i)[len(fp):] for i in
-                           self._fuzzy_match_idxs(r, fp, base, max_edits, 0))
-            return out
-        raise TypeError(f"unknown expansion spec {spec!r}")
+        if kind not in ("prefix", "wildcard", "fuzzy"):
+            raise TypeError(f"unknown expansion spec {spec!r}")
+        out: list[str] = []
+        for r in self.readers:
+            if kind == "prefix":
+                ords = range(*r.term_range(fp + spec[1]))
+            elif kind == "wildcard":
+                ords = self._wildcard_idxs(r, fp, spec[1])
+            else:
+                ords = self._fuzzy_match_idxs(r, fp, spec[1], spec[2], 0)
+            out.extend(r.term_at(i)[len(fp):] for i in ords)
+        return out
 
     def _expand_complex_phrase(self, q: "ComplexPhraseQuery"):
         """Expand slot atom specs against the union dictionary, once per
@@ -2139,9 +1565,7 @@ class IndexSearcher:
         expands to nothing kills the phrase (rewrite-to-no-match)."""
         positions = self._expand_complex_phrase(q)
         if positions is None:
-            return _SparseScores(
-                np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64)
-            )
+            return _EMPTY
         return self._eval_multi_phrase(
             r, MultiPhraseQuery(positions, slop=q.slop, field=q.field), boost
         )
@@ -2159,15 +1583,14 @@ class IndexSearcher:
         pseudo-term (the reference likewise drives one PostingsEnum per
         position). Scored through BM25 with the phrase freq and the idf
         summed over every slot term some document holds."""
-        empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
         if self._multi and q.field and q.field not in self.fields:
-            return empty
+            return _EMPTY
         if isinstance(q, PhraseQuery):
             slots = [(t,) for t in q.terms]
         else:
             slots = list(q.positions)
         if not slots:
-            return empty
+            return _EMPTY
         if len(slots) == 1 and len(slots[0]) == 1:
             # a one-term phrase rewrites to a TermQuery (PhraseQuery /
             # MultiPhraseQuery rewrite; the matcher needs >= 2 positions)
@@ -2178,7 +1601,7 @@ class IndexSearcher:
             parts = [r.poskeys(i)
                      for i in (r.term_index(fp + t) for t in slot) if i >= 0]
             if not parts:
-                return empty  # no accepted term of this slot exists here
+                return _EMPTY  # no accepted term of this slot exists here
             # distinct terms never share a position, so the union is disjoint
             slot_keys.append(parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts)))
 
@@ -2187,7 +1610,7 @@ class IndexSearcher:
             for j in range(1, len(slot_keys)):
                 cand, _, _ = _intersect_sorted(cand, slot_keys[j] - j)
                 if not len(cand):
-                    return empty
+                    return _EMPTY
             docs64, counts = np.unique(cand >> POS_BITS, return_counts=True)
             match_docs = docs64.astype(np.int32)
             match_freqs = counts.astype(np.float64)
@@ -2200,7 +1623,7 @@ class IndexSearcher:
                 d = d[np.concatenate(([True], d[1:] != d[:-1]))]
                 cand = d if cand is None else _intersect_sorted(cand, d)[0]
                 if not len(cand):
-                    return empty
+                    return _EMPTY
             labels = [tuple(sorted(slot)) for slot in slots]
             md, mf = [], []
             for d in cand.tolist():
@@ -2214,7 +1637,7 @@ class IndexSearcher:
                     md.append(d)
                     mf.append(freq)
             if not md:
-                return empty
+                return _EMPTY
             match_docs = np.array(md, dtype=np.int32)
             match_freqs = np.array(mf, dtype=np.float64)
 
@@ -2323,17 +1746,16 @@ class IndexSearcher:
         extents. freq = Σ 1/(1 + gaps) over the intervals in start order
         (SpanScorer sloppyFreq), scored through BM25 with the idf summed
         over every slot term."""
-        empty = _SparseScores(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
         got = self._span_source(q)
         if got is None:
-            return empty
+            return _EMPTY
         src, terms = got
         docs, freqs = [], []
         for d, ivs in self._two_phase(r, src, None):
             docs.append(d)
             freqs.append(sum(1.0 / (1.0 + g) for _, _, _, g in ivs))
         if not docs:
-            return empty
+            return _EMPTY
         fp = self._fp(None)
         tstats = [self.term_statistics(fp + t) for t in terms]
         return self._score_positional(r, tstats, docs, freqs, boost)
@@ -2409,23 +1831,10 @@ class IndexSearcher:
             if isinstance(s, ia.IvMultiTerm):
                 fp = self._fp(s.field if s.field is not None else q.field)
                 if s.kind == "prefix":
-                    lo, hi = r.term_range(fp + s.pattern)
-                    names = [r.terms[i][len(fp):] for i in range(lo, hi)]
+                    ords = range(*r.term_range(fp + s.pattern))
                 else:
-                    import re as _re
-
-                    rlo, rhi = r.term_range(fp) if fp else (0, r.n_terms)
-                    pat = _re.compile(
-                        "".join(
-                            ".*" if c == "*" else "." if c == "?" else _re.escape(c)
-                            for c in s.pattern
-                        )
-                    )
-                    names = [
-                        r.terms[i][len(fp):]
-                        for i in range(rlo, rhi)
-                        if pat.fullmatch(r.terms[i][len(fp):])
-                    ]
+                    ords = self._wildcard_idxs(r, fp, s.pattern)
+                names = [r.term_at(i)[len(fp):] for i in ords]
                 if len(names) > s.max_expansions:
                     raise RuntimeError(
                         f"Automaton [{s.pattern}] expanded to too many terms "
@@ -2618,3 +2027,49 @@ class IndexSearcher:
             a_score, a_key = after
             best = [sd for sd in best if (-sd.score, sd.doc_key) > (-a_score, a_key)]
         return best, nhits
+
+    # exact query type -> evaluator(self, reader, query, boost). Every Query
+    # subclasses Query directly, so the exact type is enough.
+    _ORDINALS = {
+        PrefixQuery: lambda self, r, fp, q: range(*r.term_range(fp + q.prefix)),
+        TermInSetQuery: lambda self, r, fp, q: [
+            i for t in q.terms if (i := r.term_index(fp + t)) >= 0],
+        TermRangeQuery: _term_range_ords,
+        WildcardQuery: lambda self, r, fp, q: self._wildcard_idxs(r, fp, q.pattern),
+        RegexpQuery: lambda self, r, fp, q: self._regexp_idxs(r, fp, q.pattern),
+    }
+    _EVALUATORS = {
+        TermQuery: _eval_term,
+        BooleanQuery: _eval_bool,
+        BoostQuery: lambda self, r, q, boost: self._eval(r, q.query, boost * q.boost),
+        ConstantScoreQuery: lambda self, r, q, boost: _const(
+            self._eval(r, q.query).docs, q.score * boost),
+        MatchAllDocsQuery: lambda self, r, q, boost: _const(
+            np.arange(r.max_doc, dtype=np.int32), boost),
+        MatchNoDocsQuery: lambda self, r, q, boost: _EMPTY,
+        DisjunctionMaxQuery: _eval_dismax,
+        FunctionScoreQuery: _eval_function_score,
+        CoveringQuery: _eval_covering,
+        PayloadScoreQuery: _eval_payload,
+        SynonymQuery: _eval_synonym,
+        CombinedFieldQuery: _eval_combined_field,
+        FuzzyQuery: _eval_fuzzy,
+        **dict.fromkeys(_ORDINALS, _eval_ordinals),
+        DocValuesTermQuery: _eval_dv_term,
+        SortedSetContainsQuery: _eval_sorted_set,
+        NumericRangeQuery: _eval_numeric_range,
+        PointBoxQuery: _eval_point_box,
+        PointNDRangeQuery: _eval_point_nd,
+        GeoPolygonQuery: _eval_geo_polygon,
+        GeoDistanceQuery: _eval_geo_distance,
+        JoinQuery: _eval_join,
+        ToParentBlockJoinQuery: _eval_block_join_parent,
+        ToChildBlockJoinQuery: _eval_block_join_child,
+        PhraseQuery: _eval_multi_phrase,
+        MultiPhraseQuery: _eval_multi_phrase,
+        ComplexPhraseQuery: _eval_complex_phrase,
+        SpanNearQuery: _eval_span,
+        SpanPositionRangeQuery: _eval_span,
+        SpanNotQuery: _eval_span,
+        IntervalQuery: _eval_interval,
+    }

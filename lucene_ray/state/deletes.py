@@ -86,31 +86,29 @@ def _commit_or_cleanup(index_dir: str, manifest, changed: dict, written: list[st
 def delete_by_query(index_dir: str, query) -> int:
     """Mark every doc matching ``query`` dead; commits a new manifest
     generation. Returns the number of newly deleted docs."""
-    from lucene_ray.query import Query
     from lucene_ray.searcher import IndexSearcher
 
     manifest = Manifest.load(index_dir)
     searcher = IndexSearcher(index_dir)
-    if isinstance(query, str):
-        query = searcher.parse(query)
-    assert isinstance(query, Query)
+    for reader in searcher.readers:
+        # match deleted docs too (soft-deleted ones included): what is newly
+        # deleted is counted against the hard live docs below
+        reader.live = None
+    segs = {seg["name"]: seg for seg in manifest.segments}
     n_deleted = 0
     changed: dict[str, dict] = {}
     written: list[str] = []
-    for seg, reader in zip(manifest.segments, searcher.readers):
-        assert seg["name"] == reader.name
-        sp = searcher._eval(reader, query)
-        if not len(sp.docs):
-            continue
+    for reader, docs, _ in searcher.matches(query):
+        seg = segs[reader.name]
         old_gen = seg.get("del_gen", 0)
         live = (
             load_livedocs(reader.dir, old_gen)
             if old_gen
             else np.ones(reader.max_doc, dtype=bool)
         ).copy()
-        newly = live[sp.docs].sum()
+        newly = live[docs].sum()
         if newly:
-            live[sp.docs] = False
+            live[docs] = False
             new_gen = old_gen + 1
             _write_livedocs(reader.dir, new_gen, live)
             written.append(livedocs_path(reader.dir, new_gen))

@@ -4,7 +4,7 @@ The ByteBuffersDirectory + MemoryIndex analogue (store/ByteBuffersDirectory
 .java RAM directory; memory/.../MemoryIndex.java:161 single-doc percolation
 index): invert a handful of documents in process, search them immediately —
 no filesystem, no manifest. The percolator pipeline builds one of these per
-batch; this class is the public convenience wrapper.
+batch.
 """
 
 from __future__ import annotations
@@ -13,8 +13,11 @@ import numpy as np
 
 
 class MemoryIndex:
-    def __init__(self, keys, texts, *, analyzer: str = "standard",
+    def __init__(self, keys, texts, *, analyzer="standard",
                  doc_values: dict | None = None, mode: str = "exact"):
+        """``texts`` is a list of strings or an Arrow (Chunked)Array, which
+        the tokenizer reads without a Python round-trip. ``analyzer`` is an
+        analyzer spec or an Analyzer. Docs are ordered by key."""
         import pyarrow as pa
 
         from lucene_ray.functions.analysis import get_analyzer
@@ -25,7 +28,10 @@ class MemoryIndex:
         keys = np.asarray(keys, dtype=object)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        texts = [texts[i] for i in order.tolist()]
+        if isinstance(texts, (pa.Array, pa.ChunkedArray)):
+            texts = texts.take(pa.array(order))
+        else:
+            texts = [texts[i] for i in order.tolist()]
         p, d, stats = build_segment_tables(keys, texts, an)
         for name, col in (doc_values or {}).items():
             vals = np.asarray(col)[order]

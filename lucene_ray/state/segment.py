@@ -614,6 +614,8 @@ class SegmentReader:
         self._poskey_cache = LRUCache(POSKEY_CACHE_ENTRIES)
         self._key_rank: np.ndarray | None = None
         self._char_counts: np.ndarray | None = None
+        self._parent_docs: np.ndarray | None = None
+        self._spell_bigrams: tuple | None = None  # (fp, lo, bigrams, lengths)
 
     @property
     def key_rank(self) -> np.ndarray:
@@ -938,6 +940,38 @@ class SegmentReader:
             hit = cache[key] = KDIndexND(
                 cols, np.arange(self.max_doc, dtype=np.int32))
         return hit
+
+    def parent_docs(self) -> np.ndarray:
+        """Sorted local docIDs of parent docs (the parents-filter BitSet of
+        ToParentBlockJoinQuery; blocks are contiguous, parent last — the
+        layout pipelines/index_pipeline.build_index(partition_col=...) +
+        child-before-parent keys produce). Built once per reader."""
+        if self._parent_docs is None:
+            self._parent_docs = np.flatnonzero(
+                self.doc_values["is_parent"] != 0).astype(np.int32)
+        return self._parent_docs
+
+    def spell_bigrams(self, fp: str) -> tuple[int, dict, np.ndarray]:
+        """The spell checker's q-gram index over field prefix ``fp``'s
+        dictionary slice: ``(lo, bigrams, lengths)``, where ``bigrams`` maps
+        each bigram to (term offsets from ``lo``, occurrence counts) and
+        ``lengths`` holds each term's length. Built once per reader for the
+        last field asked."""
+        if self._spell_bigrams is None or self._spell_bigrams[0] != fp:
+            lo, hi = self.term_range(fp)
+            bg: dict[str, list[int]] = {}
+            lens = np.zeros(hi - lo, dtype=np.int64)
+            for i in range(lo, hi):
+                t = self.term_at(i)[len(fp):]
+                lens[i - lo] = len(t)
+                for j in range(len(t) - 1):
+                    bg.setdefault(t[j : j + 2], []).append(i - lo)
+            bgn = {}
+            for g, v in bg.items():
+                ids, tcs = np.unique(np.asarray(v, dtype=np.int64), return_counts=True)
+                bgn[g] = (ids, tcs.astype(np.int64))
+            self._spell_bigrams = (fp, lo, bgn, lens)
+        return self._spell_bigrams[1:]
 
     def decoded_lengths(self) -> np.ndarray:
         """float32 lengths as BM25 sees them (through the norm byte)."""

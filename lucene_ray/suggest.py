@@ -1,6 +1,11 @@
-"""Suggesters over arbitrary (text, weight[, payload]) entries — the
-analyzed-completion family the dictionary-backed searcher suggesters don't
-cover.
+"""Suggesters: over an index's term dictionary, and over arbitrary
+(text, weight[, payload]) entries.
+
+The dictionary suggesters are functions of an IndexSearcher:
+``suggest_terms`` and ``fuzzy_suggest_terms`` (prefix completion weighted
+by total term frequency), ``spell_suggest`` (DirectSpellChecker) and
+``more_like_this`` (MoreLikeThis). The entry suggesters below cover the
+analyzed-completion family.
 
 Reference anchors:
 * AnalyzingSuggester (suggest/.../analyzing/AnalyzingSuggester.java:139):
@@ -507,3 +512,192 @@ class FreeTextSuggester:
             backoff *= self.ALPHA
         results.sort(key=lambda r: (-r[1], r[0]))
         return results[:num]
+
+
+# ------------------------------------------------ dictionary suggesters
+# Suggestions drawn from an index's own term dictionary, through a searcher.
+
+
+def _prefix_pool(searcher, prefix: str) -> list[tuple[str, int]]:
+    """``(term, total term frequency)`` of every dictionary term starting
+    with ``prefix``: from the global term statistics when they are loaded
+    eagerly, else summed over the searcher's segments."""
+    g = searcher.global_term_stats
+    if g is not None and g.eager:
+        lo = int(np.searchsorted(g.terms, prefix))
+        succ = prefix_successor(prefix)
+        hi = int(np.searchsorted(g.terms, succ)) if succ is not None else len(g.terms)
+        return [(str(g.terms[i]), int(g.total_tf[i])) for i in range(lo, hi)]
+    agg: dict[str, int] = {}
+    for r in searcher.readers:
+        lo, hi = r.term_range(prefix)
+        for i in range(lo, hi):
+            agg[r.terms[i]] = agg.get(r.terms[i], 0) + int(r.total_tf[i])
+    return list(agg.items())
+
+
+def suggest_terms(searcher, prefix: str, k: int = 5) -> list[tuple[str, int]]:
+    """Prefix autocomplete (suggest/.../AnalyzingSuggester analogue with
+    weight = total term frequency): top-k dictionary terms with the
+    prefix, ordered by (ttf desc, term asc)."""
+    pool = _prefix_pool(searcher, prefix)
+    pool.sort(key=lambda x: (-x[1], x[0]))
+    return pool[:k]
+
+
+def _prefix_edit_distance(typed: str, term: str, max_edits: int) -> int:
+    """min over term prefixes of ED(typed, term[:j]) if <= max_edits else -1
+    — the Levenshtein-automaton prefix acceptance of FuzzySuggester."""
+    if term.startswith(typed):
+        return 0
+    n = len(typed)
+    prev = list(range(n + 1))
+    best = -1
+    limit = min(len(term), n + max_edits)
+    for j in range(1, limit + 1):
+        c = term[j - 1]
+        cur = [j] + [0] * n
+        row_min = j
+        for i in range(1, n + 1):
+            cur[i] = min(
+                prev[i] + 1,
+                cur[i - 1] + 1,
+                prev[i - 1] + (typed[i - 1] != c),
+            )
+            row_min = min(row_min, cur[i])
+        if cur[n] <= max_edits and (best < 0 or cur[n] < best):
+            best = cur[n]
+        if row_min > max_edits and (best < 0):
+            return best
+        prev = cur
+    return best
+
+
+def fuzzy_suggest_terms(
+    searcher,
+    prefix: str,
+    k: int = 5,
+    *,
+    max_edits: int = 1,
+    non_fuzzy_prefix: int = 1,
+    min_fuzzy_length: int = 3,
+) -> list[tuple[str, int]]:
+    """Typo-tolerant autocomplete (suggest/.../analyzing/FuzzySuggester
+    .java defaults: maxEdits=1 after an exact 1-char prefix, fuzziness
+    only for inputs >= 3 chars): dictionary terms whose PREFIX is within
+    ``max_edits`` of the typed prefix, weighted by total term frequency,
+    ranked (edits asc, ttf desc, term asc) so exact-prefix completions
+    beat fuzzy ones like the reference's automaton weights."""
+    if len(prefix) < min_fuzzy_length or max_edits == 0:
+        return suggest_terms(searcher, prefix, k)
+    cand = []
+    for term, w in _prefix_pool(searcher, prefix[:non_fuzzy_prefix]):
+        ed = _prefix_edit_distance(prefix, term, max_edits)
+        if ed >= 0:
+            cand.append((ed, -w, term))
+    cand.sort()
+    return [(t, -nw) for _, nw, t in cand[:k]]
+
+
+def spell_suggest(searcher, term: str, k: int = 3, max_edits: int = 2) -> list[str]:
+    """Did-you-mean (suggest/spell/DirectSpellChecker analogue): dictionary
+    terms within ``max_edits``, ranked by (edits asc, docFreq desc, term).
+
+    Candidate pruning is the EXACT multiset q-gram bound (admissible — the
+    n-gram stand-in for DirectSpellChecker's FuzzyTermsEnum automaton):
+    ed(q,t) ≤ e implies the MULTISET bigram overlap ≥ max(|q|,|t|) − 1 −
+    2e, so only terms violating that bound are skipped; terms whose bound
+    is ≤ 0 are always examined (the bound can't prune them). Verified
+    equal to the full scan by property test."""
+    from lucene_ray.searcher import _bounded_edit_distance
+
+    fp = searcher._fp(None)
+    seen: dict[str, int] = {}
+    q_big: dict[str, int] = {}
+    for i in range(len(term) - 1):
+        g = term[i : i + 2]
+        q_big[g] = q_big.get(g, 0) + 1
+    lq = len(term)
+    for r in searcher.readers:
+        lo, bg_index, lens = r.spell_bigrams(fp)
+        counts = np.zeros(len(lens), dtype=np.int64)
+        for g, qc in q_big.items():
+            hit = bg_index.get(g)
+            if hit is not None:
+                ids, tcs = hit
+                counts[ids] += np.minimum(tcs, qc)
+        need = np.maximum(0, np.maximum(lq, lens) - 1 - 2 * max_edits)
+        for i in np.flatnonzero(counts >= need).tolist():
+            t = r.term_at(lo + i)[len(fp):]
+            if t == term or t in seen:
+                continue
+            ed = _bounded_edit_distance(term, t, max_edits)
+            if ed > 0:
+                seen[t] = ed
+    ranked = sorted(
+        seen.items(),
+        key=lambda kv: (kv[1], -searcher.term_statistics(fp + kv[0]).doc_freq, kv[0]),
+    )
+    return [t for t, _ in ranked[:k]]
+
+
+def more_like_this(searcher, doc_key, *, max_query_terms: int = 10,
+                   min_tf: int = 1, k: int = 10, text: str | None = None,
+                   analyzer=None):
+    """MoreLikeThis (queries/.../mlt/MoreLikeThis.java semantics): pick
+    the doc's top terms by tf·idf, search them as a SHOULD query with the
+    source doc excluded. Returns the searcher's TopDocs.
+
+    ``text`` — the document's stored text, when the caller has it (the
+    row store is the source parquet): the reference's
+    ``MoreLikeThis.like(Reader)`` path, which re-analyzes the text
+    instead of probing every dictionary term's postings. Without it the
+    dictionary-scan fallback runs (fine for bounded vocabularies)."""
+    from lucene_ray.query import BooleanQuery, TermQuery
+    from lucene_ray.searcher import TopDocs
+
+    fp = searcher._fp(None)
+    tf: dict[str, int] = {}
+    if text is not None:
+        an = analyzer or searcher.query_analyzer()
+        codes, vocab, _di, _pos, _dl = an.tokenize_batch_encoded([text])
+        cnt = np.bincount(codes, minlength=len(vocab))
+        tf = {str(vocab[i]): int(cnt[i]) for i in range(len(vocab)) if cnt[i]}
+    for r in searcher.readers if text is None else ():
+        pos = np.flatnonzero(r.doc_keys == doc_key)
+        if not len(pos):
+            continue
+        local = int(pos[0])
+        if getattr(r, "has_term_vectors", False):
+            # stored term vectors (Lucene90TermVectorsFormat path): the
+            # doc's terms come straight from the doc-major side file —
+            # no re-analysis, no O(dictionary) postings probe
+            terms_v, freqs_v = r.term_vector(local)
+            for t, f in zip(terms_v, freqs_v.tolist()):
+                if not fp or t.startswith(fp):
+                    t = t[len(fp):]
+                    tf[t] = tf.get(t, 0) + int(f)
+            continue
+        lo, hi = r.term_range(fp)
+        for i in range(lo, hi):
+            docs, freqs = r.postings(int(i))
+            j = np.searchsorted(docs, local)
+            if j < len(docs) and docs[j] == local:
+                t = r.terms[i][len(fp):]
+                tf[t] = tf.get(t, 0) + int(freqs[j])
+    scored = []
+    cstats = searcher._field_cstats(None)
+    for t, f in tf.items():
+        if f < min_tf:
+            continue
+        ts = searcher.term_statistics(fp + t)
+        idf = float(np.log(1 + (cstats.doc_count - ts.doc_freq + 0.5)
+                           / (ts.doc_freq + 0.5)))
+        scored.append((-(f * idf), t))
+    scored.sort()
+    terms = [t for _, t in scored[:max_query_terms]]
+    if not terms:
+        return TopDocs(0, [])
+    td = searcher.search(BooleanQuery(should=[TermQuery(t) for t in terms]), k=k + 1)
+    td.score_docs = [sd for sd in td.score_docs if sd.doc_key != doc_key][:k]
+    return td

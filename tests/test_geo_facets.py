@@ -13,6 +13,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from lucene_ray.collectors import diversified_topk, dv_stats, range_facet_counts
 from lucene_ray.functions.points import (
     MEAN_EARTH_RADIUS_M,
     distance_bounding_boxes,
@@ -142,7 +143,7 @@ def test_range_facets_overlapping(doc_idx):
 
     s = IndexSearcher(doc_idx)
     ranges = [("a", 0, 900), ("b", 500, 1500), ("c", 0, 10**9), ("empty", -10, -5)]
-    got = dict(s.range_facet_counts(TermQuery("merge"), "n_chars", ranges))
+    got = dict(range_facet_counts(s, TermQuery("merge"), "n_chars", ranges))
 
     t = pq.read_table(f"{SF_DIR}/documents.parquet").to_pandas()
     an = Analyzer("simple")
@@ -156,7 +157,7 @@ def test_range_facets_overlapping(doc_idx):
 def test_diversified_topk_greedy_oracle(doc_idx):
     s = IndexSearcher(doc_idx, mode="exact")
     for m, k in [(1, 5), (2, 10), (3, 50)]:
-        got = s.diversified_topk(TermQuery("merge"), "lang", max_per_key=m, k=k)
+        got = diversified_topk(s, TermQuery("merge"), "lang", max_per_key=m, k=k)
         # oracle: rank ALL hits, greedily keep with per-lang cap
         hits = s.search(TermQuery("merge"), k=10**6).score_docs
         langs = {d["doc_key"]: d["lang"] for d in (s.document(h.doc_key) for h in hits)}
@@ -211,7 +212,7 @@ def test_dv_stats_matches_numpy(doc_idx):
     from lucene_ray.functions.analysis import Analyzer
 
     s = IndexSearcher(doc_idx, mode="exact")
-    st = s.dv_stats(TermQuery("merge"), "n_chars")
+    st = dv_stats(s, TermQuery("merge"), "n_chars")
     t = pq.read_table(f"{SF_DIR}/documents.parquet").to_pandas()
     an = Analyzer("simple")
     v = t[[("merge" in {w for w, _ in an.tokenize_one(x)}) for x in t.text]].n_chars.to_numpy(np.int64)
@@ -220,13 +221,13 @@ def test_dv_stats_matches_numpy(doc_idx):
     assert abs(st["mean"] - v.mean()) < 1e-9
     assert abs(st["variance"] - v.var()) < 1e-6
     assert abs(st["stddev"] - v.std()) < 1e-6
-    empty = s.dv_stats(TermQuery("zzznotaterm"), "n_chars")
+    empty = dv_stats(s, TermQuery("zzznotaterm"), "n_chars")
     assert empty["count"] == 0 and empty["mean"] is None
 
 
 def test_diversified_respects_cap(doc_idx):
     s = IndexSearcher(doc_idx, mode="exact")
-    out = s.diversified_topk(TermQuery("the"), "lang", max_per_key=2, k=20)
+    out = diversified_topk(s, TermQuery("the"), "lang", max_per_key=2, k=20)
     per = {}
     for _, _, kk, _ in out:
         per[kk] = per.get(kk, 0) + 1

@@ -13,6 +13,10 @@ import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
+from lucene_ray.collectors import (diversified_topk, dv_stats, facet_counts,
+                                   facet_counts_multi, grouped_topk,
+                                   range_facet_counts, search_by_field,
+                                   taxonomy_counts)
 from lucene_ray.functions.analysis import Analyzer
 from lucene_ray.functions.norms import decode_norms, encode_lengths
 from lucene_ray.query import BooleanQuery, PhraseQuery, PrefixQuery, TermQuery, parse_query
@@ -455,9 +459,9 @@ def test_index_sort_early_termination_and_range_pruning(tmp_path, ray_session):
     # identical sorted-field top-k, but the sorted index examines only k docs
     # per segment (early termination) instead of every match
     for q in [TermQuery("special"), MatchAllDocsQuery()]:
-        a = s_plain.search_by_field(q, "score_v", k=10, descending=True)
+        a = search_by_field(s_plain, q, "score_v", k=10, descending=True)
         b0 = dict(s_sorted.sort_stats)
-        b = s_sorted.search_by_field(q, "score_v", k=10, descending=True)
+        b = search_by_field(s_sorted, q, "score_v", k=10, descending=True)
         assert a == b
         d_ex = s_sorted.sort_stats["docs_examined"] - b0["docs_examined"]
         d_mt = s_sorted.sort_stats["docs_matched"] - b0["docs_matched"]
@@ -591,14 +595,14 @@ def test_string_queries_use_index_analyzer(ray_session, tmp_path):
     s = IndexSearcher(d)
     assert s.count("running") == 2
     assert len(s.search("running", k=10).score_docs) == 2
-    assert sum(s.facet_counts("running", "grp").values()) == 2
-    assert sum(s.facet_counts_multi("running", "tags").values()) == 2
-    assert s.dv_stats("running", "n")["count"] == 2
-    assert len(s.grouped_topk("running", "grp")) == 2
-    assert len(s.search_by_field("running", "n")) == 2
-    assert s.range_facet_counts("running", "n", [("all", 0, 100)]) == [("all", 2)]
-    assert len(s.diversified_topk("running", "grp")) == 2
-    assert dict(s.taxonomy_counts("running", ["grp"]))[()] == 2
+    assert sum(facet_counts(s, "running", "grp").values()) == 2
+    assert sum(facet_counts_multi(s, "running", "tags").values()) == 2
+    assert dv_stats(s, "running", "n")["count"] == 2
+    assert len(grouped_topk(s, "running", "grp")) == 2
+    assert len(search_by_field(s, "running", "n")) == 2
+    assert range_facet_counts(s, "running", "n", [("all", 0, 100)]) == [("all", 2)]
+    assert len(diversified_topk(s, "running", "grp")) == 2
+    assert dict(taxonomy_counts(s, "running", ["grp"]))[()] == 2
     assert delete_by_query(d, "running") == 2
     assert IndexSearcher(d).count("running") == 0
 

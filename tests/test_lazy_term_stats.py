@@ -53,11 +53,12 @@ def test_lazy_lookup_matches_eager(many_range_index, ray_session):
 
 def test_searcher_scores_identical_lazy(many_range_index, ray_session):
     from lucene_ray.searcher import IndexSearcher
+    from lucene_ray.suggest import suggest_terms
 
     idx, _lazy, _eager = many_range_index
     s = IndexSearcher(idx, mode="exact")
     td = s.search("shared w042", k=10)
     assert td.score_docs
     # suggest still works (per-reader fallback when the dict is lazy)
-    out = s.suggest_terms("w04", k=5)
+    out = suggest_terms(s, "w04", k=5)
     assert out and all(t.startswith("w04") for t, _ in out)

@@ -223,3 +223,29 @@ def test_multifield_deletes_and_merge(ray_session, tmp_path, two_field_parquet):
     assert {sd.doc_key for sd in s2.search(TermQuery("merge", field="title"), k=10_000).score_docs} == title_hits - victims
     # per-field stats reclaimed the deletes exactly
     assert s2._field_cstats("title").max_doc == 498
+
+
+def test_explain_reports_the_terms_own_field_length():
+    """explain's ``dl`` leaf is the length of the field the term is scored
+    on, not the default field's."""
+    from lucene_ray.functions.analysis import get_analyzer
+    from lucene_ray.state.segment import SegmentReader, build_multifield_segment_tables
+
+    p, d, stats, field_stats = build_multifield_segment_tables(
+        np.array(["a", "b"], dtype=object),
+        {"title": ["foo", "bar baz"],
+         "body": ["one two three four five six", "foo bar"]},
+        get_analyzer("standard"), default_field="body")
+    r = SegmentReader.from_tables(p, d, {"name": "mf", **stats, "field_stats": field_stats})
+    s = IndexSearcher.from_readers(
+        [r], config={"text_col": "body", "text_cols": ["title", "body"]})
+
+    def dl(q, key):
+        ex = s.explain(q, key)
+        hits = {sd.doc_key: sd.score for sd in s.search(q, k=2).score_docs}
+        assert ex["value"] == hits.get(key, 0.0)
+        return next(x["value"] for x in ex["details"] if x["description"] == "dl")
+
+    assert dl(TermQuery("foo", field="title"), "a") == 1.0
+    assert dl(TermQuery("foo"), "b") == 2.0
+    assert dl(TermQuery("foo", field="nofield"), "a") == 0.0

@@ -476,6 +476,40 @@ def test_hnsw_shard_merge(ray_session, tmp_path):
     assert hits / tot >= 0.8
 
 
+def test_knn_hnsw_more_shards_than_cpus(ray_session, tmp_path):
+    """knn_hnsw over more shards than the session has CPUs (4) at the
+    default concurrency of 8: the shard-searcher pool must start with the
+    actors it can place, not wait for one actor per shard. Ray Data gives
+    up on an actor pool whose minimum does not start within
+    ``wait_for_min_actors_s``, so a pool that can never fill fails the test
+    instead of hanging it."""
+    import json
+    import os
+
+    import ray as _ray
+    from ray.data import DataContext
+
+    from lucene_ray.pipelines.hnsw import build_hnsw_index, knn_hnsw
+
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((600, 8))
+    ds = _ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(np.arange(600, dtype=np.int64)),
+        "embedding": pa.array(list(X), type=pa.list_(pa.float64()))}))
+    idx = str(tmp_path / "hnsw6")
+    build_hnsw_index(ds, idx, M=8, ef_construction=40, shard_rows=100)
+    with open(os.path.join(idx, "shards.json")) as f:
+        assert len(json.load(f)) > 4
+    ctx = DataContext.get_current()
+    old = ctx.wait_for_min_actors_s
+    ctx.wait_for_min_actors_s = 60
+    try:
+        out = knn_hnsw(idx, [0, 1], X[[0, 1]], k=5, ef=40).to_pandas()
+    finally:
+        ctx.wait_for_min_actors_s = old
+    assert sorted(out.groupby("query_id").size().tolist()) == [5, 5]
+
+
 def test_hnsw_merge_group_vector_bound(ray_session, tmp_path):
     """Force-merge guard: max_group_vectors caps the vectors any single
     rebuild task holds — a target_shards=1 consolidation over the budget

@@ -7,6 +7,7 @@ import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
+from lucene_ray.collectors import facet_counts, grouped_topk, search_by_field
 from lucene_ray.functions.analysis import Analyzer
 from lucene_ray.query import (
     FuzzyQuery,
@@ -105,7 +106,7 @@ def test_synonym_query(idx, corpus):
 
 def test_search_by_field(idx, corpus):
     s = IndexSearcher(idx)
-    rows = s.search_by_field(TermQuery("merge"), "n_chars", k=5, descending=True)
+    rows = search_by_field(s, TermQuery("merge"), "n_chars", k=5, descending=True)
     an = Analyzer("standard")
     match = corpus[[("merge" in set(w for w, _ in an.tokenize_one(t))) for t in corpus.text]]
     want = match.sort_values(["n_chars", "doc_id"], ascending=[False, True]).head(5)
@@ -115,7 +116,7 @@ def test_search_by_field(idx, corpus):
 
 def test_facet_counts(idx, corpus):
     s = IndexSearcher(idx)
-    fc = s.facet_counts(TermQuery("merge"), "lang")
+    fc = facet_counts(s, TermQuery("merge"), "lang")
     an = Analyzer("standard")
     match = corpus[[("merge" in {w for w, _ in an.tokenize_one(t)}) for t in corpus.text]]
     want = match.groupby("lang").size().to_dict()
@@ -124,7 +125,7 @@ def test_facet_counts(idx, corpus):
 
 def test_grouped_topk(idx):
     s = IndexSearcher(idx)
-    rows = s.grouped_topk(TermQuery("merge"), "lang", k_per_group=2)
+    rows = grouped_topk(s, TermQuery("merge"), "lang", k_per_group=2)
     langs = [g for g, *_ in rows]
     assert langs == sorted(langs)
     for g, rank, key, score in rows:
@@ -135,10 +136,10 @@ def test_merge_preserves_doc_values(idx):
     from lucene_ray.state.merge import merge_index
 
     s_pre = IndexSearcher(idx)
-    fc_pre = s_pre.facet_counts(TermQuery("merge"), "lang")
+    fc_pre = facet_counts(s_pre, TermQuery("merge"), "lang")
     merge_index(idx, merge_factor=3)
     s_post = IndexSearcher(idx)
-    assert s_post.facet_counts(TermQuery("merge"), "lang") == fc_pre
+    assert facet_counts(s_post, TermQuery("merge"), "lang") == fc_pre
 
 
 def test_function_score_query(idx):

@@ -16,6 +16,7 @@ from lucene_ray.state.segment import (
     build_segment_tables,
     prefix_successor,
 )
+from lucene_ray.suggest import spell_suggest
 
 
 # ------------------------------------------------ tokenizer path agreement
@@ -198,8 +199,8 @@ def test_spell_prefilter_review_counterexamples(tmp_path, ray_session):
     build_index(src, idx, key_col="doc_id", text_col="text", num_partitions=1,
                 columns=["doc_id", "text"])
     s = IndexSearcher(idx)
-    assert "axcxe" in s.spell_suggest("abcde", k=5)     # 0 shared bigrams, ed=2
-    assert "aaaxaaa" in s.spell_suggest("aaaaaaa", k=5)  # multiset overlap case
+    assert "axcxe" in spell_suggest(s, "abcde", k=5)     # 0 shared bigrams, ed=2
+    assert "aaaxaaa" in spell_suggest(s, "aaaaaaa", k=5)  # multiset overlap case
 
 
 def test_document_respects_deletes(tmp_path, ray_session):

@@ -41,17 +41,19 @@ def _expected(term):
 
 
 def test_facet_counts_multi(tag_index, ray_session):
+    from lucene_ray.collectors import facet_counts_multi
     from lucene_ray.query import TermQuery
     from lucene_ray.searcher import IndexSearcher
 
     s = IndexSearcher(tag_index)
-    assert s.facet_counts_multi(TermQuery("merge"), "tags") == _expected("merge")
-    assert s.facet_counts_multi(TermQuery("spark"), "tags") == _expected("spark")
+    assert facet_counts_multi(s, TermQuery("merge"), "tags") == _expected("merge")
+    assert facet_counts_multi(s, TermQuery("spark"), "tags") == _expected("spark")
     with pytest.raises(KeyError):
-        s.facet_counts_multi(TermQuery("merge"), "nope")
+        facet_counts_multi(s, TermQuery("merge"), "nope")
 
 
 def test_sorted_set_survives_merge(tag_index, ray_session):
+    from lucene_ray.collectors import facet_counts_multi
     from lucene_ray.query import TermQuery
     from lucene_ray.searcher import IndexSearcher
     from lucene_ray.state.merge import force_merge
@@ -62,4 +64,4 @@ def test_sorted_set_survives_merge(tag_index, ray_session):
     r = s.readers[0]
     offsets, codes, vocab = r.sorted_set_dv["tags"]
     assert list(vocab) == sorted(vocab)  # sorted ords contract
-    assert s.facet_counts_multi(TermQuery("merge"), "tags") == _expected("merge")
+    assert facet_counts_multi(s, TermQuery("merge"), "tags") == _expected("merge")

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from lucene_ray.searcher import IndexSearcher
+from lucene_ray.suggest import (fuzzy_suggest_terms, more_like_this, spell_suggest,
+                                suggest_terms)
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -24,7 +26,7 @@ def idx(ray_session, tmp_path_factory):
 
 def test_suggest_terms(idx):
     s = IndexSearcher(idx)
-    out = s.suggest_terms("s", k=5)
+    out = suggest_terms(s, "s", k=5)
     assert out
     terms = [t for t, _ in out]
     assert all(t.startswith("s") for t in terms)
@@ -38,17 +40,17 @@ def test_fuzzy_suggest(idx):
     """FuzzySuggester semantics: typo-tolerant prefix completion, exact
     prefix ranked ahead of fuzzy, 1-char exact head, short inputs exact."""
     s = IndexSearcher(idx)
-    exact = s.suggest_terms("str", k=5)
+    exact = suggest_terms(s, "str", k=5)
     assert exact
     # typo inside the prefix ("srt" ~ "str") still completes str* terms
-    fuzzy = s.fuzzy_suggest_terms("srt", k=5, max_edits=2)
+    fuzzy = fuzzy_suggest_terms(s, "srt", k=5, max_edits=2)
     assert any(t.startswith("str") for t, _ in fuzzy), fuzzy
     # exact-prefix candidates come FIRST (edits ascending)
-    both = s.fuzzy_suggest_terms("str", k=5, max_edits=1)
+    both = fuzzy_suggest_terms(s, "str", k=5, max_edits=1)
     assert [t for t, _ in both][: len(exact)] == [t for t, _ in exact][: len(both)]
     # below min_fuzzy_length -> exact behavior
-    assert s.fuzzy_suggest_terms("st", k=3) == s.suggest_terms("st", k=3)
-    from lucene_ray.searcher import _prefix_edit_distance
+    assert fuzzy_suggest_terms(s, "st", k=3) == suggest_terms(s, "st", k=3)
+    from lucene_ray.suggest import _prefix_edit_distance
 
     assert _prefix_edit_distance("wind", "window", 1) == 0
     assert _prefix_edit_distance("wnd", "window", 1) == 1
@@ -57,17 +59,17 @@ def test_fuzzy_suggest(idx):
 
 def test_spell_suggest(idx):
     s = IndexSearcher(idx)
-    out = s.spell_suggest("scam", k=3, max_edits=1)
+    out = spell_suggest(s, "scam", k=3, max_edits=1)
     assert "scan" in out
 
 
 def test_more_like_this(idx):
     s = IndexSearcher(idx)
-    td = s.more_like_this(0, max_query_terms=5, k=5)
+    td = more_like_this(s, 0, max_query_terms=5, k=5)
     assert td.score_docs
     assert all(sd.doc_key != 0 for sd in td.score_docs)
     # deterministic
-    td2 = s.more_like_this(0, max_query_terms=5, k=5)
+    td2 = more_like_this(s, 0, max_query_terms=5, k=5)
     assert [(sd.doc_key, sd.score) for sd in td.score_docs] == [
         (sd.doc_key, sd.score) for sd in td2.score_docs
     ]
@@ -148,7 +150,7 @@ def test_spell_prefilter_equals_full_scan(idx):
             key=lambda kv: (kv[1], -s.term_statistics(kv[0]).doc_freq, kv[0]))][:5]
 
     for term in ["merge", "mrege", "window", "batc", "xy", "strem"]:
-        assert s.spell_suggest(term, k=5) == brute(term), term
+        assert spell_suggest(s, term, k=5) == brute(term), term
 
 
 def test_mlt_text_path_matches_scan_path(idx):
@@ -159,6 +161,6 @@ def test_mlt_text_path_matches_scan_path(idx):
     # reconstruct the doc's text from the index is not possible; instead use
     # a synthetic text containing the doc's terms — both paths must produce a
     # TopDocs with the source doc excluded
-    td = s.more_like_this(key, k=5, text="merge sort stream batch merge")
+    td = more_like_this(s, key, k=5, text="merge sort stream batch merge")
     assert all(sd.doc_key != key for sd in td.score_docs)
     assert len(td.score_docs) > 0

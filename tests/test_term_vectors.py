@@ -61,9 +61,10 @@ def test_term_vectors_survive_merge(tv_index, ray_session):
 
 def test_mlt_uses_term_vectors(tv_index, ray_session):
     from lucene_ray.searcher import IndexSearcher
+    from lucene_ray.suggest import more_like_this
 
     s = IndexSearcher(tv_index)
-    td = s.more_like_this("u0", k=5)
+    td = more_like_this(s, "u0", k=5)
     keys = [sd.doc_key for sd in td.score_docs]
     assert "u0" not in keys        # source excluded
     assert set(keys) & {"u1", "u3"}  # shares alpha/gamma
@@ -81,7 +82,7 @@ def test_mlt_uses_term_vectors(tv_index, ray_session):
     build_index(_ray.data.from_items(ROWS), twin, key_col="url",
                 text_col="text", num_partitions=2)
     s2 = IndexSearcher(twin)
-    td2 = s2.more_like_this("u0", k=5)
+    td2 = more_like_this(s2, "u0", k=5)
     assert [(sd.doc_key, round(sd.score, 6)) for sd in td.score_docs] == \
            [(sd.doc_key, round(sd.score, 6)) for sd in td2.score_docs]
 
