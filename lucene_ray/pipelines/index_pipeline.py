@@ -9,17 +9,23 @@ Ray-Data-native lifecycle (the reference's ingest chain, SURVEY §3.1):
    crc32(key) % P``. One partition ≈ one DWPT (DocumentsWriter.java:54 —
    zero cross-doc coordination), and the assignment is content-keyed, so
    retries and different parallelism levels build byte-identical segments.
-4. ``groupby(part_id).map_groups(invert kernel)`` — the only doc-side
+4. ``groupby(part_id).map_groups(_BuildSegment)`` — the only doc-side
    shuffle. Each group sorts by key (deterministic local docIDs), runs the
    vectorized invert kernel (state/segment.build_segment_tables) and writes
    its segment directory atomically. Completed partitions are durable
-   checkpoints: a rerun skips them (manifest.completed_part_ids).
+   checkpoints: each segment's meta carries the build fingerprint
+   (``build_fp``), and a rerun of the same build skips the partitions whose
+   segments carry it (``_resumable``).
 5. Global term-statistics build: each segment's term table IS a
    pre-aggregated partial (term, df, ttf), so the global dictionary is a
    ``groupby(term).sum`` over partials — per-key fan-in is bounded by the
    number of segments, which is how we keep the Zipf head (hot terms) from
    skewing the shuffle (SURVEY §4.1 'data skew').
 6. Manifest commit (atomic, generational) — the Ray analogue of segments_N.
+
+``_BuildSegment`` is the one indexing chain: both builds and both
+document-update paths (state/deletes.py) turn rows into a segment through
+it, configured by the manifest config.
 
 Scale notes: nothing here materializes the corpus on the driver; the invert
 kernel streams one partition at a time under the streaming executor's
@@ -29,14 +35,17 @@ heap (~3× its text bytes).
 
 from __future__ import annotations
 
+import functools
+import json
 import os
+import time
 import zlib
 
 import numpy as np
 import pyarrow as pa
 
 from lucene_ray.functions.analysis import get_analyzer
-from lucene_ray.state.manifest import Manifest, completed_part_ids
+from lucene_ray.state.manifest import Manifest, completed_part_metas
 from lucene_ray.state.segment import build_segment_tables, write_segment
 
 
@@ -89,142 +98,177 @@ class _AddPartId:
         return out
 
 
+def _manifest_config(*, docvalue_cols: tuple, text_cols: tuple,
+                     index_sort: tuple | None, **options) -> dict:
+    """The manifest config: how a build's segments are made. ``options``
+    are key_col, text_col, analyzer, num_partitions and the store flags."""
+    return {**options, "docvalue_cols": list(docvalue_cols),
+            "text_cols": list(text_cols),
+            "index_sort": list(index_sort) if index_sort else None}
+
+
+def _read_step(config: dict, columns: list[str] | None,
+               extract_html: bool) -> tuple[list[str], object]:
+    """The one read-and-extract step of both builds: (columns to read, batch
+    transform or None). HTML extraction writes ``text`` (and ``title`` when
+    it is a text field), so those are read from the source only when
+    ``columns`` names them — a source text column may ride along so
+    extraction can check itself against it."""
+    cols = [*(columns or [config["key_col"], "html" if extract_html else config["text_col"]])]
+    cols = list(dict.fromkeys(cols + [
+        c for c in config["docvalue_cols"] + config["text_cols"]
+        if not (extract_html and c in ("text", "title"))]))
+    if not extract_html:
+        return cols, None
+    from lucene_ray.sources.corpus import extract_batch
+
+    return cols, functools.partial(extract_batch, include_title="title" in config["text_cols"])
+
+
 class _BuildSegment:
-    """map_groups callable: one partition's rows → one written segment +
-    one manifest-entry row. Heavy local state (the in-RAM postings hash,
-    TermsHashPerField analogue) lives only for the duration of the group."""
+    """The one indexing chain: rows → one written segment + its manifest
+    entry, configured by a manifest config (``Manifest.config`` for
+    updates). Heavy local state (the in-RAM postings hash, TermsHashPerField
+    analogue) lives only for the duration of one call. As a map_groups
+    callable it builds one partition of the shuffle build."""
 
-    def __init__(self, index_dir: str, key_col: str, text_col: str, analyzer_kind: str,
-                 store_positions: bool, num_partitions: int,
-                 docvalue_cols: tuple = (), text_cols: tuple = (),
-                 index_sort: tuple | None = None, store_offsets: bool = False,
-                 store_term_vectors: bool = False,
-                 store_payloads: bool = False):
+    def __init__(self, index_dir: str, config: dict, build_fp: int | None = None):
         self.index_dir = index_dir
-        self.key_col = key_col
-        self.text_col = text_col
-        self.analyzer = get_analyzer(analyzer_kind)
-        self.analyzer_kind = analyzer_kind
-        self.store_positions = store_positions
-        self.store_offsets = store_offsets
-        self.store_term_vectors = store_term_vectors
-        self.store_payloads = store_payloads
-        self.num_partitions = num_partitions
-        self.docvalue_cols = tuple(docvalue_cols)
-        self.text_cols = tuple(text_cols)  # >1 → multi-field segments
-        # IndexWriterConfig.setIndexSort analogue: (column, "asc"|"desc") —
-        # local docIDs are assigned in (column, key) order so sorted-field
-        # top-k can early-terminate (index/IndexSorter.java)
-        self.index_sort = tuple(index_sort) if index_sort else None
-
-    def manifest_config(self) -> dict:
-        """The manifest config keys that record how segments were built."""
-        return {
-            "key_col": self.key_col,
-            "text_col": self.text_col,
-            "analyzer": self.analyzer_kind,
-            "num_partitions": self.num_partitions,
-            "store_positions": self.store_positions,
-            "store_offsets": self.store_offsets,
-            "store_term_vectors": self.store_term_vectors,
-            "store_payloads": self.store_payloads,
-            "docvalue_cols": list(self.docvalue_cols),
-            "text_cols": list(self.text_cols),
-            "index_sort": list(self.index_sort) if self.index_sort else None,
-        }
+        self.config = config
+        self.analyzer = get_analyzer(config.get("analyzer", "standard"))
+        self.build_fp = build_fp
+        self.__name__ = "build_segment"  # map_groups names its stage after it
 
     def __call__(self, group: pa.Table) -> pa.Table:
-        part_id = int(group.column("__part_id")[0].as_py())
-        meta = self.build(group, part_id)
-        import json
-
-        return pa.table({"meta": pa.array([json.dumps(meta)], type=pa.string())})
-
-    def build(self, group: pa.Table, part_id: int, lineage: dict | None = None,
-              sub: int | None = None, num_subs: int = 1) -> dict:
-        import time as _time
-
-        t0 = _time.time()
         _limit_worker_threads()
-        if self.index_sort:
-            # deterministic index-sorted docIDs: (sort column, key) order
-            col, direction = self.index_sort
-            order = pa.compute.sort_indices(
-                group,
-                sort_keys=[
-                    (col, "descending" if direction == "desc" else "ascending"),
-                    (self.key_col, "ascending"),
-                ],
-            )
+        part_id = int(group.column("__part_id")[0].as_py())
+        return pa.table({"meta": [json.dumps(self.build_part(group, part_id))]})
+
+    def build_part(self, rows: pa.Table, part_id: int, sub: int | None = None,
+                   num_subs: int = 1, **lineage) -> dict:
+        """(Sub-)segment ``sub`` of build partition ``part_id``."""
+        name = f"seg{part_id:06d}-g0" if sub is None else f"seg{part_id:06d}p{sub:02d}-g0"
+        return self.build(rows, name, {
+            "part_id": part_id, "num_partitions": self.config["num_partitions"],
+            "sub": sub, "num_subs": num_subs, "gen": 0, **lineage,
+            "build_fp": self.build_fp})
+
+    def build(self, rows: pa.Table, name: str, lineage: dict) -> dict:
+        """Invert ``rows`` into segment ``name``; ``lineage`` (which part or
+        update produced it) rides in the meta with the build metrics."""
+        t0 = time.time()
+        cfg = self.config
+        key_col, text_col = cfg["key_col"], cfg["text_col"]
+        text_cols = cfg.get("text_cols") or []
+        index_sort = cfg.get("index_sort")
+        if index_sort:
+            # IndexWriterConfig.setIndexSort analogue: local docIDs in
+            # (column, key) order so sorted-field top-k can early-terminate
+            # (index/IndexSorter.java)
+            col, direction = index_sort
+            order = pa.compute.sort_indices(rows, sort_keys=[
+                (col, "descending" if direction == "desc" else "ascending"),
+                (key_col, "ascending")])
         else:
             # deterministic local docID order: sort by document key
-            order = pa.compute.sort_indices(group.column(self.key_col))
-        group = group.take(order)
-        keys = group.column(self.key_col).to_numpy(zero_copy_only=False)
-        extra_meta_fields = {}
-        if len(self.text_cols) > 1:
+            order = pa.compute.sort_indices(rows.column(key_col))
+        rows = rows.take(order)
+        keys = rows.column(key_col).to_numpy(zero_copy_only=False)
+        fields = {}
+        vectors_tbl = None
+        if len(text_cols) > 1:
             from lucene_ray.state.segment import build_multifield_segment_tables
 
             postings_tbl, docs_tbl, stats, field_stats = build_multifield_segment_tables(
-                keys,
-                {f: group.column(f) for f in self.text_cols},
-                self.analyzer,
-                default_field=self.text_col,
-                store_positions=self.store_positions,
-            )
-            extra_meta_fields = {
-                "field_stats": field_stats,
-                "fields": sorted(self.text_cols),
-                "default_field": self.text_col,
-            }
-            vectors_tbl = None
+                keys, {f: rows.column(f) for f in text_cols}, self.analyzer,
+                default_field=text_col,
+                store_positions=cfg.get("store_positions", True))
+            fields = {"field_stats": field_stats, "fields": sorted(text_cols),
+                      "default_field": text_col}
         else:
-            texts = group.column(self.text_col)  # Arrow column → tokenizer fast path
             out = build_segment_tables(
-                keys, texts, self.analyzer, store_positions=self.store_positions,
-                store_offsets=self.store_offsets,
-                store_term_vectors=self.store_term_vectors,
-                store_payloads=self.store_payloads,
+                keys, rows.column(text_col), self.analyzer,
+                store_positions=cfg.get("store_positions", True),
+                store_offsets=cfg.get("store_offsets", False),
+                store_term_vectors=cfg.get("store_term_vectors", False),
+                store_payloads=cfg.get("store_payloads", False),
             )
-            if self.store_term_vectors:
-                postings_tbl, docs_tbl, stats, vectors_tbl = out
-            else:
-                postings_tbl, docs_tbl, stats = out
-                vectors_tbl = None
-        for c in self.docvalue_cols:  # doc-values columns ride the docs table
-            docs_tbl = docs_tbl.append_column(c, group.column(c))
-        name = (
-            f"seg{part_id:06d}-g0" if sub is None
-            else f"seg{part_id:06d}p{sub:02d}-g0"
-        )
-        meta = write_segment(
-            self.index_dir,
-            name,
-            postings_tbl,
-            docs_tbl,
-            stats,
+            postings_tbl, docs_tbl, stats = out[:3]
+            if len(out) > 3:
+                vectors_tbl = out[3]
+        for c in cfg.get("docvalue_cols") or ():  # doc-values ride the docs table
+            docs_tbl = docs_tbl.append_column(c, rows.column(c))
+        return write_segment(
+            self.index_dir, name, postings_tbl, docs_tbl, stats,
             vectors_tbl=vectors_tbl,
             extra_meta={
-                "part_id": part_id,
-                "num_partitions": self.num_partitions,
-                "sub": sub,
-                "num_subs": num_subs,
-                "gen": 0,
-                "analyzer": self.analyzer_kind,
-                "key_col": self.key_col,
-                "n_rows_in": group.num_rows,
-                # lineage + metrics: which slice produced this segment, how
-                # long the invert+write took, rows/s — aggregated into the
-                # manifest's metrics block at commit
+                **lineage,
+                "analyzer": cfg.get("analyzer", "standard"),
+                "key_col": key_col,
+                "n_rows_in": rows.num_rows,
+                # metrics: how long the invert+write took, aggregated into
+                # the manifest's metrics block at commit
                 "key_min": str(keys[0]) if len(keys) else None,
                 "key_max": str(keys[-1]) if len(keys) else None,
-                "index_sort": list(self.index_sort) if self.index_sort else None,
-                "build_sec": round(_time.time() - t0, 4),
-                **(lineage or {}),
-                **extra_meta_fields,
+                "index_sort": index_sort,
+                "build_sec": round(time.time() - t0, 4),
+                **fields,
             },
         )
-        return meta
+
+
+def _build_file(item: dict, *, builder: _BuildSegment, columns: list[str],
+                extract, max_docs: int) -> list[dict]:
+    """flat_map body of the by-file build: one input file → its segment,
+    split into sub-segments of at most ``max_docs`` rows."""
+    import pyarrow.parquet as pq
+
+    _limit_worker_threads()
+    part_id, path = item["part_id"], item["path"]
+    tbl = pq.read_table(path, columns=columns)
+    if extract is not None:
+        tbl = extract(tbl)
+    if tbl.num_rows <= max_docs:
+        metas = [builder.build_part(tbl, part_id, source_file=path)]
+    else:
+        num_subs = -(-tbl.num_rows // max_docs)
+        step = -(-tbl.num_rows // num_subs)
+        metas = [builder.build_part(tbl.slice(j * step, step), part_id, j, num_subs,
+                                    source_file=path)
+                 for j in range(num_subs)]
+    return [{"meta": json.dumps(m)} for m in metas]
+
+
+def _resumable(index_dir: str, build_fp: int) -> dict[int, list[dict]]:
+    """The one resume filter: {part_id: metas} of the partitions an earlier
+    run of this same build (same fingerprint) completed — every one of a
+    part's ``num_subs`` sub-segments durable."""
+    done = {}
+    for p, ms in completed_part_metas(index_dir).items():
+        ms = [m for m in ms if m.get("gen", 0) == 0 and m.get("build_fp") == build_fp]
+        if ms and len({m.get("sub") for m in ms}) == len(ms) == (ms[0].get("num_subs") or 1):
+            done[p] = sorted(ms, key=lambda m: m.get("sub") or 0)
+    return done
+
+
+def _build(index_dir: str, config: dict, resume: bool, run, **inputs) -> Manifest:
+    """The body both builds share: resume, then ``run(builder, done_part_ids)`` —
+    a Dataset of ``{"meta": json}`` rows, one per written segment — for the
+    partitions left, then commit. The build fingerprint (``build_fp`` in
+    each segment's meta) is the CRC32 of the canonical JSON of the manifest
+    config plus the read-side ``inputs`` (HTML extraction, dedup, the
+    partition column and, by file, each source file's path, size and
+    mtime_ns); resume keeps only segments that carry the same value."""
+    build_fp = zlib.crc32(json.dumps({**config, **inputs}, sort_keys=True).encode())
+    os.makedirs(index_dir, exist_ok=True)
+    done = _resumable(index_dir, build_fp) if resume else {}
+    metas = [m for ms in done.values() for m in ms]
+    n_resumed = len(metas)
+    if len(done) < config["num_partitions"]:
+        builder = _BuildSegment(index_dir, config, build_fp)
+        metas += [json.loads(r["meta"]) for r in run(builder, frozenset(done)).take_all()]
+    metas.sort(key=lambda m: (m["part_id"], m.get("sub") or 0))
+    return _commit_build(index_dir, metas, n_resumed, config)
 
 
 def build_index(
@@ -259,58 +303,34 @@ def build_index(
     Returns the committed Manifest. Idempotent: re-running after a partial
     failure skips completed partitions and commits the same final state.
     """
-    import json
-
-    import ray.data
-
-    os.makedirs(index_dir, exist_ok=True)
+    config = _manifest_config(
+        key_col=key_col, text_col=text_col, analyzer=analyzer,
+        num_partitions=num_partitions, store_positions=store_positions,
+        store_offsets=store_offsets, store_term_vectors=store_term_vectors,
+        store_payloads=store_payloads, docvalue_cols=docvalue_cols,
+        text_cols=text_cols, index_sort=index_sort)
+    cols, extract = _read_step(config, columns, extract_html)
     if isinstance(source, (str, list)):
-        cols = columns or ([key_col, "html"] if extract_html else [key_col, text_col])
-        cols = list(dict.fromkeys(list(cols) + list(docvalue_cols) + list(text_cols)))
         from lucene_ray.sources.io import read_parquet_clean
 
         ds = read_parquet_clean(source, columns=cols)
     else:
         ds = source
-
-    if extract_html:
-        from lucene_ray.sources.corpus import extract_batch
-
-        ds = ds.map_batches(extract_batch, batch_format="pyarrow")
-
+    if extract is not None:
+        ds = ds.map_batches(extract, batch_format="pyarrow")
     if dedup_exact:
         from lucene_ray.pipelines.dedup import dedup_exact_by_key
 
         ds = dedup_exact_by_key(ds, key_col=key_col)
 
-    done = completed_part_ids(index_dir) if resume else {}
-    done = {
-        p: m
-        for p, m in done.items()
-        if m.get("gen", 0) == 0 and m.get("num_partitions") == num_partitions
-    }
-
-    metas: list[dict] = list(done.values())
-    remaining = set(range(num_partitions)) - set(done.keys())
-    builder = _BuildSegment(index_dir, key_col, text_col, analyzer, store_positions,
-                            num_partitions, docvalue_cols, text_cols, index_sort,
-                            store_offsets, store_term_vectors,
-                            store_payloads)
-    if remaining:
-        ds = ds.map_batches(
-            _AddPartId(partition_col or key_col, num_partitions, frozenset(done.keys())),
+    def run(builder: _BuildSegment, done: frozenset):
+        return ds.map_batches(
+            _AddPartId(partition_col or key_col, num_partitions, done),
             batch_format="pyarrow",
-        )
+        ).groupby("__part_id").map_groups(builder, batch_format="pyarrow")
 
-        def build_one_segment(group: pa.Table) -> pa.Table:
-            return builder(group)
-
-        out = ds.groupby("__part_id").map_groups(build_one_segment, batch_format="pyarrow")
-        for row in out.take_all():
-            metas.append(json.loads(row["meta"]))
-
-    metas.sort(key=lambda m: m["part_id"])
-    return _commit_build(index_dir, metas, len(done), builder.manifest_config())
+    return _build(index_dir, config, resume, run, extract_html=extract_html,
+                  dedup_exact=dedup_exact, partition_col=partition_col)
 
 
 def _commit_build(index_dir: str, metas: list[dict], n_resumed: int,
@@ -318,13 +338,11 @@ def _commit_build(index_dir: str, metas: list[dict], n_resumed: int,
     """Commit a build's segment metas as the next manifest generation, with
     the build metrics (per segment: ``n_partitions`` counts the committed
     segments, ``n_partitions_resumed`` those kept from an earlier run), then
-    materialize the global term statistics. Shared by both build paths."""
-    import time as _time
-
+    materialize the global term statistics."""
     build_secs = [m.get("build_sec", 0.0) for m in metas]
     n_docs = sum(m["max_doc"] for m in metas)
     metrics = {
-        "committed_unix": round(_time.time(), 3),
+        "committed_unix": round(time.time(), 3),
         "n_partitions": len(metas),
         "n_partitions_resumed": n_resumed,
         "n_docs": n_docs,
@@ -356,7 +374,6 @@ def build_index_by_file(
     columns: list[str] | None = None,
     docvalue_cols: tuple = (),
     text_cols: tuple = (),
-    max_in_flight: int | None = None,
     index_sort: tuple | None = None,
     max_docs_per_segment: int = 4_000_000,
 ) -> Manifest:
@@ -377,16 +394,17 @@ def build_index_by_file(
     Docs are still key-sorted inside each segment, and the ONLY shuffle left
     in the whole build is the metadata-sized term-statistics groupby.
 
-    Implemented with raw Ray tasks (the Dataset API cannot pin a stable
-    file↔task mapping across parallelism levels, which the determinism
-    contract needs); backpressure via a bounded in-flight window.
+    The plan is a Dataset of ``{path, part_id}`` rows, one block per file,
+    and one ``flat_map`` task builds each file's segments: ``part_id``
+    travels in the row, so the file↔segment mapping is the same at any
+    parallelism, and the streaming executor bounds the tasks in flight. The
+    build fingerprint covers each file's path, size and mtime_ns, so a
+    changed input file is rebuilt, not resumed.
     """
     import glob as _glob
-    import json
 
-    import ray
+    import ray.data
 
-    os.makedirs(index_dir, exist_ok=True)
     if isinstance(source, str):
         files = sorted(_glob.glob(os.path.join(source, "*.parquet"))) if os.path.isdir(
             source
@@ -394,66 +412,24 @@ def build_index_by_file(
     else:
         files = sorted(source)
     assert files, f"no parquet files under {source!r}"
-    n = len(files)
-    cols = columns or ([key_col, "html"] if extract_html else
-                       [key_col, text_col])
-    cols = list(dict.fromkeys(list(cols) + list(docvalue_cols) + list(text_cols)))
+    config = {**_manifest_config(
+        key_col=key_col, text_col=text_col, analyzer=analyzer,
+        num_partitions=len(files), store_positions=store_positions,
+        store_offsets=store_offsets, store_term_vectors=store_term_vectors,
+        store_payloads=store_payloads, docvalue_cols=docvalue_cols,
+        text_cols=text_cols, index_sort=index_sort), "partition_by": "input_file"}
+    cols, extract = _read_step(config, columns, extract_html)
 
-    from lucene_ray.state.manifest import completed_part_metas
+    def run(builder: _BuildSegment, done: frozenset):
+        plan = [{"path": f, "part_id": i} for i, f in enumerate(files) if i not in done]
+        return ray.data.from_items(plan, override_num_blocks=len(plan)).flat_map(
+            _build_file, fn_kwargs={"builder": builder, "columns": cols,
+                                    "extract": extract,
+                                    "max_docs": max_docs_per_segment})
 
-    done_groups = completed_part_metas(index_dir) if resume else {}
-    done: dict[int, list[dict]] = {}
-    for p, ms in done_groups.items():
-        ms = [m for m in ms
-              if m.get("gen", 0) == 0 and m.get("num_partitions") == n]
-        if ms and len({m.get("sub") for m in ms}) == len(ms) \
-                and len(ms) == (ms[0].get("num_subs") or 1):
-            done[p] = sorted(ms, key=lambda m: m.get("sub") or 0)
-
-    builder = _BuildSegment(index_dir, key_col, text_col, analyzer,
-                            store_positions, n, docvalue_cols, text_cols, index_sort,
-                            store_offsets, store_term_vectors, store_payloads)
-
-    @ray.remote(num_cpus=1)
-    def _file_task(path: str, part_id: int) -> str:
-        import pyarrow.parquet as _pq
-
-        tbl = _pq.read_table(path, columns=cols)
-        if extract_html:
-            from lucene_ray.sources.corpus import extract_batch
-
-            tbl = extract_batch(tbl, include_title="title" in (text_cols or ()))
-        lineage = {"source_file": path}
-        if tbl.num_rows <= max_docs_per_segment:
-            metas = [builder.build(tbl, part_id, lineage=lineage)]
-        else:
-            # shard-size guard: split the oversized file into sub-segments
-            num_subs = -(-tbl.num_rows // max_docs_per_segment)
-            step = -(-tbl.num_rows // num_subs)
-            metas = [
-                builder.build(tbl.slice(j * step, step), part_id,
-                              lineage=lineage, sub=j, num_subs=num_subs)
-                for j in range(num_subs)
-            ]
-        return json.dumps(metas)
-
-    metas: list[dict] = [m for ms in done.values() for m in ms]
-    pending = [(f, i) for i, f in enumerate(files) if i not in done]
-    window = max_in_flight or int(ray.cluster_resources().get("CPU", 8)) * 2
-    in_flight: list = []
-    idx = 0
-    while idx < len(pending) or in_flight:
-        while idx < len(pending) and len(in_flight) < window:
-            f, i = pending[idx]
-            in_flight.append(_file_task.remote(f, i))
-            idx += 1
-        ready, in_flight = ray.wait(in_flight, num_returns=1)
-        for ref in ready:
-            metas.extend(json.loads(ray.get(ref)))
-
-    metas.sort(key=lambda m: (m["part_id"], m.get("sub") or 0))
-    return _commit_build(index_dir, metas, sum(len(ms) for ms in done.values()),
-                         {**builder.manifest_config(), "partition_by": "input_file"})
+    stats = [os.stat(f) for f in files]
+    return _build(index_dir, config, resume, run, extract_html=extract_html,
+                  files=[[f, s.st_size, s.st_mtime_ns] for f, s in zip(files, stats)])
 
 
 def add_indexes(dest_dir: str, source_dirs: list[str]) -> Manifest:

@@ -158,39 +158,30 @@ def delete_by_keys(index_dir: str, keys) -> int:
     return n_deleted
 
 
-def update_documents(index_dir: str, rows: pa.Table, *, analyzer_kind: str | None = None) -> int:
+def _add_segment(index_dir: str, rows: pa.Table, prefix: str, delete) -> int:
+    """The add half of both update paths: ``delete(keys)`` the old versions,
+    then build ``rows`` into ONE additive segment through the index build's
+    own chain (``_BuildSegment`` configured by the manifest config: analyzer,
+    text fields, store flags, doc values, index sort) and commit it."""
+    import uuid
+
+    from lucene_ray.pipelines.index_pipeline import _BuildSegment
+
+    delete(rows.column(Manifest.load(index_dir).config["key_col"]).to_pylist())
+    manifest = Manifest.load(index_dir)  # reload post-delete generation
+    gen = manifest.gen + 1
+    meta = _BuildSegment(index_dir, manifest.config).build(
+        rows, f"{prefix}-g{gen}-{uuid.uuid4().hex[:8]}", {"gen": gen, "part_id": None})
+    commit_update(index_dir, manifest, {}, appended=[meta])
+    return rows.num_rows
+
+
+def update_documents(index_dir: str, rows: pa.Table) -> int:
     """updateDocument(term, doc) semantics: delete-by-key then add the new
     rows as ONE additive segment (last-writer-wins per key). ``rows`` must
     carry the index's key and text columns (+ any doc-values columns)."""
-    from lucene_ray.functions.analysis import get_analyzer
-    from lucene_ray.state.segment import build_segment_tables, write_segment
-
-    manifest = Manifest.load(index_dir)
-    cfg = manifest.config
-    key_col, text_col = cfg["key_col"], cfg["text_col"]
-    analyzer = get_analyzer(analyzer_kind or cfg.get("analyzer", "standard"))
-
-    keys_py = rows.column(key_col).to_pylist()
-    delete_by_keys(index_dir, keys_py)
-    manifest = Manifest.load(index_dir)  # reload post-delete generation
-
-    order = pa.compute.sort_indices(rows.column(key_col))
-    rows = rows.take(order)
-    keys = rows.column(key_col).to_numpy(zero_copy_only=False)
-    postings_tbl, docs_tbl, stats = build_segment_tables(
-        keys, rows.column(text_col), analyzer,
-        store_positions=cfg.get("store_positions", True),
-    )
-    for c in cfg.get("docvalue_cols", []):
-        docs_tbl = docs_tbl.append_column(c, rows.column(c))
-    import uuid
-
-    name = f"upd-g{manifest.gen + 1}-{uuid.uuid4().hex[:8]}"
-    meta = write_segment(index_dir, name, postings_tbl, docs_tbl, stats,
-                         extra_meta={"gen": manifest.gen + 1, "part_id": None,
-                                     "analyzer": analyzer.kind, "key_col": key_col})
-    commit_update(index_dir, manifest, {}, appended=[meta])
-    return rows.num_rows
+    return _add_segment(index_dir, rows, "upd",
+                        lambda keys: delete_by_keys(index_dir, keys))
 
 
 def update_numeric_docvalues(index_dir: str, field: str, updates: dict) -> int:
@@ -314,39 +305,9 @@ def soft_delete_by_keys(index_dir: str, keys, *,
 
 
 def soft_update_documents(index_dir: str, rows: pa.Table, *,
-                          field: str = "__soft_deletes",
-                          analyzer_kind: str | None = None) -> int:
+                          field: str = "__soft_deletes") -> int:
     """IndexWriter.softUpdateDocument: soft-delete the old docs by key, add
     the new rows as one additive segment (LWW per key, old versions
     retained until a merge's retention policy reclaims them)."""
-    from lucene_ray.functions.analysis import get_analyzer
-    from lucene_ray.state.segment import build_segment_tables, write_segment
-
-    manifest = Manifest.load(index_dir)
-    cfg = manifest.config
-    key_col, text_col = cfg["key_col"], cfg["text_col"]
-    analyzer = get_analyzer(analyzer_kind or cfg.get("analyzer", "standard"))
-
-    soft_delete_by_keys(
-        index_dir,
-        rows.column(key_col).to_numpy(zero_copy_only=False), field=field)
-    manifest = Manifest.load(index_dir)
-
-    order = pa.compute.sort_indices(rows.column(key_col))
-    rows = rows.take(order)
-    keys = rows.column(key_col).to_numpy(zero_copy_only=False)
-    postings_tbl, docs_tbl, stats = build_segment_tables(
-        keys, rows.column(text_col), analyzer,
-        store_positions=cfg.get("store_positions", True),
-    )
-    for c in cfg.get("docvalue_cols", []):
-        docs_tbl = docs_tbl.append_column(c, rows.column(c))
-    import uuid
-
-    name = f"supd-g{manifest.gen + 1}-{uuid.uuid4().hex[:8]}"
-    meta = write_segment(index_dir, name, postings_tbl, docs_tbl, stats,
-                         extra_meta={"gen": manifest.gen + 1, "part_id": None,
-                                     "analyzer": analyzer.kind,
-                                     "key_col": key_col})
-    commit_update(index_dir, manifest, {}, appended=[meta])
-    return rows.num_rows
+    return _add_segment(index_dir, rows, "supd",
+                        lambda keys: soft_delete_by_keys(index_dir, keys, field=field))

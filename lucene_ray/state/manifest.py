@@ -9,8 +9,9 @@ commit, IndexWriter.java:3370,3841).
 
 Resume contract (north rule "resumable from per-partition checkpoints"): a
 segment directory containing ``meta.json`` is durable even before a manifest
-generation references it; ``completed_part_ids`` scans those, so a restarted
-index job skips every finished partition and only re-runs the missing ones.
+generation references it; ``completed_part_metas`` scans those, so a
+restarted index job skips every partition the same build (same build
+fingerprint) finished and only re-runs the missing ones.
 """
 
 from __future__ import annotations
@@ -26,6 +27,16 @@ from lucene_ray.functions.similarity import CollectionStatistics
 CURRENT = "manifest.current"
 
 
+def fsync_path(path: str) -> None:
+    """fsync a file or a directory by path (a directory's fsync makes the
+    renames and links inside it durable)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _atomic_write(path: str, data: str) -> None:
     tmp = path + ".tmp-" + uuid.uuid4().hex[:8]
     with open(tmp, "w") as f:
@@ -33,6 +44,7 @@ def _atomic_write(path: str, data: str) -> None:
         f.flush()
         os.fsync(f.fileno())
     os.rename(tmp, path)
+    fsync_path(os.path.dirname(path) or ".")
 
 
 def _atomic_write_exclusive(path: str, data: str) -> None:
@@ -53,6 +65,7 @@ def _atomic_write_exclusive(path: str, data: str) -> None:
         ) from None
     finally:
         os.unlink(tmp)
+    fsync_path(os.path.dirname(path) or ".")
 
 
 class CommitConflict(RuntimeError):
@@ -218,7 +231,8 @@ def completed_part_metas(index_dir: str) -> dict[int, list[dict]]:
     """Scan durable segment directories → {part_id: [metas]}, keeping EVERY
     segment per part — a part split into sub-segments by the
     max-docs-per-segment guard is complete only when all ``num_subs``
-    sub-segments are present."""
+    sub-segments are present. Temp and replaced directories (whose name is
+    not the segment's own) are skipped."""
     out: dict[int, list[dict]] = {}
     for meta_path in glob.glob(os.path.join(index_dir, "segments", "*", "meta.json")):
         try:
@@ -227,12 +241,6 @@ def completed_part_metas(index_dir: str) -> dict[int, list[dict]]:
         except (OSError, json.JSONDecodeError):
             continue
         pid = meta.get("part_id")
-        if pid is not None:
+        if pid is not None and meta.get("name") == os.path.basename(os.path.dirname(meta_path)):
             out.setdefault(int(pid), []).append(meta)
     return out
-
-
-def completed_part_ids(index_dir: str) -> dict[int, dict]:
-    """{part_id: meta} view of completed_part_metas (one meta per part —
-    the unsplit-build resume set)."""
-    return {p: ms[-1] for p, ms in completed_part_metas(index_dir).items()}

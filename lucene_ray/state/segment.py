@@ -54,6 +54,7 @@ from lucene_ray.functions.postings import (
     decode_postings_block_range,
     encode_postings,
 )
+from lucene_ray.state.manifest import fsync_path
 
 META_NAME = "meta.json"
 
@@ -407,18 +408,26 @@ def write_segment(
     extra_meta: dict | None = None,
     vectors_tbl: pa.Table | None = None,
 ) -> dict:
-    """Atomically write a segment directory; returns its manifest entry.
+    """Atomically and durably write a segment directory; returns its manifest
+    entry. Every file and the temp directory are fsynced before the rename
+    and ``segments/`` after it, so no crash can lose a segment that a later
+    manifest names. A directory already holding the name (another build's
+    segment, say with another analyzer, or a retried task's identical one)
+    is replaced.
     ``vectors_tbl`` — optional per-doc term vectors (Lucene90TermVectorsFormat
     analogue), written as a side file so search-only readers never load it."""
+    import shutil
+
     seg_root = os.path.join(index_dir, "segments")
     os.makedirs(seg_root, exist_ok=True)
     final = os.path.join(seg_root, name)
     tmp = final + ".tmp-" + uuid.uuid4().hex[:8]
     os.makedirs(tmp, exist_ok=True)
-    pq.write_table(postings_tbl, os.path.join(tmp, "postings.parquet"))
-    pq.write_table(docs_tbl, os.path.join(tmp, "docs.parquet"))
-    if vectors_tbl is not None:
-        pq.write_table(vectors_tbl, os.path.join(tmp, "vectors.parquet"))
+    for fname, tbl in (("postings.parquet", postings_tbl), ("docs.parquet", docs_tbl),
+                       ("vectors.parquet", vectors_tbl)):
+        if tbl is not None:
+            pq.write_table(tbl, os.path.join(tmp, fname))
+            fsync_path(os.path.join(tmp, fname))
     checksum = zlib.crc32(
         postings_tbl.schema.serialize().to_pybytes()
         + str(sorted(stats.items())).encode()
@@ -432,21 +441,24 @@ def write_segment(
     }
     with open(os.path.join(tmp, META_NAME), "w") as f:
         json.dump(meta, f)
-    if os.path.exists(final):  # a concurrent retry already committed it
-        import shutil
-
-        shutil.rmtree(tmp)
-    else:
-        try:
-            os.rename(tmp, final)
-        except OSError:
-            import shutil
-
-            shutil.rmtree(tmp, ignore_errors=True)
-            if not os.path.exists(final):
-                raise
+        f.flush()
+        os.fsync(f.fileno())
+    fsync_path(tmp)
+    stale = final + ".stale-" + uuid.uuid4().hex[:8]
+    try:
+        os.rename(final, stale)
+    except FileNotFoundError:  # the usual case: a new name
+        stale = None
+    try:
+        os.rename(tmp, final)
+    except OSError:  # a concurrent retry renamed its identical segment in first
+        shutil.rmtree(tmp, ignore_errors=True)
+        if not os.path.exists(final):
+            raise
+    fsync_path(seg_root)
+    if stale:
+        shutil.rmtree(stale, ignore_errors=True)
     return meta
-
 
 
 def _utf8(s: str) -> bytes:

@@ -21,7 +21,7 @@ from lucene_ray.functions.analysis import Analyzer
 from lucene_ray.functions.norms import decode_norms, encode_lengths
 from lucene_ray.query import BooleanQuery, PhraseQuery, PrefixQuery, TermQuery, parse_query
 from lucene_ray.searcher import IndexSearcher
-from lucene_ray.state.manifest import Manifest, completed_part_ids
+from lucene_ray.state.manifest import Manifest, completed_part_metas
 from lucene_ray.state.segment import check_segment
 
 SF_DIR = "/root/testdata/sf0.001"
@@ -270,7 +270,7 @@ def test_resume_skips_completed_partitions(ray_session, tmp_path, corpus):
     for n in names[:2]:
         shutil.rmtree(os.path.join(d, "segments", n))
     os.remove(os.path.join(d, "manifest.current"))
-    kept = completed_part_ids(d)
+    kept = completed_part_metas(d)
     assert len(kept) == 2
     import time
 
