@@ -98,12 +98,17 @@ class _AddPartId:
         return out
 
 
-def _manifest_config(*, docvalue_cols: tuple, text_cols: tuple,
-                     index_sort: tuple | None, **options) -> dict:
-    """The manifest config: how a build's segments are made. ``options``
-    are key_col, text_col, analyzer, num_partitions and the store flags."""
-    return {**options, "docvalue_cols": list(docvalue_cols),
-            "text_cols": list(text_cols),
+_CONFIG_KEYS = ("key_col", "text_col", "analyzer", "num_partitions", "store_positions",
+                "store_offsets", "store_term_vectors", "store_payloads")
+
+
+def _manifest_config(options: dict) -> dict:
+    """The manifest config — how a build's segments are made — picked from a
+    build's keyword ``options`` (its ``locals()``)."""
+    index_sort = options["index_sort"]
+    return {**{k: options[k] for k in _CONFIG_KEYS},
+            "docvalue_cols": list(options["docvalue_cols"]),
+            "text_cols": list(options["text_cols"]),
             "index_sort": list(index_sort) if index_sort else None}
 
 
@@ -146,8 +151,11 @@ class _BuildSegment:
 
     def build_part(self, rows: pa.Table, part_id: int, sub: int | None = None,
                    num_subs: int = 1, **lineage) -> dict:
-        """(Sub-)segment ``sub`` of build partition ``part_id``."""
-        name = f"seg{part_id:06d}-g0" if sub is None else f"seg{part_id:06d}p{sub:02d}-g0"
+        """(Sub-)segment ``sub`` of build partition ``part_id``. The name
+        carries the build fingerprint, so another build writes beside the
+        segments a committed manifest names instead of over them."""
+        sub_tag = "" if sub is None else f"p{sub:02d}"
+        name = f"seg{part_id:06d}{sub_tag}-g0-{self.build_fp:08x}"
         return self.build(rows, name, {
             "part_id": part_id, "num_partitions": self.config["num_partitions"],
             "sub": sub, "num_subs": num_subs, "gen": 0, **lineage,
@@ -258,7 +266,12 @@ def _build(index_dir: str, config: dict, resume: bool, run, **inputs) -> Manifes
     each segment's meta) is the CRC32 of the canonical JSON of the manifest
     config plus the read-side ``inputs`` (HTML extraction, dedup, the
     partition column and, by file, each source file's path, size and
-    mtime_ns); resume keeps only segments that carry the same value."""
+    mtime_ns); resume keeps only segments that carry the same value. The
+    fingerprint is in every segment's name too, so another build's segments
+    — those the committed manifest names — are never overwritten, and a
+    crash mid-build leaves that manifest whole. A same-named directory is
+    this build's own, left by an earlier run, and is kept as it is
+    (``write_segment``), with or without ``resume``."""
     build_fp = zlib.crc32(json.dumps({**config, **inputs}, sort_keys=True).encode())
     os.makedirs(index_dir, exist_ok=True)
     done = _resumable(index_dir, build_fp) if resume else {}
@@ -303,12 +316,7 @@ def build_index(
     Returns the committed Manifest. Idempotent: re-running after a partial
     failure skips completed partitions and commits the same final state.
     """
-    config = _manifest_config(
-        key_col=key_col, text_col=text_col, analyzer=analyzer,
-        num_partitions=num_partitions, store_positions=store_positions,
-        store_offsets=store_offsets, store_term_vectors=store_term_vectors,
-        store_payloads=store_payloads, docvalue_cols=docvalue_cols,
-        text_cols=text_cols, index_sort=index_sort)
+    config = _manifest_config(locals())
     cols, extract = _read_step(config, columns, extract_html)
     if isinstance(source, (str, list)):
         from lucene_ray.sources.io import read_parquet_clean
@@ -381,10 +389,11 @@ def build_index_by_file(
 
     ``max_docs_per_segment`` is the shard-size guard: an input file larger
     than this is split into that many-row sub-segments INSIDE its task
-    (names ``seg<part>pNN-g0``), so one oversized shard can neither blow the
-    task's heap nor exceed the docID space; resume treats a part as done
-    only when all of its sub-segments are durable. Upstream sharding is
-    still the right tool at 100 TB — the guard bounds the damage of skew.
+    (names ``seg<part>pNN-g0-<build_fp>``), so one oversized shard can
+    neither blow the task's heap nor exceed the docID space; resume treats
+    a part as done only when all of its sub-segments are durable. Upstream
+    sharding is still the right tool at 100 TB — the guard bounds the
+    damage of skew.
 
     The natural layout at 100 TB: input shards are already the partition
     (exactly a Lucene DWPT — DocumentsWriter.java:54 needs no cross-doc
@@ -412,12 +421,8 @@ def build_index_by_file(
     else:
         files = sorted(source)
     assert files, f"no parquet files under {source!r}"
-    config = {**_manifest_config(
-        key_col=key_col, text_col=text_col, analyzer=analyzer,
-        num_partitions=len(files), store_positions=store_positions,
-        store_offsets=store_offsets, store_term_vectors=store_term_vectors,
-        store_payloads=store_payloads, docvalue_cols=docvalue_cols,
-        text_cols=text_cols, index_sort=index_sort), "partition_by": "input_file"}
+    num_partitions = len(files)
+    config = {**_manifest_config(locals()), "partition_by": "input_file"}
     cols, extract = _read_step(config, columns, extract_html)
 
     def run(builder: _BuildSegment, done: frozenset):

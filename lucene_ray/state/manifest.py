@@ -231,8 +231,8 @@ def completed_part_metas(index_dir: str) -> dict[int, list[dict]]:
     """Scan durable segment directories → {part_id: [metas]}, keeping EVERY
     segment per part — a part split into sub-segments by the
     max-docs-per-segment guard is complete only when all ``num_subs``
-    sub-segments are present. Temp and replaced directories (whose name is
-    not the segment's own) are skipped."""
+    sub-segments are present. Temp directories (whose name is not the
+    segment's own) are skipped."""
     out: dict[int, list[dict]] = {}
     for meta_path in glob.glob(os.path.join(index_dir, "segments", "*", "meta.json")):
         try:

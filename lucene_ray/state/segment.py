@@ -411,9 +411,10 @@ def write_segment(
     """Atomically and durably write a segment directory; returns its manifest
     entry. Every file and the temp directory are fsynced before the rename
     and ``segments/`` after it, so no crash can lose a segment that a later
-    manifest names. A directory already holding the name (another build's
-    segment, say with another analyzer, or a retried task's identical one)
-    is replaced.
+    manifest names. A directory already holding the name is never touched,
+    since a committed manifest may name it: callers give each distinct
+    segment its own name (a build segment's carries its build fingerprint),
+    so an existing directory is a retried task's identical segment.
     ``vectors_tbl`` — optional per-doc term vectors (Lucene90TermVectorsFormat
     analogue), written as a side file so search-only readers never load it."""
     import shutil
@@ -444,20 +445,16 @@ def write_segment(
         f.flush()
         os.fsync(f.fileno())
     fsync_path(tmp)
-    stale = final + ".stale-" + uuid.uuid4().hex[:8]
-    try:
-        os.rename(final, stale)
-    except FileNotFoundError:  # the usual case: a new name
-        stale = None
-    try:
-        os.rename(tmp, final)
-    except OSError:  # a concurrent retry renamed its identical segment in first
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not os.path.exists(final):
-            raise
+    if os.path.exists(final):  # a concurrent retry already committed it
+        shutil.rmtree(tmp)
+    else:
+        try:
+            os.rename(tmp, final)
+        except OSError:
+            shutil.rmtree(tmp, ignore_errors=True)
+            if not os.path.exists(final):
+                raise
     fsync_path(seg_root)
-    if stale:
-        shutil.rmtree(stale, ignore_errors=True)
     return meta
 
 

@@ -1,9 +1,12 @@
 """Print the SHA-256 of every parquet file of every segment an index's
 current manifest names, one ``<sha256>  <segment>/<file>`` line each, in
 name order. Two indexes built from the same input by different versions of
-the build hold the same segment bytes exactly when their outputs are equal:
+the build hold the same segment bytes exactly when their hash columns are
+equal (a build segment's name carries its build fingerprint, which covers
+the source files' paths and mtimes on the by-file build, so names may
+differ):
 
-    python scripts/segment_digest.py /path/to/index > digest.txt
+    python scripts/segment_digest.py /path/to/index | cut -d' ' -f1 > digest.txt
 """
 
 from __future__ import annotations

@@ -63,17 +63,45 @@ def test_changed_input_file_rebuilds(ray_session, tmp_path):
     assert _hits(d, "new") == 1 and _hits(d, "old") == 0
 
 
-def test_rebuild_without_resume_replaces_segments(ray_session, tmp_path):
-    """``resume=False`` rebuilds every part, and each new segment replaces
-    the directory of the same name, even under the same fingerprint (a
-    Dataset source has no file stats to tell the two inputs apart)."""
-    import ray.data
+def _segment_bytes(d: str) -> dict[str, bytes]:
+    """{"<segment>/<file>": bytes} of every file the current manifest names."""
+    out = {}
+    for seg_dir in Manifest.load(d).segment_dirs():
+        for path in glob.glob(os.path.join(seg_dir, "*")):
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, d)] = f.read()
+    return out
 
+
+@pytest.mark.parametrize("path", ["by_file", "shuffle"])
+def test_other_build_never_touches_committed_segments(ray_session, tmp_path, monkeypatch,
+                                                      path):
+    """A rebuild under another fingerprint writes beside the committed
+    segments: when it crashes after writing its segments but before its
+    commit, the committed manifest still opens, holds the same bytes and
+    answers as before."""
+    from lucene_ray.pipelines import index_pipeline
+
+    src = str(tmp_path / "src.parquet")
+    pq.write_table(pa.table({"url": ["a", "b", "c"],
+                             "text": ["running foxes", "lazy dogs", "quick fox"]}), src)
     d = str(tmp_path / "idx")
-    for text, resume in (("old words", True), ("new words", False)):
-        build_index(ray.data.from_items([{"url": "a", "text": text}]), d,
-                    key_col="url", text_col="text", num_partitions=1, resume=resume)
-    assert _hits(d, "new") == 1 and _hits(d, "old") == 0
+    m = _build(path, src, d, analyzer="standard")
+    before = _segment_bytes(d)
+
+    written = []
+
+    def crash(index_dir, metas, *args):
+        written.extend(metas)
+        raise RuntimeError("crash before commit")
+
+    monkeypatch.setattr(index_pipeline, "_commit_build", crash)
+    with pytest.raises(RuntimeError, match="crash before commit"):
+        _build(path, src, d, analyzer="english")
+    assert Manifest.load(d).gen == m.gen
+    assert _segment_bytes(d) == before
+    assert _hits(d, "fox") == 1 and _hits(d, "foxes") == 1
+    assert written and all(x["analyzer"] == "english" for x in written)
 
 
 def test_resume_ignores_temp_segment_dirs(ray_session, tmp_path):
