@@ -39,6 +39,7 @@ import functools
 import json
 import os
 import time
+import uuid
 import zlib
 
 import numpy as np
@@ -259,19 +260,38 @@ def _resumable(index_dir: str, build_fp: int) -> dict[int, list[dict]]:
     return done
 
 
+def _file_stats(paths) -> list[list]:
+    """[path, size, mtime_ns] of each local file named by ``paths`` (files,
+    or directories walked in sorted order). Remote or missing paths add
+    nothing: the fingerprint cannot see their content."""
+    out = []
+    for p in paths:
+        if os.path.isdir(p):
+            out += _file_stats(sorted(os.path.join(root, f)
+                                      for root, _, names in os.walk(p) for f in names))
+        elif os.path.isfile(p):
+            st = os.stat(p)
+            out.append([p, st.st_size, st.st_mtime_ns])
+    return out
+
+
 def _build(index_dir: str, config: dict, resume: bool, run, **inputs) -> Manifest:
     """The body both builds share: resume, then ``run(builder, done_part_ids)`` —
     a Dataset of ``{"meta": json}`` rows, one per written segment — for the
     partitions left, then commit. The build fingerprint (``build_fp`` in
     each segment's meta) is the CRC32 of the canonical JSON of the manifest
     config plus the read-side ``inputs`` (HTML extraction, dedup, the
-    partition column and, by file, each source file's path, size and
+    partition column and each local source file's path, size and
     mtime_ns); resume keeps only segments that carry the same value. The
     fingerprint is in every segment's name too, so another build's segments
     — those the committed manifest names — are never overwritten, and a
     crash mid-build leaves that manifest whole. A same-named directory is
     this build's own, left by an earlier run, and is kept as it is
-    (``write_segment``), with or without ``resume``."""
+    (``write_segment``). ``resume=False`` folds a fresh nonce into the
+    fingerprint: the build writes every segment anew, beside all earlier
+    ones, and no later run resumes them."""
+    if not resume:
+        inputs["rebuild"] = uuid.uuid4().hex
     build_fp = zlib.crc32(json.dumps({**config, **inputs}, sort_keys=True).encode())
     os.makedirs(index_dir, exist_ok=True)
     done = _resumable(index_dir, build_fp) if resume else {}
@@ -315,12 +335,18 @@ def build_index(
 
     Returns the committed Manifest. Idempotent: re-running after a partial
     failure skips completed partitions and commits the same final state.
+    When ``source`` is a local path or list of paths, the build fingerprint
+    covers each file's path, size and mtime_ns, so a changed input is
+    rebuilt, not resumed; a Dataset's content is not fingerprinted, so
+    rebuild a changed one with ``resume=False``.
     """
     config = _manifest_config(locals())
     cols, extract = _read_step(config, columns, extract_html)
+    files = []
     if isinstance(source, (str, list)):
         from lucene_ray.sources.io import read_parquet_clean
 
+        files = _file_stats([source] if isinstance(source, str) else source)
         ds = read_parquet_clean(source, columns=cols)
     else:
         ds = source
@@ -338,7 +364,7 @@ def build_index(
         ).groupby("__part_id").map_groups(builder, batch_format="pyarrow")
 
     return _build(index_dir, config, resume, run, extract_html=extract_html,
-                  dedup_exact=dedup_exact, partition_col=partition_col)
+                  dedup_exact=dedup_exact, partition_col=partition_col, files=files)
 
 
 def _commit_build(index_dir: str, metas: list[dict], n_resumed: int,
@@ -432,9 +458,8 @@ def build_index_by_file(
                                     "extract": extract,
                                     "max_docs": max_docs_per_segment})
 
-    stats = [os.stat(f) for f in files]
     return _build(index_dir, config, resume, run, extract_html=extract_html,
-                  files=[[f, s.st_size, s.st_mtime_ns] for f, s in zip(files, stats)])
+                  files=_file_stats(files))
 
 
 def add_indexes(dest_dir: str, source_dirs: list[str]) -> Manifest:

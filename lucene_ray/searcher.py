@@ -13,12 +13,11 @@ Physical plans (Boolean2ScorerSupplier.java:30-247 analogue):
 * ``exhaustive`` — vectorized term-at-a-time over numpy arrays: decode each
   term's postings once, combine with sorted-array union/intersection kernels
   (ConjunctionDISI / DisjunctionSumScorer equivalents). Exact.
-* ``wand`` — block-max pruned evaluation for term queries and pure
-  disjunctions: per-128-doc-block score upper bounds from the skip metadata
-  (ImpactsDISI.java:32-79 / MaxScoreCache.java:34-109 / WANDScorer.java
-  equivalents), intervals processed in descending upper-bound order, stopping
-  when the bound drops below the current k-th score. Exact — verified
-  pruned == exhaustive by tests (the reference's TestWANDScorer property).
+* ``wand`` — MaxScore top-k for term queries and pure disjunctions
+  (MaxScoreBulkScorer.java): cached block-max score bounds from the
+  competitive impacts (ImpactsDISI / MaxScoreCache), doc-ID windows visited
+  in descending bound order until the bound drops below the k-th score.
+  Exact — verified pruned == exhaustive by tests (TestWANDScorer property).
 
 Scoring modes:
 
@@ -36,11 +35,13 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from lucene_ray.cache import LRUCache
+from lucene_ray.functions.norms import encode_lengths
 from lucene_ray.functions.similarity import (
     BM25ExactSimilarity,
     BM25Similarity,
@@ -88,15 +89,19 @@ from lucene_ray.query import (
 )
 from lucene_ray.query import extract_terms
 from lucene_ray.state.manifest import Manifest
-from lucene_ray.state.segment import POS_BITS, POS_SHIFT, SegmentReader
+from lucene_ray.state.segment import BLOCK_SIZE, POS_BITS, POS_SHIFT, SegmentReader
 
 # entry bounds of the caches the searcher owns: what depends on its
 # statistics or config. Per-reader bounds scale with the searcher's readers.
 TERM_STATS_RANGE_CACHE_ENTRIES = 8  # lazily loaded term-stats range files
 TERM_SCORE_CACHE_ENTRIES = 128  # per reader: (docs, BM25 scores) of a term
+TERM_BOUND_CACHE_ENTRIES = 512  # per reader: block and window score bounds of a term
 FILTER_CACHE_ENTRIES = 64  # per reader: matching docs of a filter clause
 JOIN_CACHE_ENTRIES = 16  # from-side (value -> score) tables of joins
 EXPANSION_CACHE_ENTRIES = 4096  # complex-phrase and span slot expansions
+# doc IDs per step of the disjunction top-k (MaxScoreBulkScorer's
+# INNER_WINDOW_SIZE)
+MAXSCORE_WINDOW = 4096
 
 
 @dataclass
@@ -220,6 +225,15 @@ def _intersect_sorted(a: np.ndarray, b: np.ndarray):
     if swapped:
         return common, ib, ia
     return common, ia, ib
+
+
+def _lookup(docs: np.ndarray, scores: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """The float64 ``scores`` of the sorted unique ``cand`` in postings
+    ``docs``, 0 where absent."""
+    col = np.zeros(len(cand))
+    _, ic, idoc = _intersect_sorted(cand, docs)
+    col[ic] = scores[idoc]
+    return col
 
 
 class _SparseScores:
@@ -485,6 +499,7 @@ class IndexSearcher:
         self._field_stats = {f: CollectionStatistics(*v) for f, v in sums.items()}
         n = max(1, len(self.readers))
         self._term_scores = LRUCache(TERM_SCORE_CACHE_ENTRIES * n)
+        self._term_bounds = LRUCache(TERM_BOUND_CACHE_ENTRIES * n)
         self._filters = LRUCache(FILTER_CACHE_ENTRIES * n)
         self._joins = LRUCache(JOIN_CACHE_ENTRIES)
         self._expansions = LRUCache(EXPANSION_CACHE_ENTRIES)
@@ -642,18 +657,25 @@ class IndexSearcher:
             if use_wand:
                 self.last_wand_stats = {"blocks_total": 0, "blocks_visited": 0,
                                         "intervals_total": 0, "intervals_visited": 0}
-                scorers = self._scorers_for(sorted(extract_terms(query)))
+                clauses = [(t.term, boost, scorer) for t, boost in self._wand_clauses(query)
+                           if (scorer := self._term_scorer(t.term, boost, t.field)) is not None]
             parts = []
             total = 0
-            for r in self.readers:
+            theta = -math.inf
+            for n, r in enumerate(self.readers, 1):
                 if use_wand:
-                    sd, nhits = self._search_segment_wand(r, scorers, k, search_after)
+                    sd, nhits = self._search_segment_wand(r, clauses, k, theta)
                 else:
                     sp = self._apply_live(r, self._eval(r, query))
                     sd = self._top_of(r, sp, k, search_after)
                     nhits = len(sp.docs)
                 parts.append(sd)
                 total += nhits
+                if use_wand and n < len(self.readers):
+                    # the k-th score so far is the next segment's min
+                    # competitive score (TopScoreDocCollector across leaves)
+                    scores = sorted((x.score for p in parts for x in p), reverse=True)
+                    theta = scores[k - 1] if 0 < k <= len(scores) else theta
         return TopDocs(total, _merge_top(parts, k, search_after))
 
     def matches(self, query: Query | str):
@@ -836,26 +858,33 @@ class IndexSearcher:
         keys = r.doc_keys[docs[sel]]
         return [ScoreDoc(keys[i], float(scores[sel[i]])) for i in range(len(sel))]
 
+    @staticmethod
+    def _wand_clauses(q: Query):
+        """(TermQuery, boost) per clause of a term query or a pure
+        disjunction of term queries, each optionally boosted by a factor
+        >= 0 — the WANDScorer shape (Boolean2ScorerSupplier.java:242-247) —
+        else None."""
+        subs = [q]
+        if isinstance(q, BooleanQuery):
+            if q.must or q.must_not or q.filter or q.minimum_should_match > 1:
+                return None
+            subs = q.should
+        out = []
+        for s in subs:
+            boost = 1.0
+            if isinstance(s, BoostQuery) and s.boost >= 0:
+                s, boost = s.query, float(s.boost)
+            if not isinstance(s, TermQuery):
+                return None
+            out.append((s, boost))
+        return out
+
     def _wand_eligible(self, q: Query) -> bool:
-        """Shape check: WAND applies to term queries and pure disjunctions
-        (Boolean2ScorerSupplier.java:242-247 picks WANDScorer for TOP_SCORES
-        disjunctions)."""
-        if self._multi:
-            return False
-        if isinstance(q, TermQuery):
-            return q.field is None
-        return (
-            isinstance(q, BooleanQuery)
-            and not q.must
-            and not q.must_not
-            and not q.filter
-            and q.minimum_should_match <= 1
-            and all(isinstance(s, TermQuery) for s in q.should)
-        )
+        return not self._multi and self._wand_clauses(q) is not None
 
     # below this many total postings the vectorized exhaustive kernel wins:
-    # the Python-driven interval walk costs ~µs per interval, so pruning has
-    # to save at least a few dozen 128-doc block decodes to pay for itself.
+    # the Python-driven window walk costs tens of µs per window, so pruning
+    # has to save at least a few dozen 128-doc block decodes to pay for it.
     WAND_AUTO_MIN_POSTINGS = 4096
     # above this per-term density (df / docCount), posting lists are so hot
     # that one vectorized whole-list pass beats any Python-driven skipping —
@@ -1863,170 +1892,140 @@ class IndexSearcher:
             np.array(match_docs, dtype=np.int32), np.array(scores, dtype=np.float64)
         )
 
-    # ------------------------------------------------------------ block-max
+    # ------------------------------------------------------------ MaxScore
+
+    def _bounds_of(self, r: SegmentReader, ti: int, boost: float, scorer):
+        """(block last docs, then per window: bound, first and past-last
+        block) of term ``ti``. A block's bound is the max of ``scorer.score``
+        over its competitive impact pairs (MaxScoreCache.java), a window's
+        the max over its blocks; cached per (segment, term, boost)."""
+        key = (r, ti, boost)
+        hit = self._term_bounds.get(key)
+        if hit is not None:
+            return hit
+        bld, blf, blm = r.skip_meta(ti)
+        # segments without impact columns: the looser (max freq, min length)
+        counts, freqs, lengths = r.impacts(ti) or (np.ones(len(bld), np.int64), blf, blm)
+        lengths = (encode_lengths(lengths) if self.mode == "lucene"
+                   else np.asarray(lengths, dtype=np.float64))
+        ubs = np.maximum.reduceat(scorer.score(freqs, lengths), np.cumsum(counts) - counts)
+        starts = np.arange(0, r.max_doc, MAXSCORE_WINDOW)
+        # block j spans docs (bld[j-1], bld[j]]
+        jlo = np.searchsorted(bld, starts)
+        jhi = np.minimum(np.searchsorted(bld, starts + MAXSCORE_WINDOW - 1) + 1, len(bld))
+        wub = [max(float(ubs[a:b].max()), 0.0) if a < b else 0.0 for a, b in zip(jlo, jhi)]
+        return self._term_bounds.put(key, (bld, wub, jlo.tolist(), jhi.tolist()))
 
     def _search_segment_wand(
-        self, r: SegmentReader, scorers: dict, k: int, after
+        self, r: SegmentReader, clauses: list, k: int, theta: float
     ) -> tuple[list[ScoreDoc], int]:
-        """Block-max pruned top-k for term/disjunction queries.
-
-        Builds the interval grid from every term's 128-doc block boundaries;
-        each interval's upper bound = Σ per-term block max-score
-        (MaxScoreCache analogue). Intervals are visited in descending bound
-        order; once the bound falls below the current k-th score, no remaining
-        interval can place a doc in the top-k (WANDScorer pruning invariant),
-        so iteration stops. Within a visited interval, scoring is the
-        exhaustive vectorized kernel — results are exactly the top-k.
-
-        Hit counting: exact up to the pruning point (the reference similarly
-        reports a lower bound once pruning starts, TotalHits.Relation).
-
-        ``scorers`` maps each query term that some document holds to its
-        scorer, resolved once per query by ``search``.
-        """
-        from lucene_ray.functions.norms import encode_lengths
-
-        infos = []
-        for t, scorer in scorers.items():
-            i = r.term_index(t)
-            if i < 0:
-                continue
-            bld, blf, blm = r.skip_meta(i)
-            imp = r.impacts(i)
-            if imp is not None:
-                # competitive impact pairs (CompetitiveImpactAccumulator
-                # analogue): the block bound is the max score over the block's
-                # Pareto-frontier (freq, length) pairs — tight, unlike the
-                # (max freq, min length) cross-doc pairing below. Zero-copy
-                # (counts, flat freqs, flat lengths) views from the reader.
-                counts, flat_f, flat_l = imp
-                if self.mode == "lucene":
-                    pair_scores = scorer.score(
-                        flat_f.astype(np.float32), encode_lengths(np.asarray(flat_l, dtype=np.int64))
-                    )
-                else:
-                    pair_scores = scorer.score(
-                        np.asarray(flat_f, dtype=np.float64),
-                        np.asarray(flat_l, dtype=np.float64),
-                    )
-                ubs = np.maximum.reduceat(pair_scores, np.cumsum(counts) - counts)
-            elif self.mode == "lucene":
-                ubs = scorer.score(blf.astype(np.float32), encode_lengths(blm))
-            else:
-                ubs = scorer.score(blf.astype(np.float64), blm.astype(np.float64))
-            infos.append((scorer, i, bld, np.asarray(ubs, dtype=np.float64)))
-        if not infos:
-            return [], 0
-
-        boundaries = np.unique(np.concatenate([bld for _, _, bld, _ in infos]))
-        # interval u = docIDs in (boundaries[u-1], boundaries[u]]; boundaries
-        # are the union of every term's block ends, so each interval lies
-        # inside exactly ONE block of each covering term — the unit of decode.
-        ub_total = np.zeros(len(boundaries))
-        for _, _, bld, ubs in infos:
-            # block j of this term covers docs (bld[j-1], bld[j]]; map each
-            # interval end to its covering block via searchsorted.
-            blk = np.searchsorted(bld, boundaries)
-            blk_c = np.minimum(blk, len(ubs) - 1)
-            cover = boundaries <= bld[-1]
-            ub_total += np.where(cover, ubs[blk_c], 0.0)
-
-        stats = getattr(self, "last_wand_stats", None)
-        if stats is not None:
-            stats["blocks_total"] += int(sum(len(bld) for _, _, bld, _ in infos))
-            stats["intervals_total"] += len(boundaries)
-        order = np.argsort(-ub_total)
-        # running top-k as arrays (score desc, doc_key asc) — ScoreDoc
-        # objects are built only for the final k
-        best_scores = np.empty(0, dtype=np.float64)
-        best_keys = np.empty(0, dtype=object)
-        nhits = 0
-        visited_blocks: set[tuple[int, int]] = set()
-        # Visit intervals in CHUNKS of descending-bound order: the per-chunk
-        # score/union/heap work is vectorized across up to CHUNK_MAX
-        # intervals, amortizing the Python per-interval overhead. The chunk
-        # size ADAPTS: small (4) while the top-k is still filling — the
-        # threshold moves fastest there, and small chunks preserve the
-        # sequential WAND's block pruning — then doubles once the heap is
-        # full. Exactness is unchanged — a chunk may *evaluate* a few
-        # intervals a strictly sequential WAND would have pruned (the
-        # threshold only tightens between chunks), never skip one it
-        # wouldn't.
-        CHUNK_MAX = 64
-        chunk_size = 4
-        pos = 0
-        while pos < len(order):
-            chunk = order[pos : pos + chunk_size]
-            pos += chunk_size
-            if len(best_scores) >= k:
-                chunk_size = min(chunk_size * 2, CHUNK_MAX)
-            exhausted = False
-            if len(best_scores) >= k:
-                thr = best_scores[-1]
-                keep = ub_total[chunk] >= thr  # descending ⇒ prefix mask
-                if not keep.all():
-                    chunk = chunk[keep]
-                    exhausted = True  # everything after this chunk is below thr
-                if not len(chunk):
-                    break
-            chunk = np.sort(chunk)  # doc order within the chunk
-            in_chunk = np.zeros(len(boundaries), dtype=bool)
-            in_chunk[chunk] = True
-            his_all = boundaries[chunk]
-            subs = []
-            for scorer, i, bld, _ in infos:
-                # decode ONLY the blocks covering the chunk's intervals
-                # (ImpactsDISI skip semantics: pruned blocks are never
-                # decoded), then keep the docs whose interval is in the chunk
-                js = sorted(set(np.searchsorted(bld, his_all[his_all <= bld[-1]]).tolist()))
-                if not js:
-                    continue
-                visited_blocks.update((i, j) for j in js)
-                blocks = [r.postings_block(i, j) for j in js]
-                d = np.concatenate([b[0] for b in blocks])
-                f = np.concatenate([b[1] for b in blocks])
-                keep = in_chunk[np.searchsorted(boundaries, d)]
-                d, f = d[keep], f[keep]
-                if len(d):
-                    subs.append(_SparseScores(d, self._score_arrays(r, scorer, d, f)))
-            if stats is not None:
-                stats["intervals_visited"] += len(chunk)
-            if subs:
-                sp = self._apply_live(r, self._union(subs))
-                if len(sp.docs):
-                    nhits += len(sp.docs)
-                    # candidate filter (>= threshold: equal scores can still
-                    # displace on doc_key ties), then tie-aware vectorized
-                    # top-k merge — no per-doc Python objects
-                    if len(best_scores) >= k:
-                        m = sp.scores >= best_scores[-1]
-                        docs_f, scores_f = sp.docs[m], sp.scores[m]
-                    else:
-                        docs_f, scores_f = sp.docs, sp.scores
-                    if len(docs_f):
-                        cs = np.concatenate([best_scores, scores_f])
-                        ck = np.concatenate([best_keys, r.doc_keys[docs_f]])
-                        if len(cs) > k:
-                            # prune to score >= kth-largest, then full sort of
-                            # that small tail by (-score, key)
-                            s_k = np.partition(cs, len(cs) - k)[len(cs) - k]
-                            keep_i = np.nonzero(cs >= s_k)[0]
-                            cs, ck = cs[keep_i], ck[keep_i]
-                        o = np.lexsort((ck, -cs))[:k]
-                        best_scores, best_keys = cs[o], ck[o]
-            if exhausted:
+        """One segment's top-k of a disjunction of term clauses (``clauses``:
+        (term, boost, scorer) in clause order): MaxScore (Turtle & Flood;
+        MaxScoreBulkScorer.java) over MAXSCORE_WINDOW-doc windows, visited in
+        descending order of their summed term bounds until that falls below
+        ``theta``, the k-th score so far — at first that of the segments
+        searched before (TopScoreDocCollector's min competitive score). In a
+        window the terms sorted by bound split into non-essential ones, the
+        longest prefix whose bounds sum below theta, and essential ones,
+        whose docs are scored in one vectorized union; the non-essential
+        ones are looked up only for candidates that can still reach theta.
+        Final scores are summed in clause order like the exhaustive union's,
+        and bound sums widened by their float error (MathUtil.sumUpperBound):
+        the top-k is exact. Hits: live docs of an essential term in a
+        visited window — a lower bound once anything is pruned."""
+        terms = [(ti, boost, scorer) for t, boost, scorer in clauses
+                 if (ti := r.term_index(t)) >= 0]
+        nblocks = [-(-int(r.doc_freq[ti]) // BLOCK_SIZE) for ti, _, _ in terms]
+        seen = [np.zeros(n, dtype=bool) for n in nblocks]
+        slack = 1.0 + len(terms) * 2.0 ** -51
+        n_windows = -(-r.max_doc // MAXSCORE_WINDOW)
+        # in a one-window segment a term needs no bound while nothing can be
+        # pruned, nor when it has one block: that bound costs about as much
+        # as scoring it
+        bounds = [(None, [math.inf], [0], [nb])
+                  if n_windows == 1 and (nb == 1 or theta == -math.inf)
+                  else self._bounds_of(r, *term) for term, nb in zip(terms, nblocks)]
+        wsum = [sum(ubs) * slack for ubs in zip(*(b[1] for b in bounds))]
+        best_d, best_s = np.empty(0, dtype=np.int32), np.empty(0)
+        nhits = visited = 0
+        order = sorted(range(len(wsum)), key=wsum.__getitem__, reverse=True)
+        for w in order:
+            if wsum[w] < theta:
                 break
-        stats = getattr(self, "last_wand_stats", None)
-        if stats is not None:
-            stats["blocks_visited"] += len(visited_blocks)
-        best = [
-            ScoreDoc(best_keys[j], float(best_scores[j]))
-            for j in range(len(best_scores))
-        ]
-        if after is not None:
-            a_score, a_key = after
-            best = [sd for sd in best if (-sd.score, sd.doc_key) > (-a_score, a_key)]
-        return best, nhits
+            visited += 1
+            lo = w * MAXSCORE_WINDOW
+            hi = min(lo + MAXSCORE_WINDOW, r.max_doc)
+            # (clause index, bound, block range) of the window's terms
+            inw = [(i, b[1][w], b[2][w], b[3][w]) for i, b in enumerate(bounds) if b[2][w] < b[3][w]]
+            non, acc = set(), 0.0
+            for i, ub, _, _ in sorted(inw, key=lambda x: x[1]):
+                if (acc + ub) * slack >= theta:
+                    break
+                acc += ub
+                non.add(i)
+            cols = {}
+            for i, _, jlo, jhi in inw:
+                if i not in non:
+                    seen[i][jlo:jhi] = True
+                    d, sc = self._term_docs(r, terms[i], [(jlo, jhi)], jhi - jlo == nblocks[i])
+                    if lo or hi < r.max_doc:
+                        a, b = np.searchsorted(d, (lo, hi))
+                        d, sc = d[a:b], sc[a:b]
+                    cols[i] = d, sc
+            if not cols:
+                continue
+            dense = np.zeros(hi - lo)
+            present = np.zeros(hi - lo, dtype=bool)
+            for d, sc in cols.values():  # clause order, like the exhaustive union
+                d = d - lo if lo else d
+                dense[d] += sc
+                present[d] = True
+            at = np.flatnonzero(present)
+            cand, part = (at + lo).astype(np.int32), dense[at]
+            if r.live is not None:
+                live = r.live[cand]
+                cand, part = cand[live], part[live]
+            nhits += len(cand)
+            if non:
+                cand = cand[(part + acc) * slack >= theta]
+                if not len(cand):
+                    continue
+                for i in non:  # decode only the blocks that can hold a candidate
+                    js = np.unique(np.minimum(np.searchsorted(bounds[i][0], cand), nblocks[i] - 1))
+                    seen[i][js] = True
+                    cols[i] = self._term_docs(r, terms[i], [(j, j + 1) for j in js], False)
+                # re-summed in clause order, as the exhaustive union adds
+                part = sum(_lookup(*cols[i], cand) for i, _, _, _ in inw)
+            keep = part >= theta
+            best_d = np.concatenate([best_d, cand[keep]])
+            best_s = np.concatenate([best_s, part[keep]])
+            if len(best_s) >= k and visited < len(order):
+                kth = np.partition(best_s, len(best_s) - k)[len(best_s) - k]
+                theta = max(theta, float(kth))
+                keep = best_s >= kth  # ties at the k-th score stay: doc_key decides
+                best_d, best_s = best_d[keep], best_s[keep]
+        stats = self.last_wand_stats
+        stats["blocks_total"] += sum(nblocks)
+        stats["blocks_visited"] += sum(map(np.count_nonzero, seen))
+        stats["intervals_total"] += n_windows if terms else 0
+        stats["intervals_visited"] += visited
+        return self._top_of(r, _SparseScores(best_d, best_s), k, None), nhits
+
+    def _term_docs(self, r: SegmentReader, term, blocks, whole: bool):
+        """(docs, scores) of ``term``: its whole scored postings from the
+        term-score cache, or scored whole into it when ``whole``, else only
+        the block ranges ``blocks`` ([(j0, j1)]) decoded and scored
+        (ImpactsDISI: a skipped block is never decoded)."""
+        ti, boost, scorer = term
+        key = (r, ti, boost)
+        hit = self._term_scores.get(key)
+        if hit is None and whole:
+            docs, freqs = r.postings(ti)
+            hit = self._term_scores.put(key, (docs, self._score_arrays(r, scorer, docs, freqs)))
+        if hit is None:
+            docs, freqs = (np.concatenate(x) for x in zip(*(r.postings_blocks(ti, *b) for b in blocks)))
+            hit = docs, self._score_arrays(r, scorer, docs, freqs)
+        return hit
 
     # exact query type -> evaluator(self, reader, query, boost). Every Query
     # subclasses Query directly, so the exact type is enough.

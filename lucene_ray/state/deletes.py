@@ -17,7 +17,8 @@ Reference semantics being reproduced:
   bitset is present.
 
 Storage: ``<seg_dir>/livedocs-<delgen>.parquet`` (one boolean column
-``live``, one row per local docID), written temp-then-rename; the manifest
+``live``, one row per local docID), written durably by ``_write_side_file``
+(fsynced temp file, exclusive link, directory fsync); the manifest
 entry's ``del_gen``/``del_count`` point at the current generation, so a
 commit is still a single atomic manifest write.
 """
@@ -25,12 +26,13 @@ commit is still a single atomic manifest write.
 from __future__ import annotations
 
 import os
+import uuid
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from lucene_ray.state.manifest import Manifest, commit_update
+from lucene_ray.state.manifest import CommitConflict, Manifest, commit_update, fsync_path
 
 
 def livedocs_path(seg_dir: str, del_gen: int) -> str:
@@ -44,27 +46,32 @@ def load_livedocs(seg_dir: str, del_gen: int) -> np.ndarray | None:
     return t.column("live").to_numpy(zero_copy_only=False)
 
 
-def _write_livedocs(seg_dir: str, del_gen: int, live: np.ndarray) -> None:
-    """Exclusive create (os.link fails on EEXIST): two concurrent deleters
-    computing the same del_gen for one segment must not silently overwrite
-    each other's marks — the loser gets CommitConflict and must redo its
-    deletes against the fresh generation."""
-    import uuid
-
-    from lucene_ray.state.manifest import CommitConflict
-
-    path = livedocs_path(seg_dir, del_gen)
+def _write_side_file(path: str, table: pa.Table) -> str:
+    """Write a segment side file (livedocs, a doc-values generation) durably
+    and exclusively: a temp file, fsynced, hard-linked into place, then the
+    segment directory fsynced. The link fails on EEXIST, so two writers that
+    computed the same generation never overwrite each other's file: the
+    loser gets CommitConflict and redoes against the current manifest.
+    Returns ``path``."""
     tmp = path + ".tmp-" + uuid.uuid4().hex[:8]
-    pq.write_table(pa.table({"live": pa.array(live, type=pa.bool_())}), tmp)
+    pq.write_table(table, tmp)
     try:
+        fsync_path(tmp)
         os.link(tmp, path)
     except FileExistsError:
         raise CommitConflict(
-            f"livedocs-{del_gen} already written by a concurrent deleter on "
-            f"{seg_dir}; redo the delete against the current manifest"
+            f"{os.path.basename(path)} already written by a concurrent writer on "
+            f"{os.path.dirname(path)}; redo against the current manifest"
         ) from None
     finally:
         os.unlink(tmp)
+    fsync_path(os.path.dirname(path))
+    return path
+
+
+def _write_livedocs(seg_dir: str, del_gen: int, live: np.ndarray) -> str:
+    return _write_side_file(livedocs_path(seg_dir, del_gen),
+                            pa.table({"live": pa.array(live, type=pa.bool_())}))
 
 
 def _commit_or_cleanup(index_dir: str, manifest, changed: dict, written: list[str]) -> None:
@@ -110,8 +117,7 @@ def delete_by_query(index_dir: str, query) -> int:
         if newly:
             live[docs] = False
             new_gen = old_gen + 1
-            _write_livedocs(reader.dir, new_gen, live)
-            written.append(livedocs_path(reader.dir, new_gen))
+            written.append(_write_livedocs(reader.dir, new_gen, live))
             n_deleted += int(newly)
             changed[seg["name"]] = {"del_gen": new_gen,
                                     "del_count": int((~live).sum())}
@@ -148,8 +154,7 @@ def delete_by_keys(index_dir: str, keys) -> int:
         if newly:
             live[mask] = False
             new_gen = old_gen + 1
-            _write_livedocs(seg_dir, new_gen, live)
-            written.append(livedocs_path(seg_dir, new_gen))
+            written.append(_write_livedocs(seg_dir, new_gen, live))
             n_deleted += newly
             changed[seg["name"]] = {"del_gen": new_gen,
                                     "del_count": int((~live).sum())}
@@ -163,8 +168,6 @@ def _add_segment(index_dir: str, rows: pa.Table, prefix: str, delete) -> int:
     then build ``rows`` into ONE additive segment through the index build's
     own chain (``_BuildSegment`` configured by the manifest config: analyzer,
     text fields, store flags, doc values, index sort) and commit it."""
-    import uuid
-
     from lucene_ray.pipelines.index_pipeline import _BuildSegment
 
     delete(rows.column(Manifest.load(index_dir).config["key_col"]).to_pylist())
@@ -202,10 +205,6 @@ def update_numeric_docvalues(index_dir: str, field: str, updates: dict) -> int:
 
     ``updates`` maps doc_key → new value. Returns the number of docs updated.
     """
-    import uuid as _uuid
-
-    from lucene_ray.state.manifest import CommitConflict, commit_update
-
     manifest = Manifest.load(index_dir)
     n_updated = 0
     changed: dict[str, dict] = {}
@@ -238,19 +237,9 @@ def update_numeric_docvalues(index_dir: str, field: str, updates: dict) -> int:
             for i in np.flatnonzero(mask).tolist():
                 vals[i] = updates[doc_keys[i]]
             new_gen = old_gen + 1
-            path = os.path.join(seg_dir, f"dv-{field}-{new_gen}.parquet")
-            tmp = path + ".tmp-" + _uuid.uuid4().hex[:8]
-            pq.write_table(pa.table({field: pa.array(vals)}), tmp)
-            try:
-                os.link(tmp, path)
-            except FileExistsError:
-                raise CommitConflict(
-                    f"dv-{field}-{new_gen} already written by a concurrent "
-                    f"updater on {seg_dir}; redo against the current manifest"
-                ) from None
-            finally:
-                os.unlink(tmp)
-            written.append(path)
+            written.append(_write_side_file(
+                os.path.join(seg_dir, f"dv-{field}-{new_gen}.parquet"),
+                pa.table({field: pa.array(vals)})))
             changed[seg["name"]] = {"dv_gens": {field: new_gen}}
             n_updated += int(mask.sum())
         if changed:
@@ -273,8 +262,6 @@ def set_soft_deletes_field(index_dir: str, field: str = "__soft_deletes") -> Non
     519): record the soft-deletes field in the index config so searchers
     hide marked docs (SoftDeletesDirectoryReaderWrapper semantics) and
     merges know which field carries retention state. Idempotent."""
-    from lucene_ray.state.manifest import CommitConflict
-
     for _ in range(8):
         manifest = Manifest.load(index_dir)
         if (manifest.config or {}).get("soft_deletes_field") == field:

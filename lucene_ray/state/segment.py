@@ -825,10 +825,11 @@ class SegmentReader:
         sl = self._pay_data[self._pay_off[i] : self._pay_off[i + 1]]
         return np.frombuffer(sl, dtype=np.float32)
 
-    def postings_block(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Decode ONLY 128-doc block ``j`` of term ``i`` (absolute docIDs) —
-        the ImpactsDISI skip path: pruned blocks are never decoded. Cached
-        per (term, block) so adjacent grid intervals reuse the decode."""
+    def postings_blocks(self, i: int, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Decode ONLY the 128-doc blocks [j0, j1) of term ``i`` (absolute
+        docIDs) — the ImpactsDISI skip path: pruned blocks are never
+        decoded. Sliced from the whole list when that is decoded; a single
+        block is cached per (term, block), so repeated lookups reuse it."""
         if self._singleton_doc[i] >= 0:
             return (
                 np.array([self._singleton_doc[i]], dtype=np.int32),
@@ -837,14 +838,15 @@ class SegmentReader:
         full = self._decode_cache.get(i)
         if full is not None:  # whole list already decoded — slice it
             d, f = full
-            lo, hi = j * BLOCK_SIZE, (j + 1) * BLOCK_SIZE
+            lo, hi = j0 * BLOCK_SIZE, j1 * BLOCK_SIZE
             return d[lo:hi], f[lo:hi]
-        hit = self._block_cache.get((i, j))
+        hit = self._block_cache.get((i, j0)) if j1 == j0 + 1 else None
         if hit is not None:
             return hit
-        rel, f, _ = decode_postings_block_range(self._packed_blob(i), j, j + 1)
-        base = int(self._bld_vals[self._bld_off[i] + j - 1]) if j > 0 else 0
-        return self._block_cache.put((i, j), ((rel + base).astype(np.int32), f))
+        rel, f, _ = decode_postings_block_range(self._packed_blob(i), j0, j1)
+        base = int(self._bld_vals[self._bld_off[i] + j0 - 1]) if j0 > 0 else 0
+        out = (rel + base).astype(np.int32), f
+        return self._block_cache.put((i, j0), out) if j1 == j0 + 1 else out
 
     def impacts(self, i: int):
         """Per-block competitive impacts as zero-copy views:

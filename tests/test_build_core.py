@@ -63,6 +63,37 @@ def test_changed_input_file_rebuilds(ray_session, tmp_path):
     assert _hits(d, "new") == 1 and _hits(d, "old") == 0
 
 
+def test_shuffle_build_changed_source_file_rebuilds(ray_session, tmp_path):
+    """The shuffle build fingerprints a local source's files too: a
+    rewritten parquet source is rebuilt, not resumed."""
+    src = str(tmp_path / "src.parquet")
+    pq.write_table(pa.table({"url": ["a"], "text": ["old words"]}), src)
+    d = str(tmp_path / "idx")
+    build_index(src, d, key_col="url", text_col="text", num_partitions=1)
+    pq.write_table(pa.table({"url": ["a", "b"], "text": ["new words", "more"]}), src)
+    m = build_index(src, d, key_col="url", text_col="text", num_partitions=1)
+    assert m.config["metrics"]["n_partitions_resumed"] == 0
+    assert _hits(d, "new") == 1 and _hits(d, "old") == 0
+    assert m.collection_stats().max_doc == 2
+
+
+def test_resume_false_rebuilds_a_dataset_source(ray_session, tmp_path):
+    """A Dataset's content is not fingerprinted; ``resume=False`` rebuilds
+    it into new segments instead of keeping the same-named old ones."""
+    import ray.data
+
+    d = str(tmp_path / "idx")
+
+    def build(texts, **kw):
+        ds = ray.data.from_arrow(pa.table({"url": ["a", "b"], "text": texts}))
+        return build_index(ds, d, key_col="url", text_col="text", num_partitions=1, **kw)
+
+    build(["running foxes", "lazy dogs"])
+    m = build(["new words", "more"], resume=False)
+    assert m.config["metrics"]["n_partitions_resumed"] == 0
+    assert _hits(d, "new") == 1 and _hits(d, "foxes") == 0
+
+
 def _segment_bytes(d: str) -> dict[str, bytes]:
     """{"<segment>/<file>": bytes} of every file the current manifest names."""
     out = {}
@@ -253,3 +284,31 @@ def test_segments_are_written_only_by_the_build_core_and_merge():
             callers.add(os.path.relpath(path, LIB))
     assert callers == {os.path.join("pipelines", "index_pipeline.py"),
                        os.path.join("state", "merge.py")}
+
+
+def test_side_files_fsync_before_link_and_dir_after(tmp_path, monkeypatch):
+    """Livedocs and doc-values generations are durable: the temp file is
+    fsynced before it is linked into place, the segment directory after."""
+    import numpy as np
+
+    from lucene_ray.functions.analysis import Analyzer
+    from lucene_ray.state.deletes import delete_by_keys, update_numeric_docvalues
+    from lucene_ray.state.segment import build_segment_tables, write_segment
+
+    d = os.path.realpath(str(tmp_path / "idx"))
+    p, t, s = build_segment_tables(np.array([1, 2]), ["a b", "b c"], Analyzer("standard"))
+    meta = write_segment(d, "seg-x", p, t, s)
+    Manifest(d, 0, [meta], {"key_col": "doc_key", "text_col": "text"}).commit()
+    seg_dir = os.path.join(d, "segments", "seg-x")
+    calls = _record_io(monkeypatch)
+    assert delete_by_keys(d, [1]) == 1
+    assert update_numeric_docvalues(d, "rank", {2: 7}) == 1
+    for name in ("livedocs-1.parquet", "dv-rank-1.parquet"):
+        i_link = calls.index(("link", os.path.join(seg_dir, name)))
+        assert re.fullmatch(re.escape(name) + r"\.tmp-[0-9a-f]{8}",
+                            os.path.basename(calls[i_link - 1][1]))
+        assert calls[i_link - 1][0] == "fsync"
+        assert calls[i_link + 1] == ("fsync", seg_dir)
+    s = IndexSearcher(d)
+    assert s.count("b") == 1
+    assert s.readers[0].doc_values["rank"].tolist() == [0, 7]
