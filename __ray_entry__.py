@@ -77,7 +77,11 @@ _SCORE = (
 
 
 def _cache_dir(sf_dir: str, tag: str) -> str:
-    key = hashlib.md5(f"{sf_dir}|{tag}|v4".encode()).hexdigest()[:12]
+    """Persistent index cache directory, keyed by the segment format so an
+    index cached by another format is rebuilt, not refused on open."""
+    from lucene_ray.state.segment import SEGMENT_FORMAT
+
+    key = hashlib.md5(f"{sf_dir}|{tag}|format{SEGMENT_FORMAT}".encode()).hexdigest()[:12]
     return os.path.join("/tmp/lucene_ray_cache", f"{tag}-{key}")
 
 

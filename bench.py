@@ -332,8 +332,10 @@ def run_bench() -> dict:
     # (the synthesized web corpus has a tiny vocab, so this stage builds a
     # 100k-term dictionary once): wildcard/fuzzy verified-term counts vs the
     # full dictionary a naive scan would walk
-    mtq_dir = "/tmp/lucene_ray_bench/mtq-idx-v1"
     from lucene_ray.state.manifest import Manifest as _Manifest
+    from lucene_ray.state.segment import SEGMENT_FORMAT
+
+    mtq_dir = f"/tmp/lucene_ray_bench/mtq-idx-format{SEGMENT_FORMAT}"
 
     prefixes = ["merge", "spark", "window", "column", "stream",
                 "vector", "filter", "shard", "tuple", "lattice"]

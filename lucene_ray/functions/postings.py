@@ -5,13 +5,13 @@ Functional reproduction of the reference's posting block layout
 ``BLOCK_SIZE = 128``; ForDeltaUtil.java:54-75 delta encode + prefix-sum
 decode; Lucene90PostingsWriter.java:207-264 full blocks + VInt-style tail;
 :376-381 ``docFreq == 1`` singleton short-circuit) — not a byte-level port:
-we pack with numpy bit ops into a self-describing little stream.
+we pack with numpy byte-width casts into a self-describing little stream.
 
 Stream layout for one posting list (docFreq > 1)::
 
     [u32 doc_freq]
     repeat per 128-block (count = ceil(doc_freq/128); last block may be short):
-        [u8 bits_doc][u8 bits_freq][u16 n]
+        [u8 bits_doc][u8 bits_freq][u16 n]          (bits ∈ {0, 8, 16, 32})
         [packed doc deltas: n values × bits_doc bits, byte-aligned]
         [packed (freq-1): n values × bits_freq bits, byte-aligned]
 
@@ -32,53 +32,34 @@ import numpy as np
 
 BLOCK_SIZE = 128  # ForUtil.java:32
 _ENDIAN = sys.byteorder  # u16 block counts are written in native order
+_WIDTH_BYTES = {0: 0, 8: 1, 16: 2, 32: 4}
+_PACK_DTYPE = {8: np.dtype(np.uint8), 16: np.dtype(">u2"), 32: np.dtype(">u4")}
 
 
 def _pack_bits(values: np.ndarray, bits: int) -> bytes:
-    """Pack uint32 values into `bits` bits each (big-endian within value).
-
-    Byte-aligned widths (8/16/32 — all the writer now emits, via
-    ``_bits_needed``) take a pure C astype path; arbitrary widths keep the
-    general bit-matrix path for decoding segments written before the
-    width classes were byte-aligned (a big-endian b-bit packing of width
-    8/16/32 is byte-identical to '>u1/>u2/>u4', so both directions stay
-    format-compatible)."""
+    """Pack uint32 values big-endian into one of the byte-aligned widths
+    0/8/16/32 (the only ones ``_bits_needed`` emits; a b-bit big-endian
+    packing of those widths is byte-identical to '>u1/>u2/>u4')."""
     if bits == 0:
         return b""
-    v = np.asarray(values, dtype=np.uint32)
-    if bits == 8:
-        return v.astype(np.uint8).tobytes()
-    if bits == 16:
-        return v.astype(">u2").tobytes()
-    if bits == 32:
-        return v.astype(">u4").tobytes()
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint32)
-    bitmat = ((v[:, None] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(bitmat.ravel()).tobytes()
+    return np.asarray(values, dtype=np.uint32).astype(_PACK_DTYPE[bits]).tobytes()
 
 
 def _unpack_bits(buf: memoryview, n: int, bits: int) -> np.ndarray:
-    """Inverse of _pack_bits → uint32 array of length n."""
+    """Inverse of _pack_bits → uint32 array of length n; any other width
+    is a stream this codec never wrote."""
     if bits == 0:
         return np.zeros(n, dtype=np.uint32)
-    if bits == 8:
-        return np.frombuffer(buf[:n], dtype=np.uint8).astype(np.uint32)
-    if bits == 16:
-        return np.frombuffer(buf[: 2 * n], dtype=">u2").astype(np.uint32)
-    if bits == 32:
-        return np.frombuffer(buf[: 4 * n], dtype=">u4").astype(np.uint32)
-    nbytes = (n * bits + 7) // 8
-    raw = np.frombuffer(buf[:nbytes], dtype=np.uint8)
-    bitarr = np.unpackbits(raw)[: n * bits].reshape(n, bits)
-    weights = (1 << np.arange(bits - 1, -1, -1, dtype=np.uint64)).astype(np.uint64)
-    return (bitarr.astype(np.uint64) @ weights).astype(np.uint32)
+    dt = _PACK_DTYPE.get(bits)
+    if dt is None:
+        raise ValueError(f"unsupported packed width {bits} (expected 0/8/16/32)")
+    return np.frombuffer(buf[: n * dt.itemsize], dtype=dt).astype(np.uint32)
 
 
 def _bits_needed(values: np.ndarray) -> int:
     """Width CLASS for a block: 0/8/16/32 bits (ForUtil's width specialization
     collapsed to the byte-aligned classes numpy decodes at memcpy speed; the
-    ~2× storage give-up on sub-byte widths buys a ~20× faster codec, and the
-    stream stays self-describing so any width still decodes)."""
+    ~2× storage give-up on sub-byte widths buys a ~20× faster codec)."""
     if values.size == 0:
         return 0
     m = int(values.max())
@@ -89,10 +70,6 @@ def _bits_needed(values: np.ndarray) -> int:
     if m < 65536:
         return 16
     return 32
-
-
-_WIDTH_BYTES = {0: 0, 8: 1, 16: 2, 32: 4}
-_PACK_DTYPE = {8: np.dtype(np.uint8), 16: np.dtype(">u2"), 32: np.dtype(">u4")}
 
 
 def encode_postings(docs: np.ndarray, freqs: np.ndarray) -> bytes:
@@ -212,7 +189,7 @@ def decode_postings(buf: bytes | memoryview) -> tuple[np.ndarray, np.ndarray]:
                     pos += m
                     off += k * chunk
                     continue
-        # general single-block fallback (short tail / non-aligned widths)
+        # single-block fallback (short tail, or a block whose widths differ)
         o = off + 4
         deltas[pos : pos + cnt] = _unpack_bits(mv[o:], cnt, bd)
         fm1[pos : pos + cnt] = _unpack_bits(mv[o + (cnt * bd + 7) // 8 :], cnt, bf)
@@ -227,11 +204,11 @@ def decode_postings_block_range(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Decode only blocks [block_lo, block_hi) — the block-max WAND path.
 
-    Returns (docIDs, freqs, first_block_index_docbase). Requires the caller
-    to know the docID base of block_lo, which is stored in the per-block skip
-    metadata (`block_last_docs`); we return docs as RAW prefix sums starting
-    from 0 within the range — the caller adds ``base`` (= last doc of block
-    block_lo-1, or 0) to re-absolutize... see SegmentReader.postings_blocks.
+    Returns (relative docIDs, freqs, index of the range's first posting).
+    Doc deltas are summed from 0 within the range, so the caller adds the
+    docID base of block ``block_lo``: the last doc of block ``block_lo - 1``
+    from the ``block_last_docs`` skip entries, or 0 for the first block
+    (``SegmentReader.postings_blocks`` does this).
     """
     mv = memoryview(buf)
     n = int(np.frombuffer(mv[:4], dtype=np.uint32)[0])
@@ -261,69 +238,76 @@ def decode_postings_block_range(
     return rel_docs, freqs, block_lo * BLOCK_SIZE
 
 
-def competitive_impacts(
-    freqs: np.ndarray, lengths: np.ndarray
+def block_skip_metadata(
+    docs: np.ndarray, term_starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-128-block competitive (freq, length) impact pairs, VECTORIZED.
+    """Skip entries of a whole postings table: (first posting of each
+    block, blocks per term, last docID of each block).
+
+    ``docs`` holds every term's sorted docIDs back to back and term ``t``'s
+    postings start at ``term_starts[t]``. Blocks are 128-posting runs that
+    restart at each term, one skip entry each (Lucene90SkipWriter.java:219),
+    so block ``j`` of a term spans docs (last[j-1], last[j]]. Computed over
+    blocks, not postings — no per-term Python loop.
+    """
+    n = len(docs)
+    term_starts = np.asarray(term_starts, dtype=np.int64)
+    df = np.diff(np.append(term_starts, n))
+    nblocks = (df + BLOCK_SIZE - 1) // BLOCK_SIZE
+    first_block = np.cumsum(nblocks) - nblocks
+    nb = int(nblocks.sum())
+    within = np.arange(nb, dtype=np.int64) - np.repeat(first_block, nblocks)
+    block_starts = np.repeat(term_starts, nblocks) + within * BLOCK_SIZE
+    last = np.append(block_starts[1:], n)[:nb] - 1
+    return block_starts, nblocks, np.asarray(docs)[last].astype(np.int32)
+
+
+def competitive_impacts(
+    freqs: np.ndarray, lengths: np.ndarray, block_starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Competitive (freq, length) impact pairs of every block of a whole
+    postings table, VECTORIZED.
 
     The reference accumulates, per block, the Pareto frontier of (freq, norm)
     pairs actually present (codecs/CompetitiveImpactAccumulator.java:30-89,
     written per skip block by Lucene90SkipWriter.java:219): BM25 is monotone
     ↑freq ↓length, so the block's true max score is attained at a frontier
-    pair. The conservative (max freq, min length) bound pairs the max freq of
-    one doc with the min length of ANOTHER — admissible but inflated, which
-    makes WAND visit blocks Lucene would skip.
+    pair. ``freqs`` and ``lengths`` (the exact length of each posting's doc)
+    are aligned with the postings; ``block_starts`` comes from
+    ``block_skip_metadata``.
 
-    One global lexsort groups (block, length asc, freq desc); the skyline per
-    block is then a row-wise cumulative max over a (blocks × 128) reshape —
-    no per-block Python loop. Returns (pair counts per block, flat freqs,
-    flat lengths); frontier pairs are emitted freq-descending per block.
+    One sort orders the postings by (block, length asc, freq desc); a pair
+    survives iff its freq exceeds every freq before it in its block, found
+    with one running max over block-offset freqs — no per-block Python loop.
+    Returns (pair counts per block, flat freqs, flat lengths); each block's
+    pairs come out length- and freq-ascending.
     """
     n = len(freqs)
     f = np.asarray(freqs, dtype=np.int64)
     ln = np.asarray(lengths, dtype=np.int64)
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    bid = np.arange(n, dtype=np.int64) // BLOCK_SIZE
-    order = np.lexsort((-f, ln, bid))
-    fs, ls = f[order], ln[order]
-
+    nb = len(block_starts)
+    if n == 0:
+        e = np.empty(0, dtype=np.int32)
+        return np.zeros(nb, dtype=np.int64), e, e
+    gb = np.repeat(np.arange(nb, dtype=np.int64),
+                   np.diff(np.append(block_starts, n)))
+    cl = np.int64((1 << 20) - 1)
+    fmax = int(f.max())
+    if fmax < cl and int(ln.max()) < cl and nb < (1 << 23):
+        # ONE argsort of a composite (block, len, inverted-freq) int64 key,
+        # ~4× cheaper than the 3-key lexsort (gb needs 23 bits to keep
+        # gb << 40 inside int64)
+        ks = np.sort((gb << np.int64(40)) | (ln << np.int64(20)) | (cl - f))
+        gbs = ks >> np.int64(40)
+        ls = (ks >> np.int64(20)) & cl
+        fs = cl - (ks & cl)
+    else:
+        order = np.lexsort((-f, ln, gb))
+        fs, ls, gbs = f[order], ln[order], gb[order]
+    # offset each block's freqs above every earlier block's, so one global
+    # running max restarts at every block
+    v = gbs * (fmax + 1) + fs
     keep = np.ones(n, dtype=bool)
-    n_full = (n // BLOCK_SIZE) * BLOCK_SIZE
-    if n_full:
-        fr = fs[:n_full].reshape(-1, BLOCK_SIZE)
-        cm = np.maximum.accumulate(fr, axis=1)
-        k2 = fr[:, 1:] > cm[:, :-1]
-        keep[:n_full] = np.column_stack(
-            [np.ones(len(fr), dtype=bool), k2]
-        ).ravel()
-    if n_full < n:  # tail block
-        ft = fs[n_full:]
-        cm = np.maximum.accumulate(ft)
-        keep[n_full + 1 :] = ft[1:] > cm[:-1]
-    counts = np.bincount(bid[keep], minlength=n_blocks).astype(np.int64)
+    keep[1:] = v[1:] > np.maximum.accumulate(v)[:-1]
+    counts = np.bincount(gbs[keep], minlength=nb).astype(np.int64)
     return counts, fs[keep].astype(np.int32), ls[keep].astype(np.int32)
-
-
-def block_skip_metadata(
-    docs: np.ndarray, freqs: np.ndarray, norm_lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-128-block skip entries: (last_doc, max_freq, min_length).
-
-    The reference stores one skip entry per block carrying competitive
-    (freq, norm) impacts (Lucene90SkipWriter.java:219, index/Impact.java:20-31);
-    this conservative variant keeps the block's max freq and min doc length —
-    ``score(max_freq, min_length)`` upper-bounds every real (freq, norm) pair,
-    so block-max pruning stays admissible. Vectorized with reduceat — no
-    per-block Python loop.
-
-    ``norm_lengths`` are the indexed lengths of the docs in ``docs`` (aligned
-    arrays, one entry per posting).
-    """
-    n = len(docs)
-    starts = np.arange(0, n, BLOCK_SIZE)
-    last_docs = np.asarray(docs, dtype=np.int64)[
-        np.minimum(starts + BLOCK_SIZE - 1, n - 1)
-    ].astype(np.int32)
-    max_freqs = np.maximum.reduceat(np.asarray(freqs, dtype=np.int64), starts).astype(np.int32)
-    min_lens = np.minimum.reduceat(np.asarray(norm_lengths, dtype=np.int64), starts).astype(np.int32)
-    return last_docs, max_freqs, min_lens

@@ -232,7 +232,7 @@ def _doc_term_stacks(searcher, terms: set[str]) -> tuple[dict, dict]:
     df: dict[str, int] = {t: 0 for t in terms}
     decoded = []  # (reader, term, postings d, freqs f)
     for r in searcher.readers:
-        if not getattr(r, "has_offsets", False):
+        if not r.has_offsets:
             raise ValueError(
                 "fast_vector_highlight needs store_offsets=True on every "
                 "segment (the offsets stream is the term-vector analogue)")

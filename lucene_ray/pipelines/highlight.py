@@ -105,7 +105,7 @@ def term_spans(index_dir_or_searcher, terms, *, analyzer: Analyzer | None = None
          else IndexSearcher(index_dir_or_searcher))
     analyzer = analyzer or Analyzer("standard")
     norm_terms = [analyzer.normalize(t) for t in terms]
-    if not all(getattr(r, "has_offsets", False) for r in s.readers):
+    if not all(r.has_offsets for r in s.readers):
         # all(), not any(): a mixed index (one segment with offsets, one
         # without) must fail with this clean error, not a column-length
         # crash when the offsets-less reader yields empty streams

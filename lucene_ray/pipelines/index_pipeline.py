@@ -47,7 +47,7 @@ import pyarrow as pa
 
 from lucene_ray.functions.analysis import get_analyzer
 from lucene_ray.state.manifest import Manifest, completed_part_metas
-from lucene_ray.state.segment import build_segment_tables, write_segment
+from lucene_ray.state.segment import SEGMENT_FORMAT, build_segment_tables, write_segment
 
 
 _threads_limited = False
@@ -280,9 +280,10 @@ def _build(index_dir: str, config: dict, resume: bool, run, **inputs) -> Manifes
     a Dataset of ``{"meta": json}`` rows, one per written segment — for the
     partitions left, then commit. The build fingerprint (``build_fp`` in
     each segment's meta) is the CRC32 of the canonical JSON of the manifest
-    config plus the read-side ``inputs`` (HTML extraction, dedup, the
+    config, the read-side ``inputs`` (HTML extraction, dedup, the
     partition column and each local source file's path, size and
-    mtime_ns); resume keeps only segments that carry the same value. The
+    mtime_ns) and ``SEGMENT_FORMAT``; resume keeps only segments that carry
+    the same value, so segments of an older format are rebuilt. The
     fingerprint is in every segment's name too, so another build's segments
     — those the committed manifest names — are never overwritten, and a
     crash mid-build leaves that manifest whole. A same-named directory is
@@ -292,7 +293,8 @@ def _build(index_dir: str, config: dict, resume: bool, run, **inputs) -> Manifes
     ones, and no later run resumes them."""
     if not resume:
         inputs["rebuild"] = uuid.uuid4().hex
-    build_fp = zlib.crc32(json.dumps({**config, **inputs}, sort_keys=True).encode())
+    build_fp = zlib.crc32(json.dumps(
+        {**config, **inputs, "segment_format": SEGMENT_FORMAT}, sort_keys=True).encode())
     os.makedirs(index_dir, exist_ok=True)
     done = _resumable(index_dir, build_fp) if resume else {}
     metas = [m for ms in done.values() for m in ms]

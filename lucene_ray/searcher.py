@@ -646,6 +646,8 @@ class IndexSearcher:
         algo: str = "auto",
         search_after: tuple | None = None,
     ) -> TopDocs:
+        if k < 1:  # TopScoreDocCollector rejects numHits <= 0 the same way
+            raise ValueError(f"k must be >= 1, got {k}; count() gives the hit count")
         if isinstance(query, str):
             query = self.parse(query)
         with self._query_scope():
@@ -675,7 +677,7 @@ class IndexSearcher:
                     # the k-th score so far is the next segment's min
                     # competitive score (TopScoreDocCollector across leaves)
                     scores = sorted((x.score for p in parts for x in p), reverse=True)
-                    theta = scores[k - 1] if 0 < k <= len(scores) else theta
+                    theta = scores[k - 1] if k <= len(scores) else theta
         return TopDocs(total, _merge_top(parts, k, search_after))
 
     def matches(self, query: Query | str):
@@ -1903,9 +1905,8 @@ class IndexSearcher:
         hit = self._term_bounds.get(key)
         if hit is not None:
             return hit
-        bld, blf, blm = r.skip_meta(ti)
-        # segments without impact columns: the looser (max freq, min length)
-        counts, freqs, lengths = r.impacts(ti) or (np.ones(len(bld), np.int64), blf, blm)
+        bld = r.skip_meta(ti)
+        counts, freqs, lengths = r.impacts(ti)
         lengths = (encode_lengths(lengths) if self.mode == "lucene"
                    else np.asarray(lengths, dtype=np.float64))
         ubs = np.maximum.reduceat(scorer.score(freqs, lengths), np.cumsum(counts) - counts)

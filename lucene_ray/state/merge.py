@@ -28,9 +28,8 @@ import shutil
 import numpy as np
 import pyarrow as pa
 
-from lucene_ray.functions.postings import encode_postings
 from lucene_ray.state.manifest import Manifest
-from lucene_ray.state.segment import SegmentReader, write_segment
+from lucene_ray.state.segment import SegmentReader, postings_table, write_segment
 
 _malloc_tuned = False
 
@@ -112,286 +111,85 @@ def merge_segment_group(index_dir: str, seg_names: list[str], out_name: str,
         live_counts.append(int(live.sum()))
     bases = np.cumsum([0] + live_counts[:-1]).astype(np.int32)
 
-    # term-sorted union of the per-segment dictionaries (vectorized — the
-    # old per-term Python k-way cursor walk dominated merge time at web
-    # vocabulary sizes; grouping is now ONE lexsort over the concatenated
-    # posting-level arrays, the same shape as the invert kernel)
+    # term-sorted union of the per-segment dictionaries (vectorized — a
+    # per-term Python k-way cursor walk dominated merge time at web
+    # vocabulary sizes; postings are grouped by one stable sort of the
+    # (term, reader) runs below)
     all_terms = np.unique(np.concatenate([r.terms for r in readers]))
     dls = np.concatenate(
         [r.dls[lv] for r, lv in zip(readers, lives)]
     ).astype(np.int32, copy=False)
 
     # Posting-level flattening: per reader, decode each term's postings once
-    # (decode is inherently per packed stream), remap docIDs, emit flat
-    # (term_code, doc, freq) arrays. Positions are collected per
-    # (term, reader) RUN — readers are visited in doc-base order and a term's
-    # postings within one reader are already doc-ordered, so per-out-term
-    # concatenation of those runs IS the merged doc-major position stream
-    # (no per-posting indirection; a per-element gather only under deletes).
+    # (decode is inherently per packed stream), remap docIDs and keep the
+    # (term, reader) RUN with its occurrence streams. Readers are visited in
+    # doc-base order and a term's postings within one reader are already
+    # doc-ordered, so the runs STABLY reordered by term code are the merged
+    # (term, doc) order and their concatenated streams the merged doc-major
+    # streams (DocIDMerger's mapped-docID order, with no posting-level sort;
+    # a per-element gather only under deletes).
     _t["open_sec"] = _time.time() - _t0
     _t0 = _time.time()
-    doc_parts, freq_parts = [], []
+    # positions / offsets / payloads (.pay stream analogue) survive a merge
+    # only when every source segment carries them; payloads do NOT require
+    # positions (a store_positions=False, store_payloads=True build is legal
+    # and PayloadScoreQuery needs no positions)
+    store_positions = store_positions and all(r.has_positions for r in readers)
+    store_offsets = store_positions and all(r.has_offsets for r in readers)
+    store_payloads = all(r.has_payloads for r in readers)
     run_codes: list[int] = []
-    run_lens: list[int] = []
-    pos_by_code: dict[int, list[np.ndarray]] = {}
-    ofs_by_code: dict[int, list[np.ndarray]] = {}
-    pay_by_code: dict[int, list[np.ndarray]] = {}
-    # offsets / payloads (.pay stream analogue) survive a merge only when
-    # every source segment carries them; payloads do NOT require positions
-    # (a store_positions=False, store_payloads=True build is legal and
-    # PayloadScoreQuery needs no positions)
-    store_offsets = store_positions and all(
-        getattr(r, "has_offsets", False) for r in readers)
-    store_payloads = all(
-        getattr(r, "has_payloads", False) for r in readers)
+    doc_parts, freq_parts = [], []
+    pos_parts, ofs_parts, pay_parts = [], [], []
     for r, base, live, remap in zip(readers, bases, lives, remaps):
         gcodes = np.searchsorted(all_terms, r.terms)  # exact: r.terms ⊆ all_terms
-        n_terms = r.n_terms
-        for i in range(n_terms):
+        for i in range(r.n_terms):
             d, f = r.postings(i)
             keep = live[d]
-            all_live = keep.all()
             occ = None
-            if (store_positions or store_payloads) and not all_live:
+            if not keep.all():
                 occ = np.repeat(keep, f)
-            if store_positions:
-                ptr = r.positions(i)
-                if store_offsets:
-                    otr = r.offsets(i)
-                if occ is not None:
-                    ptr = ptr[occ]
-                    if store_offsets:
-                        otr = otr.reshape(-1, 2)[occ].ravel()
-            if store_payloads:
-                patr = r.payloads(i)
-                if occ is not None:
-                    patr = patr[occ]
-            if not all_live:
                 d, f = d[keep], f[keep]
-            if not len(d):
-                continue
-            code = int(gcodes[i])
+                if not len(d):
+                    continue
+            run_codes.append(int(gcodes[i]))
             doc_parts.append((remap[d] + base).astype(np.int32, copy=False))
             freq_parts.append(f.astype(np.int32, copy=False))
-            run_codes.append(code)
-            run_lens.append(len(d))
             if store_positions:
-                pos_by_code.setdefault(code, []).append(ptr)
+                ptr = r.positions(i)
+                pos_parts.append(ptr if occ is None else ptr[occ])
                 if store_offsets:
-                    ofs_by_code.setdefault(code, []).append(otr)
+                    otr = r.offsets(i)
+                    ofs_parts.append(otr if occ is None else otr.reshape(-1, 2)[occ].ravel())
             if store_payloads:
-                pay_by_code.setdefault(code, []).append(patr)
+                patr = r.payloads(i)
+                pay_parts.append(patr if occ is None else patr[occ])
 
-    if doc_parts:
-        # Each (term, reader) run is already doc-ordered, and readers are
-        # visited in ascending doc-base order — so the merged (term, doc)
-        # order is just the runs STABLY reordered by term code. One tiny
-        # run-level sort + one O(total) gather replaces a full posting-level
-        # lexsort (DocIDMerger's mapped-docID order, for free). int32
-        # throughout: this VM demand-pages fresh allocations slowly, so the
-        # working set is kept as tight as the value ranges allow.
-        dd0 = np.concatenate(doc_parts)
-        ff0 = np.concatenate(freq_parts)
-        rc = np.asarray(run_codes, dtype=np.int64)
-        rl = np.asarray(run_lens, dtype=np.int64)
-        rstart = np.concatenate([[0], np.cumsum(rl)[:-1]])
-        ro = np.lexsort((np.arange(len(rc)), rc))  # stable: reader order kept
-        lens_o = rl[ro]
-        cum = np.concatenate([[0], np.cumsum(lens_o)[:-1]])
-        idx = (np.repeat(rstart[ro] - cum, lens_o)
-               + np.arange(int(lens_o.sum()), dtype=np.int64))
-        # int32 only when the posting count actually fits — a merge group
-        # with >=2^31 postings (reachable under force_merge's unbounded doc
-        # cap) would silently wrap and gather garbage otherwise.
-        if int(lens_o.sum()) < 2**31:
-            idx = idx.astype(np.int32)
-        tc = np.repeat(rc[ro].astype(np.int32), lens_o)
-        dd = dd0[idx]
-        ff = ff0[idx]
-        del doc_parts, freq_parts, dd0, ff0, idx
-    else:
-        tc = np.empty(0, dtype=np.int32)
-        dd = np.empty(0, dtype=np.int32)
-        ff = np.empty(0, dtype=np.int32)
+    rc = np.asarray(run_codes, dtype=np.int64)
+    ro = np.argsort(rc, kind="stable")  # reader order kept within a term
 
-    # per-term ranges via run-length over the sorted term codes (terms whose
-    # postings were fully reclaimed by deletes simply never appear)
-    new_term = np.ones(len(tc), dtype=bool)
-    if len(tc):
-        new_term[1:] = tc[1:] != tc[:-1]
-    t_starts = np.flatnonzero(new_term)
-    t_ends = np.append(t_starts[1:], len(tc))
-    present = tc[t_starts] if len(t_starts) else np.empty(0, dtype=np.int64)
+    def flat(parts: list, dtype) -> np.ndarray:
+        return np.concatenate([parts[j] for j in ro]) if len(ro) else np.empty(0, dtype)
 
-    n_out = len(t_starts)
-    out_terms = all_terms[present] if n_out else np.empty(0, dtype=object)
-    doc_freq = (t_ends - t_starts).astype(np.int64)
-    cs = np.concatenate([[0], np.cumsum(ff, dtype=np.int64)])
-    total_tf = cs[t_ends] - cs[t_starts]
+    dd, ff = flat(doc_parts, np.int32), flat(freq_parts, np.int32)
+    run_off = np.zeros(len(ro) + 1, dtype=np.int64)
+    np.cumsum([len(doc_parts[j]) for j in ro], out=run_off[1:])
+    del doc_parts, freq_parts
+    # a term starts at its first run (terms whose postings were all
+    # reclaimed by deletes simply never appear)
+    rc_o = rc[ro]
+    first = np.ones(len(ro), dtype=bool)
+    first[1:] = rc_o[1:] != rc_o[:-1]
+    streams = dict(
+        positions=flat(pos_parts, np.int32) if store_positions else None,
+        offsets=flat(ofs_parts, np.int32) if store_offsets else None,
+        payloads=flat(pay_parts, np.float32) if store_payloads else None)
+    del pos_parts, ofs_parts, pay_parts
     _t["gather_sec"] = _time.time() - _t0
 
-    # skip + impact metadata for ALL terms in one global vectorized pass —
-    # per-term calls to block_skip_metadata/competitive_impacts cost a fixed
-    # ~15 numpy dispatches per term, which dominates merge time at web
-    # vocabulary sizes. Blocks are 128-posting runs that RESTART at each
-    # term: within-term offsets `intra` reset at t_starts, so every block
-    # boundary (intra % 128 == 0) respects term boundaries and one global
-    # reduceat covers every (term, block) pair.
     _t0 = _time.time()
-    N = len(tc)
-    from lucene_ray.functions.postings import BLOCK_SIZE as _BS
-
-    lens_all = dls[dd] if N else np.empty(0, dtype=np.int64)
-    if N:
-        intra = np.arange(N, dtype=np.int64) - np.repeat(t_starts, doc_freq)
-        bstart = (intra % _BS) == 0
-        starts = np.flatnonzero(bstart)
-        last_idx = np.append(starts[1:], N) - 1
-        ld_all = dd[last_idx].astype(np.int32)
-        mf_all = np.maximum.reduceat(ff, starts).astype(np.int32)
-        ml_all = np.minimum.reduceat(lens_all, starts).astype(np.int32)
-        # per-term block counts (reduceat over the boundary mask)
-        nblocks = np.add.reduceat(bstart.astype(np.int64), t_starts)
-        n_blocks_total = len(starts)
-        # competitive impacts (Pareto frontier per block), globally: sort
-        # (block, length asc, freq desc); within each block a pair survives
-        # iff its freq strictly exceeds the running max — computed by
-        # scattering the sorted freqs into a padded (blocks × 128) matrix
-        # and taking a row-wise cumulative max (no per-block Python).
-        gb = np.cumsum(bstart) - 1  # global block id, term-major
-        _CL = np.int64((1 << 20) - 1)
-        if (int(ff.max()) < _CL and int(lens_all.max()) < _CL
-                and n_blocks_total < (1 << 23)):
-            # gb needs 23 bits to keep gb<<40 inside int64 — block counts
-            # beyond that (>1B postings / >8.4M terms in ONE merge group)
-            # take the exact lexsort fallback below
-            # fast path: ONE int64 argsort of a composite (block, len,
-            # inverted-freq) key — ~4× cheaper than the 3-key lexsort at
-            # merge-task posting counts (radix-friendly single key, one
-            # gather instead of three)
-            comp = (
-                (gb.astype(np.int64) << np.int64(40))
-                | (lens_all.astype(np.int64) << np.int64(20))
-                | (_CL - ff)
-            )
-            ks = comp[np.argsort(comp)]
-            gbs = (ks >> np.int64(40)).astype(np.int64)
-            ls = (ks >> np.int64(20)) & _CL
-            fs = _CL - (ks & _CL)
-        else:
-            order = np.lexsort((-ff, lens_all, gb))
-            fs, ls, gbs = ff[order], lens_all[order], gb[order]
-        within = np.arange(N, dtype=np.int64) - starts[gbs]
-        # `within` restarts per block because the sort's primary key is gb and
-        # each block's elements occupy positions [starts[b], starts[b]+size)
-        pad = np.full((n_blocks_total, _BS), -1, dtype=np.int32)
-        pad[gbs, within] = fs
-        cm = np.maximum.accumulate(pad, axis=1)
-        keep_pad = np.empty_like(pad, dtype=bool)
-        keep_pad[:, 0] = pad[:, 0] >= 0
-        keep_pad[:, 1:] = pad[:, 1:] > cm[:, :-1]
-        keep = keep_pad[gbs, within]
-        icnt_all = np.bincount(gbs[keep], minlength=n_blocks_total).astype(np.int64)
-        iff_all = fs[keep].astype(np.int32)
-        ill_all = ls[keep].astype(np.int32)
-    else:
-        ld_all = mf_all = ml_all = np.empty(0, dtype=np.int32)
-        iff_all = ill_all = np.empty(0, dtype=np.int32)
-        icnt_all = np.empty(0, dtype=np.int64)
-        nblocks = np.empty(0, dtype=np.int64)
-    # singletons: no packed stream, the (doc, freq) pair lives in the meta
-    # columns (Lucene90PostingsWriter.java:376-381 docFreq==1 short-circuit)
-    sdoc = np.full(n_out, -1, dtype=np.int32)
-    sfreq = np.zeros(n_out, dtype=np.int32)
-    singleton = doc_freq == 1
-    sdoc[singleton] = dd[t_starts[singleton]].astype(np.int32)
-    sfreq[singleton] = ff[t_starts[singleton]].astype(np.int32)
-    _t["impacts_sec"] = _time.time() - _t0
-
-    _t0 = _time.time()
-    # positions: ONE preallocated int32 buffer + offsets, filled in place —
-    # Arrow binary column built zero-copy from it (the old per-term
-    # astype().tobytes() + pa.array chain copied the position stream three
-    # times; positions are the largest payload of a merge)
-    occ_total = int(total_tf.sum()) if (store_positions or store_payloads) else 0
-    pos_total = occ_total if store_positions else 0
-    pos_values = np.empty(pos_total, dtype=np.int32)
-    pos_off = np.zeros(n_out + 1, dtype=np.int64)
-    ofs_values = np.empty(2 * pos_total if store_offsets else 0, dtype=np.int32)
-    pay_values = np.empty(occ_total if store_payloads else 0, dtype=np.float32)
-    if (store_positions or store_payloads) and n_out:
-        np.cumsum(total_tf, out=pos_off[1:])
-    packed_col = []
-    for ti in range(n_out):
-        s, e = int(t_starts[ti]), int(t_ends[ti])
-        packed_col.append(b"" if e - s == 1 else encode_postings(dd[s:e], ff[s:e]))
-        if store_positions:
-            o = int(pos_off[ti])
-            for part in pos_by_code.get(int(tc[s]), ()):
-                pos_values[o : o + len(part)] = part
-                o += len(part)
-            if store_offsets:
-                o2 = 2 * int(pos_off[ti])
-                for part in ofs_by_code.get(int(tc[s]), ()):
-                    ofs_values[o2 : o2 + len(part)] = part
-                    o2 += len(part)
-        if store_payloads:
-            o3 = int(pos_off[ti])
-            for part in pay_by_code.get(int(tc[s]), ()):
-                pay_values[o3 : o3 + len(part)] = part
-                o3 += len(part)
-
-    def _bin_col(values: np.ndarray, item_counts_off: np.ndarray) -> pa.Array:
-        if int(item_counts_off[-1]) * 4 < 2**31 - 1:
-            return pa.Array.from_buffers(
-                pa.binary(), n_out,
-                [None, pa.py_buffer((item_counts_off * 4).astype(np.int32)),
-                 pa.py_buffer(values)],
-            )
-        return pa.array(  # >2 GB stream: chunk-safe fallback
-            [values[item_counts_off[t] : item_counts_off[t + 1]].tobytes()
-             for t in range(n_out)], type=pa.binary())
-
-    empty_bin = None
-    if not store_positions or not store_offsets or not store_payloads:
-        empty_bin = pa.array([b""] * n_out, type=pa.binary())
-    pos_arr = _bin_col(pos_values, pos_off) if store_positions else empty_bin
-    ofs_arr = _bin_col(ofs_values, pos_off * 2) if store_offsets else empty_bin
-    pay_arr = _bin_col(pay_values, pos_off) if store_payloads else empty_bin
-    _t["encode_sec"] = _time.time() - _t0
-
-    _t0 = _time.time()
-
-    def _list_col(values, counts):
-        offsets = np.zeros(len(counts) + 1, dtype=np.int32)
-        np.cumsum(counts, out=offsets[1:])
-        return pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()),
-                                        pa.array(np.asarray(values, dtype=np.int32)))
-
-    inner_imp_f = _list_col(iff_all, icnt_all)
-    inner_imp_l = _list_col(ill_all, icnt_all)
-    outer_off = np.zeros(n_out + 1, dtype=np.int32)
-    np.cumsum(nblocks, out=outer_off[1:])
-    outer_off_arr = pa.array(outer_off, type=pa.int32())
-    postings_tbl = pa.table(
-        {
-            "term": pa.array(out_terms.tolist(), type=pa.string()),
-            "doc_freq": pa.array(doc_freq),
-            "total_tf": pa.array(total_tf),
-            "singleton_doc": pa.array(sdoc, type=pa.int32()),
-            "singleton_freq": pa.array(sfreq, type=pa.int32()),
-            "packed": pa.array(packed_col, type=pa.binary()),
-            "block_last_docs": _list_col(ld_all, nblocks),
-            "block_max_freqs": _list_col(mf_all, nblocks),
-            "block_min_lens": _list_col(ml_all, nblocks),
-            "imp_freqs": pa.ListArray.from_arrays(outer_off_arr, inner_imp_f),
-            "imp_lens": pa.ListArray.from_arrays(outer_off_arr, inner_imp_l),
-            "positions": pos_arr,
-            "offsets": ofs_arr,
-            "payloads": pay_arr,
-        }
-    )
-    _t["assemble_sec"] = _time.time() - _t0
+    postings_tbl = postings_table(
+        all_terms[rc_o[first]], run_off[:-1][first], dd, ff, dls, **streams)
+    _t["postings_sec"] = _time.time() - _t0
     _t0 = _time.time()
     # concat the full docs tables (doc-values columns survive merges),
     # dropping dead rows
@@ -430,8 +228,8 @@ def merge_segment_group(index_dir: str, seg_names: list[str], out_name: str,
     stats = dict(
         max_doc=int(sum(live_counts)),
         doc_count=int((dls > 0).sum()),
-        sum_doc_freq=int(doc_freq.sum()),
-        sum_total_term_freq=int(total_tf.sum()),
+        sum_doc_freq=len(ff),
+        sum_total_term_freq=int(ff.sum(dtype=np.int64)),
     )
     extra: dict = {}
     if any(r.meta.get("field_stats") for r in readers):
@@ -484,7 +282,7 @@ def merge_segment_group(index_dir: str, seg_names: list[str], out_name: str,
     )
     _t["write_sec"] = _time.time() - _t0
     # per-stage merge breakdown rides the manifest row so the bench can
-    # adjudicate regressions (open/decode-gather/impacts/encode/docs/write)
+    # adjudicate regressions (open/decode-gather/postings/docs/write)
     meta["merge_timings"] = {k: round(v, 4) for k, v in _t.items()}
     return meta
 

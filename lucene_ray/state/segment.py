@@ -14,17 +14,28 @@ Layout of ``<index_dir>/segments/<seg_name>/``::
         singleton_doc:int32, singleton_freq:int32   (docFreq==1 short-circuit,
             Lucene90PostingsWriter.java:376-381; packed empty in that case)
         packed:binary                               (FOR 128-int blocks, postings.py)
-        block_last_docs:list<int32>                 skip data: one entry per block
-        block_max_freqs:list<int32>                 impact upper bounds
-        block_min_lens:list<int32>                  (see block_skip_metadata)
+        block_last_docs:list<int32>                 skip data: last docID of
+                                                    each 128-posting block
+        imp_freqs:list<list<int32>>                 per block, its competitive
+        imp_lens:list<list<int32>>                  (freq, exact length) impact
+                                                    pairs (competitive_impacts)
         positions:binary                            int32[] token positions per
-                                                    occurrence, doc-major (only
-                                                    when store_positions)
+                                                    occurrence, doc-major (empty
+                                                    without store_positions)
+        offsets:binary                              int32[] (start, end) char
+                                                    offsets per occurrence (empty
+                                                    without store_offsets)
+        payloads:binary                             float32[] per occurrence
+                                                    (empty without store_payloads)
+      (all written by ``postings_table``, the one postings writer)
     docs.parquet       one row per local docID, in docID order:
         doc_key (the configured id column, e.g. url or doc_id),
         norm:uint8 (SmallFloat byte), dl:int32 (exact length, exact-mode BM25)
     meta.json          {name, field, max_doc, doc_count, sum_doc_freq,
-                        sum_total_term_freq, part_id, analyzer, checksum, ...}
+                        sum_total_term_freq, part_id, analyzer, checksum,
+                        format_version (SEGMENT_FORMAT; readers refuse any
+                        other), ...}
+    vectors.parquet    per-doc term vectors (only with store_term_vectors)
 
 Atomicity: segments are written to ``<seg>.tmp-<nonce>`` and renamed into
 place; a segment directory containing ``meta.json`` is complete (the
@@ -46,6 +57,9 @@ import pyarrow.parquet as pq
 from lucene_ray.cache import LRUCache
 from lucene_ray.functions.analysis import Analyzer
 from lucene_ray.functions.norms import decode_norms, encode_lengths
+# postings_table calls encode_postings, block_skip_metadata and
+# competitive_impacts as this module's globals: perfbench's traced mode
+# wraps them here by name
 from lucene_ray.functions.postings import (
     BLOCK_SIZE,
     block_skip_metadata,
@@ -57,6 +71,10 @@ from lucene_ray.functions.postings import (
 from lucene_ray.state.manifest import fsync_path
 
 META_NAME = "meta.json"
+# version of the segment layout, stamped into every meta.json; a reader
+# refuses any other (2: competitive impacts are the only block bounds, and
+# every stream column is always present)
+SEGMENT_FORMAT = 2
 
 # entry bounds of the per-reader caches (decoded postings lists, single
 # decoded 128-doc blocks, phrase position keys)
@@ -105,6 +123,97 @@ def prefix_successor(prefix: str) -> str | None:
 POS_BITS = np.int64(21)
 POS_SHIFT = np.int64(1) << POS_BITS
 MAX_POSITION = int(POS_SHIFT)
+
+
+def _bin_col(values: np.ndarray, item_off: np.ndarray) -> pa.Array:
+    """Binary column whose row t holds ``values[item_off[t]:item_off[t+1]]``,
+    built zero-copy over ``values`` (a per-row ``tobytes`` + ``pa.array``
+    chain copies the stream three times)."""
+    values = np.ascontiguousarray(values)
+    n = len(item_off) - 1
+    byte_off = np.asarray(item_off, dtype=np.int64) * values.itemsize
+    if int(byte_off[-1]) < 2**31 - 1:
+        return pa.Array.from_buffers(
+            pa.binary(), n,
+            [None, pa.py_buffer(byte_off.astype(np.int32)), pa.py_buffer(values)])
+    return pa.array(  # >2 GB stream: chunk-safe fallback
+        [values[item_off[t] : item_off[t + 1]].tobytes() for t in range(n)],
+        type=pa.binary())
+
+
+def postings_table(
+    terms,
+    term_starts: np.ndarray,
+    docs: np.ndarray,
+    freqs: np.ndarray,
+    doc_lengths: np.ndarray,
+    *,
+    positions: np.ndarray | None = None,
+    offsets: np.ndarray | None = None,
+    payloads: np.ndarray | None = None,
+) -> pa.Table:
+    """The one postings writer (Lucene90PostingsWriter analogue): flush and
+    merge both assemble their postings table here.
+
+    ``terms`` are sorted; term ``t``'s postings are ``docs``/``freqs``
+    from ``term_starts[t]`` to the next term's start, docIDs ascending.
+    ``doc_lengths`` holds each doc's exact length (for the impacts). The
+    optional streams hold every occurrence, doc-major within each term in
+    posting order: int32 ``positions``, interleaved (start, end) int32
+    ``offsets``, float32 ``payloads``; an absent one is written as empty
+    rows. Skip entries and competitive impacts come from one whole-table
+    pass each; only the FOR encode runs per (multi-doc) term."""
+    n = len(docs)
+    term_starts = np.asarray(term_starts, dtype=np.int64)
+    term_ends = np.append(term_starts[1:], n)
+    doc_freq = term_ends - term_starts
+    occ = np.zeros(n + 1, dtype=np.int64)  # occurrences before each posting
+    np.cumsum(freqs, out=occ[1:])
+    occ_off = occ[np.append(term_starts, n)]  # per-term stream offsets
+    block_starts, nblocks, last_docs = block_skip_metadata(docs, term_starts)
+    icnt, imp_f, imp_l = competitive_impacts(
+        freqs, doc_lengths[docs], block_starts)
+    # docFreq == 1: no packed stream, the (doc, freq) pair lives in the meta
+    # columns (Lucene90PostingsWriter.java:376-381)
+    single = doc_freq == 1
+    packed = [b""] * len(term_starts)
+    for t in np.flatnonzero(~single).tolist():
+        s, e = term_starts[t], term_ends[t]
+        packed[t] = encode_postings(docs[s:e], freqs[s:e])
+
+    def offsets_of(counts) -> pa.Array:
+        off = np.zeros(len(counts) + 1, dtype=np.int32)
+        np.cumsum(counts, out=off[1:])
+        return pa.array(off, type=pa.int32())
+
+    def int32s(a) -> pa.Array:
+        return pa.array(np.asarray(a, dtype=np.int32), type=pa.int32())
+
+    def stream(values, item_off) -> pa.Array:
+        if values is None:
+            values, item_off = np.empty(0, dtype=np.int32), np.zeros_like(occ_off)
+        elif len(values) != item_off[-1]:
+            raise ValueError(f"stream of {len(values)} values, postings "
+                             f"need {int(item_off[-1])}")
+        return _bin_col(values, item_off)
+
+    per_term, per_block = offsets_of(nblocks), offsets_of(icnt)
+    return pa.table({
+        "term": pa.array(np.asarray(terms, dtype=object).tolist(), type=pa.string()),
+        "doc_freq": pa.array(doc_freq, type=pa.int64()),
+        "total_tf": pa.array(np.diff(occ_off), type=pa.int64()),
+        "singleton_doc": int32s(np.where(single, docs[term_starts], -1)),
+        "singleton_freq": int32s(np.where(single, freqs[term_starts], 0)),
+        "packed": pa.array(packed, type=pa.binary()),
+        "block_last_docs": pa.ListArray.from_arrays(per_term, int32s(last_docs)),
+        "imp_freqs": pa.ListArray.from_arrays(
+            per_term, pa.ListArray.from_arrays(per_block, int32s(imp_f))),
+        "imp_lens": pa.ListArray.from_arrays(
+            per_term, pa.ListArray.from_arrays(per_block, int32s(imp_l))),
+        "positions": stream(positions, occ_off),
+        "offsets": stream(offsets, 2 * occ_off),
+        "payloads": stream(payloads, occ_off),
+    })
 
 
 def build_segment_tables(
@@ -167,30 +276,6 @@ def build_segment_tables(
         }
     )
 
-    if len(codes) == 0:
-        postings_tbl = pa.table(
-            {
-                "term": pa.array([], type=pa.string()),
-                "doc_freq": pa.array([], type=pa.int64()),
-                "total_tf": pa.array([], type=pa.int64()),
-                "singleton_doc": pa.array([], type=pa.int32()),
-                "singleton_freq": pa.array([], type=pa.int32()),
-                "packed": pa.array([], type=pa.binary()),
-                "block_last_docs": pa.array([], type=pa.list_(pa.int32())),
-                "block_max_freqs": pa.array([], type=pa.list_(pa.int32())),
-                "block_min_lens": pa.array([], type=pa.list_(pa.int32())),
-                "imp_freqs": pa.array([], type=pa.list_(pa.list_(pa.int32()))),
-                "imp_lens": pa.array([], type=pa.list_(pa.list_(pa.int32()))),
-                "positions": pa.array([], type=pa.binary()),
-                "offsets": pa.array([], type=pa.binary()),
-                "payloads": pa.array([], type=pa.binary()),
-            }
-        )
-        stats = dict(max_doc=n_docs, doc_count=0, sum_doc_freq=0, sum_total_term_freq=0)
-        if store_term_vectors:
-            return postings_tbl, docs_tbl, stats, _empty_vectors_table(n_docs)
-        return postings_tbl, docs_tbl, stats
-
     # Sort (term, doc, position). The tokenizer already dictionary-encoded
     # the batch (Arrow C++ hashing — no object-array np.unique); here we only
     # rank the SMALL vocab into byte order (TermsHashPerField.sortTerms
@@ -205,7 +290,6 @@ def build_segment_tables(
     order = np.lexsort((positions, doc_idx, term_codes))
     tc = term_codes[order]
     dd = doc_idx[order]
-    pp = positions[order]
 
     # Run-length over (term, doc): freqs per posting.
     new_posting = np.ones(len(tc), dtype=bool)
@@ -219,100 +303,29 @@ def build_segment_tables(
     new_term = np.ones(len(posting_term), dtype=bool)
     new_term[1:] = posting_term[1:] != posting_term[:-1]
     term_starts = np.flatnonzero(new_term)
-    term_ends = np.append(term_starts[1:], len(posting_term))
-    doc_freq = (term_ends - term_starts).astype(np.int64)
-    # total_tf per term: cumulative sum trick over freqs
-    cs = np.concatenate([[0], np.cumsum(freqs, dtype=np.int64)])
-    total_tf = cs[term_ends] - cs[term_starts]
 
-    present_terms = uniq_terms[posting_term[term_starts]]
-
-    packed_col: list[bytes] = []
-    singleton_doc = np.full(len(term_starts), -1, dtype=np.int32)
-    singleton_freq = np.zeros(len(term_starts), dtype=np.int32)
-    bld, blf, blm = [], [], []
-    impf_col, impl_col = [], []
-    pos_col: list[bytes] = []
-    dl_by_doc = doc_lengths  # exact lengths for impact bounds
-
-    for i, (s, e) in enumerate(zip(term_starts, term_ends)):
-        docs_i = posting_doc[s:e]
-        freqs_i = freqs[s:e]
-        if e - s == 1:
-            singleton_doc[i] = docs_i[0]
-            singleton_freq[i] = freqs_i[0]
-            packed_col.append(b"")
-            bld.append([int(docs_i[0])])
-            blf.append([int(freqs_i[0])])
-            blm.append([int(dl_by_doc[docs_i[0]])])
-            impf_col.append([[int(freqs_i[0])]])
-            impl_col.append([[int(dl_by_doc[docs_i[0]])]])
-        else:
-            packed_col.append(encode_postings(docs_i, freqs_i))
-            ld, mf, ml = block_skip_metadata(docs_i, freqs_i, dl_by_doc[docs_i])
-            bld.append(ld.tolist())
-            blf.append(mf.tolist())
-            blm.append(ml.tolist())
-            icnt, iff, ill = competitive_impacts(freqs_i, dl_by_doc[docs_i])
-            isplit = np.cumsum(icnt)[:-1]
-            impf_col.append([a.tolist() for a in np.split(iff, isplit)])
-            impl_col.append([a.tolist() for a in np.split(ill, isplit)])
-    if store_positions:
-        # positions for term i = pp[cs[term_starts[i]] : cs[term_ends[i]]]
-        # (doc-major within the term, ascending within each doc).
-        pos_col = [
-            pp[cs[term_starts[i]] : cs[term_ends[i]]].astype(np.int32).tobytes()
-            for i in range(len(term_starts))
-        ]
-    else:
-        pos_col = [b""] * len(term_starts)
+    # the occurrence streams, in the sorted (term, doc, position) order
+    offsets = payloads = None
     if store_offsets:
-        # interleaved (start, end) int32 pairs, same occurrence order as the
-        # position stream (doc-major within term)
-        interleaved = np.empty(2 * len(order), dtype=np.int32)
-        interleaved[0::2] = tok_starts[order]
-        interleaved[1::2] = tok_ends[order]
-        off_col = [
-            interleaved[2 * cs[term_starts[i]] : 2 * cs[term_ends[i]]].tobytes()
-            for i in range(len(term_starts))
-        ]
-    else:
-        off_col = [b""] * len(term_starts)
+        offsets = np.empty(2 * len(order), dtype=np.int32)
+        offsets[0::2] = tok_starts[order]
+        offsets[1::2] = tok_ends[order]
     if store_payloads:
-        # one float32 per occurrence, same order as the position stream
-        pays_sorted = tok_pays[order].astype(np.float32, copy=False)
-        pay_col = [
-            pays_sorted[cs[term_starts[i]] : cs[term_ends[i]]].tobytes()
-            for i in range(len(term_starts))
-        ]
-    else:
-        pay_col = [b""] * len(term_starts)
-
-    postings_tbl = pa.table(
-        {
-            "term": pa.array(present_terms.tolist(), type=pa.string()),
-            "doc_freq": pa.array(doc_freq),
-            "total_tf": pa.array(total_tf),
-            "singleton_doc": pa.array(singleton_doc, type=pa.int32()),
-            "singleton_freq": pa.array(singleton_freq, type=pa.int32()),
-            "packed": pa.array(packed_col, type=pa.binary()),
-            "block_last_docs": pa.array(bld, type=pa.list_(pa.int32())),
-            "block_max_freqs": pa.array(blf, type=pa.list_(pa.int32())),
-            "block_min_lens": pa.array(blm, type=pa.list_(pa.int32())),
-            "imp_freqs": pa.array(impf_col, type=pa.list_(pa.list_(pa.int32()))),
-            "imp_lens": pa.array(impl_col, type=pa.list_(pa.list_(pa.int32()))),
-            "positions": pa.array(pos_col, type=pa.binary()),
-            "offsets": pa.array(off_col, type=pa.binary()),
-            "payloads": pa.array(pay_col, type=pa.binary()),
-        }
-    )
+        payloads = tok_pays[order].astype(np.float32, copy=False)
+    postings_tbl = postings_table(
+        uniq_terms[posting_term[term_starts]], term_starts, posting_doc, freqs,
+        doc_lengths,
+        positions=positions[order].astype(np.int32) if store_positions else None,
+        offsets=offsets, payloads=payloads)
 
     stats = dict(
         max_doc=n_docs,
         doc_count=int((doc_lengths > 0).sum()),
-        sum_doc_freq=int(doc_freq.sum()),
-        sum_total_term_freq=int(total_tf.sum()),
+        sum_doc_freq=len(freqs),
+        sum_total_term_freq=int(freqs.sum(dtype=np.int64)),
     )
+    if store_term_vectors and not len(codes):
+        return postings_tbl, docs_tbl, stats, _empty_vectors_table(n_docs)
     if store_term_vectors:
         # doc-major transpose of the postings (Lucene90TermVectorsFormat
         # analogue): one row per doc with (terms, freqs) lists — MLT and
@@ -439,6 +452,7 @@ def write_segment(
         **stats,
         "checksum": checksum,
         **(extra_meta or {}),
+        "format_version": SEGMENT_FORMAT,
     }
     with open(os.path.join(tmp, META_NAME), "w") as f:
         json.dump(meta, f)
@@ -508,6 +522,11 @@ class SegmentReader:
         self.dir = seg_dir
         with open(os.path.join(seg_dir, META_NAME)) as f:
             self.meta = json.load(f)
+        found = self.meta.get("format_version")
+        if found != SEGMENT_FORMAT:
+            raise ValueError(
+                f"segment {seg_dir} has format_version {found!r}, expected "
+                f"{SEGMENT_FORMAT}: rebuild the index with this version")
         self.name = self.meta["name"]
         p = pq.read_table(os.path.join(seg_dir, "postings.parquet"))
         d = pq.read_table(os.path.join(seg_dir, "docs.parquet"))
@@ -547,33 +566,16 @@ class SegmentReader:
         # zero-copy Arrow buffer views (no per-term Python objects)
         self._packed_off, self._packed_data = _binary_views(p.column("packed"))
         self._bld_off, self._bld_vals = _list_views(p.column("block_last_docs"))
-        self._blf_off, self._blf_vals = _list_views(p.column("block_max_freqs"))
-        self._blm_off, self._blm_vals = _list_views(p.column("block_min_lens"))
-        if "imp_freqs" in p.column_names:
-            self._impf_views = _nested_views(p.column("imp_freqs"))
-            self._impl_views = _nested_views(p.column("imp_lens"))
-        else:
-            self._impf_views = None
-            self._impl_views = None
+        self._impf_views = _nested_views(p.column("imp_freqs"))
+        self._impl_views = _nested_views(p.column("imp_lens"))
         self._pos_off, self._pos_data = _binary_views(p.column("positions"))
-        if "offsets" in p.column_names:
-            self._ofs_off, self._ofs_data = _binary_views(p.column("offsets"))
-            # vacuously true for a 0-term segment (it must not veto offsets
-            # surviving a merge with its siblings)
-            self.has_offsets = (
-                self.n_terms == 0 or int(self._ofs_off[-1]) > 0
-            )
-        else:
-            self._ofs_off = self._ofs_data = None
-            self.has_offsets = False
-        if "payloads" in p.column_names:
-            self._pay_off, self._pay_data = _binary_views(p.column("payloads"))
-            self.has_payloads = (
-                self.n_terms == 0 or int(self._pay_off[-1]) > 0
-            )
-        else:
-            self._pay_off = self._pay_data = None
-            self.has_payloads = False
+        self._ofs_off, self._ofs_data = _binary_views(p.column("offsets"))
+        self._pay_off, self._pay_data = _binary_views(p.column("payloads"))
+        # vacuously true for a 0-term segment (it must not veto a stream
+        # surviving a merge with its siblings)
+        self.has_positions = self.n_terms == 0 or int(self._pos_off[-1]) > 0
+        self.has_offsets = self.n_terms == 0 or int(self._ofs_off[-1]) > 0
+        self.has_payloads = self.n_terms == 0 or int(self._pay_off[-1]) > 0
         self.doc_keys = d.column("doc_key").to_numpy(zero_copy_only=False)
         self.norms = d.column("norm").to_numpy()
         self.dls = d.column("dl").to_numpy()
@@ -794,7 +796,7 @@ class SegmentReader:
         aligned with the position stream; empty when the segment was built
         without ``store_offsets`` (the .pay offsets stream analogue)."""
         i = self.term_index(term) if isinstance(term, str) else term
-        if i < 0 or self._ofs_off is None:
+        if i < 0:
             return np.empty(0, dtype=np.int32)
         sl = self._ofs_data[self._ofs_off[i] : self._ofs_off[i + 1]]
         return np.frombuffer(sl, dtype=np.int32)
@@ -803,7 +805,7 @@ class SegmentReader:
         """(starts, ends) char offsets of a term's occurrences in ONE doc."""
         i = self.term_index(term) if isinstance(term, str) else term
         e = np.empty(0, dtype=np.int32)
-        if i < 0 or self._ofs_off is None:
+        if i < 0 or not self.has_offsets:
             return e, e
         d, f = self.postings(i)
         k = int(np.searchsorted(d, doc))
@@ -820,7 +822,7 @@ class SegmentReader:
         ``store_payloads`` (the .pay payload stream analogue,
         Lucene90PostingsWriter writePayloads)."""
         i = self.term_index(term) if isinstance(term, str) else term
-        if i < 0 or self._pay_off is None:
+        if i < 0:
             return np.empty(0, dtype=np.float32)
         sl = self._pay_data[self._pay_off[i] : self._pay_off[i + 1]]
         return np.frombuffer(sl, dtype=np.float32)
@@ -848,12 +850,9 @@ class SegmentReader:
         out = (rel + base).astype(np.int32), f
         return self._block_cache.put((i, j0), out) if j1 == j0 + 1 else out
 
-    def impacts(self, i: int):
+    def impacts(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-block competitive impacts as zero-copy views:
-        (pair counts per block, flat freqs, flat lengths) — or None when the
-        segment predates the impact columns (fall back to skip_meta)."""
-        if self._impf_views is None:
-            return None
+        (pair counts per block, flat freqs, flat lengths)."""
         o1, o2, vals_f = self._impf_views
         _, _, vals_l = self._impl_views
         b0, b1 = o1[i], o1[i + 1]
@@ -864,10 +863,9 @@ class SegmentReader:
     def _packed_blob(self, i: int) -> memoryview:
         return self._packed_data[self._packed_off[i] : self._packed_off[i + 1]]
 
-    def skip_meta(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Zero-copy views of the per-block skip entries of term ``i``."""
-        sl = slice(self._bld_off[i], self._bld_off[i + 1])
-        return self._bld_vals[sl], self._blf_vals[sl], self._blm_vals[sl]
+    def skip_meta(self, i: int) -> np.ndarray:
+        """Zero-copy view of term ``i``'s block last docs (its skip entries)."""
+        return self._bld_vals[self._bld_off[i] : self._bld_off[i + 1]]
 
     def memory_bytes(self) -> dict:
         """Reader-resident memory: Arrow buffers (shared, zero-copy) vs
@@ -1014,7 +1012,7 @@ def check_segment(seg_dir: str) -> list[str]:
             problems.append(f"term {t[i]}: docIDs not strictly increasing in range")
         if np.any(freqs <= 0):
             problems.append(f"term {t[i]}: non-positive freq")
-        bld, _, _ = r.skip_meta(i)
+        bld = r.skip_meta(i)
         if len(docs) and int(bld[-1]) != int(docs[-1]):
             problems.append(f"term {t[i]}: skip last_doc mismatch")
         n_blocks_expected = (len(docs) + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -1039,7 +1037,7 @@ def check_segment(seg_dir: str) -> list[str]:
         problems.append("doc_count mismatch")
     # positions / offsets stream lengths (when stored): per term the
     # position stream holds total_tf int32s, the offsets stream 2× that
-    if r._pos_off is not None and len(r._pos_off) and int(r._pos_off[-1]) > 0:
+    if r.has_positions:
         for i in range(len(t)):
             want = int(r.total_tf[i]) * 4
             got = int(r._pos_off[i + 1] - r._pos_off[i])

@@ -294,9 +294,9 @@ def test_postings_block_range_decode():
     docs = np.sort(rng.choice(100_000, size=n, replace=False))
     freqs = rng.integers(1, 50, size=n)
     buf = encode_postings(docs, freqs)
-    last_docs, max_freqs, min_lens = block_skip_metadata(
-        docs, freqs, np.full(n, 10, dtype=np.int32)
-    )
+    block_starts, nblocks, last_docs = block_skip_metadata(docs, np.array([0]))
+    assert nblocks.tolist() == [-(-n // BLOCK_SIZE)]
+    assert block_starts.tolist() == list(range(0, n, BLOCK_SIZE))
     # decode blocks 2..5 and re-absolutize with the skip metadata
     rel, f, first_idx = decode_postings_block_range(buf, 2, 5)
     base = int(last_docs[1])
@@ -304,8 +304,7 @@ def test_postings_block_range_decode():
     assert first_idx == lo
     assert (base + rel).tolist() == docs[lo:hi].tolist()
     assert f.tolist() == freqs[lo:hi].tolist()
-    assert last_docs[-1] == docs[-1]
-    assert max_freqs[0] == freqs[:BLOCK_SIZE].max()
+    assert last_docs.tolist() == docs[np.minimum(block_starts + BLOCK_SIZE, n) - 1].tolist()
 
 
 # ---------------------------------------------------------------- stemming

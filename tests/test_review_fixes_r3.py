@@ -138,14 +138,15 @@ def test_term_score_cache_weak_eviction(small_idx, ray_session):
 
 
 def test_merge_composite_guard_constant():
-    """The composite-key fast path must exclude block counts that overflow
-    gb<<40 (source-level guard check)."""
+    """The composite-key fast path of the impact sort that build and merge
+    share must exclude block counts that overflow gb<<40 (source-level
+    guard check)."""
     import inspect
 
-    from lucene_ray.state import merge
+    from lucene_ray.functions import postings
 
-    src = inspect.getsource(merge.merge_segment_group)
-    assert "n_blocks_total < (1 << 23)" in src
+    src = inspect.getsource(postings.competitive_impacts)
+    assert "nb < (1 << 23)" in src
 
 
 def test_session_windows_tz_aware(ray_session):
