@@ -823,7 +823,6 @@ def _q_fingerprint(sf_dir: str):
 
 def _q_knn_topk(sf_dir: str) -> pa.Table:
     import pyarrow.parquet as pq
-    import ray.data
 
     from lucene_ray.pipelines.knn import knn_brute_force
 
@@ -838,21 +837,7 @@ def _q_knn_topk(sf_dir: str) -> pa.Table:
     ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet",
                             columns=["vec_id", "embedding"])
     out = knn_brute_force(ds, KNN_QUERY_IDS, qvecs, k=K + 16).to_pandas()
-    # re-rank under the oracle's rounded ordering
-    rows = []
-    for qid in KNN_QUERY_IDS:
-        g = out[out.query_id == qid].copy()
-        g["r6"] = np.round(g.cosine.to_numpy(), 6)
-        g = g.sort_values(["r6", "neighbor_id"], ascending=[False, True]).head(K)
-        for rank, nid in enumerate(g.neighbor_id.tolist(), start=1):
-            rows.append((qid, rank, int(nid)))
-    return pa.table(
-        {
-            "query_id": pa.array([r[0] for r in rows], type=pa.int64()),
-            "rank": pa.array([r[1] for r in rows], type=pa.int64()),
-            "neighbor_id": pa.array([r[2] for r in rows], type=pa.int64()),
-        }
-    )
+    return _rerank_knn(out)
 
 
 def _q_knn_hnsw(sf_dir: str) -> pa.Table:

@@ -14,10 +14,11 @@ to any already-selected neighbor — HnswGraphBuilder.diversityCheck).
 Distribution (Ray-Data-first): one graph per vector shard — built inside a
 ``map_batches`` task with shard-sized batches, persisted as parquet next to
 the shard — then queries broadcast to every shard, per-shard HNSW top-k,
-exact per-query merge (the text engine's per-segment top-k + TopDocs.merge
-pattern). Per-shard search cost is O(ef·log n) instead of the brute-force
-O(n) scan, which is the 100-TB path: shards scale out, each stays
-memory-resident in its searcher.
+and ``topk.topk_by_query``, the one per-query merge every batch search
+operator shares: (cosine desc, neighbor_id asc), first k, ranks 1..k (the
+text engine's per-segment top-k + TopDocs.merge pattern). Per-shard search
+cost is O(ef·log n) instead of the brute-force O(n) scan, which is the
+100-TB path: shards scale out, each stays memory-resident in its searcher.
 
 Similarity: cosine via dot product over L2-normalized vectors (the
 reference's VectorSimilarityFunction.COSINE path normalizes too).
@@ -30,11 +31,13 @@ import os
 import uuid
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from lucene_ray.cache import LRUCache
+from lucene_ray.pipelines.knn import KNN_SCHEMA, _unit
+from lucene_ray.pipelines.topk import topk_by_query
+from lucene_ray.state.manifest import _atomic_write, fsync_path
 
 SHARD_GRAPH_CACHE_ENTRIES = 32  # loaded (ids, graph) shards per actor
 
@@ -57,8 +60,7 @@ class HnswGraph:
     # ------------------------------------------------------------- build
 
     def build(self, vectors: np.ndarray) -> "HnswGraph":
-        v = np.asarray(vectors, dtype=np.float64)
-        v = v / np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-30)
+        v = _unit(vectors)
         self.vec = v
         n = len(v)
         rng = np.random.default_rng(self.seed)
@@ -176,8 +178,7 @@ class HnswGraph:
         """→ (node indices, sims), descending, up to k."""
         if self.vec is None or not len(self.vec):
             return np.empty(0, dtype=np.int64), np.empty(0)
-        q = np.asarray(q, dtype=np.float64)
-        q = q / max(np.linalg.norm(q), 1e-30)
+        q = _unit(q)
         ef = max(ef or 64, k)
         ep = self.entry
         for lc in range(self.max_level, 0, -1):
@@ -217,8 +218,7 @@ class HnswGraph:
     def from_tables(graph: pa.Table, meta: dict, vectors: np.ndarray) -> "HnswGraph":
         g = HnswGraph(M=meta["M"], ef_construction=meta["ef_construction"],
                       seed=meta.get("seed", 42))
-        v = np.asarray(vectors, dtype=np.float64)
-        g.vec = v / np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-30)
+        g.vec = _unit(vectors)
         g.entry = meta["entry"]
         g.max_level = meta["max_level"]
         g.adj = [dict() for _ in range(g.max_level + 1)]
@@ -235,53 +235,69 @@ class HnswGraph:
 # --------------------------------------------------------------- pipelines
 
 
+def _write_shard(out_dir: str, ids: np.ndarray, vecs: np.ndarray,
+                 graph: HnswGraph) -> str:
+    """Atomically and durably write one shard directory (ids + vectors +
+    adjacency parquet + meta.json) under ``out_dir``; returns its name.
+    Shard identity = hash of its EXACT id set: a retried task reuses the
+    written directory, while a resumed run with different batch boundaries
+    never collides with a stale shard (whose ids differ). Every file and the
+    temp directory are fsynced before the rename and ``out_dir`` after it,
+    as ``write_segment`` does; a failed rename that leaves no shard raises."""
+    import hashlib
+    import shutil
+
+    name = f"shard-{hashlib.md5(ids.tobytes()).hexdigest()[:12]}"
+    final = os.path.join(out_dir, name)
+    if os.path.exists(final):
+        return name
+    graph_tbl, meta = graph.to_tables()
+    meta["n"] = len(ids)
+    tmp = final + ".tmp-" + uuid.uuid4().hex[:8]
+    os.makedirs(tmp)
+    pq.write_table(graph_tbl, os.path.join(tmp, "graph.parquet"))
+    pq.write_table(
+        pa.table({"vec_id": pa.array(ids),
+                  "vec": pa.array(list(vecs), type=pa.list_(pa.float64()))}),
+        os.path.join(tmp, "vectors.parquet"),
+    )
+    with open(os.path.join(tmp, "meta.json"), "w") as f:
+        json.dump(meta, f)
+    for fname in ("graph.parquet", "vectors.parquet", "meta.json"):
+        fsync_path(os.path.join(tmp, fname))
+    fsync_path(tmp)
+    try:
+        os.rename(tmp, final)
+    except OSError:
+        shutil.rmtree(tmp, ignore_errors=True)
+        if not os.path.exists(final):  # not a concurrent retry's identical shard
+            raise
+    fsync_path(out_dir)
+    return name
+
+
 def build_hnsw_index(ds, out_dir: str, *, vec_col: str = "embedding",
                      id_col: str = "vec_id", M: int = 16,
                      ef_construction: int = 100, shard_rows: int = 8192,
                      seed: int = 42) -> str:
     """Build per-shard HNSW graphs: one map_batches task per ``shard_rows``
-    vectors builds and PERSISTS a graph directory (ids + vectors + adjacency
-    parquet + meta), mirroring the per-segment vector format. Atomic
-    write-temp-then-rename per shard; a shard is durable once meta.json
-    exists (same resume contract as text segments)."""
+    vectors builds and PERSISTS a graph directory through ``_write_shard``,
+    mirroring the per-segment vector format; ``shards.json`` is then written
+    atomically. A shard is durable once its directory exists (same resume
+    contract as text segments)."""
     os.makedirs(out_dir, exist_ok=True)
 
     def build_shard(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         vecs = np.array(batch.column(vec_col).to_pylist(), dtype=np.float64)
         g = HnswGraph(M=M, ef_construction=ef_construction, seed=seed).build(vecs)
-        graph_tbl, meta = g.to_tables()
-        # shard identity = hash of its EXACT id set: same-batch retries reuse
-        # the written dir, while a resumed run with different batch
-        # boundaries never collides with a stale shard (whose ids differ)
-        import hashlib
-
-        name = f"shard-{hashlib.md5(ids.tobytes()).hexdigest()[:12]}"
-        final = os.path.join(out_dir, name)
-        if not os.path.exists(final):
-            tmp = final + ".tmp-" + uuid.uuid4().hex[:8]
-            os.makedirs(tmp, exist_ok=True)
-            pq.write_table(graph_tbl, os.path.join(tmp, "graph.parquet"))
-            pq.write_table(
-                pa.table({"vec_id": pa.array(ids),
-                          "vec": pa.array(list(vecs), type=pa.list_(pa.float64()))}),
-                os.path.join(tmp, "vectors.parquet"),
-            )
-            meta["n"] = len(ids)
-            with open(os.path.join(tmp, "meta.json"), "w") as f:
-                json.dump(meta, f)
-            try:
-                os.rename(tmp, final)
-            except OSError:
-                import shutil
-
-                shutil.rmtree(tmp, ignore_errors=True)
+        name = _write_shard(out_dir, ids, vecs, g)
         return pa.table({"shard": pa.array([name]), "n": pa.array([len(ids)])})
 
     shards = ds.map_batches(build_shard, batch_format="pyarrow",
                             batch_size=shard_rows).take_all()
-    with open(os.path.join(out_dir, "shards.json"), "w") as f:
-        json.dump(sorted(r["shard"] for r in shards), f)
+    _atomic_write(os.path.join(out_dir, "shards.json"),
+                  json.dumps(sorted(r["shard"] for r in shards)))
     return out_dir
 
 
@@ -322,13 +338,18 @@ class HnswShardSearcher:
         for name in batch.column("shard").to_pylist():
             ids, g = self._shard(name)
             for qid, q in zip(self.qids, self.qm):
-                kk = self.k + 1 if self.exclude_self else self.k
+                # the whole beam, not its first k: the graph orders ties by
+                # node, so the cut re-sorts in the merge's order
+                kk = max(self.ef, self.k + 1 if self.exclude_self else self.k)
                 idx, sims = g.search(q, kk, ef=self.ef)
-                take = [(int(ids[j]), float(s)) for j, s in zip(idx, sims)
-                        if not self.exclude_self or int(ids[j]) != qid][: self.k]
+                nid = ids[idx]
+                if self.exclude_self:
+                    keep = nid != qid
+                    nid, sims = nid[keep], sims[keep]
+                take = np.lexsort((nid, -sims))[: self.k]
                 out_q.extend([qid] * len(take))
-                out_id.extend(t[0] for t in take)
-                out_sim.extend(t[1] for t in take)
+                out_id.extend(nid[take].tolist())
+                out_sim.extend(sims[take].tolist())
         return pa.table(
             {
                 "query_id": pa.array(out_q, type=pa.int64()),
@@ -342,9 +363,9 @@ def knn_hnsw(index_dir: str, query_ids, query_vecs, *, k: int = 10,
              ef: int = 96, concurrency: int = 8, exclude_self: bool = True):
     """Search a persisted HNSW index: an actor pool of shard searchers
     (graphs cached in actor state across query batches) answers ALL
-    queries; per-query exact merge of per-shard top-k — identical
+    queries; ``topk_by_query`` merges the per-shard top-k — identical
     distribution shape to the text searcher. Returns Dataset
-    (query_id, rank, neighbor_id, cosine)."""
+    (query_id, rank, neighbor_id, cosine), with its columns when empty."""
     import ray
     import ray.data
 
@@ -366,13 +387,7 @@ def knn_hnsw(index_dir: str, query_ids, query_vecs, *, k: int = 10,
         concurrency=(1, n_actors),
     )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", "neighbor_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "rank", "neighbor_id", "cosine"]]
-
-    return cand.groupby("query_id").map_groups(merge, batch_format="pandas")
+    return topk_by_query(cand, k, "cosine", "neighbor_id", KNN_SCHEMA)
 
 
 def merge_hnsw_shards(index_dir: str, *, merge_factor: int = 8,
@@ -392,10 +407,9 @@ def merge_hnsw_shards(index_dir: str, *, merge_factor: int = 8,
     guard: no single rebuild task ever holds more), rebuilds
     ONE graph per group from the concatenated vectors inside a Ray task
     (the rebuild is the reference's merge strategy too — graphs aren't
-    stitched), writes each merged shard atomically, swaps ``shards.json``
-    via temp-then-rename, then removes consumed shard dirs. Returns the new
-    shard list."""
-    import hashlib
+    stitched), writes each merged shard through ``_write_shard``, swaps
+    ``shards.json`` atomically, then removes consumed shard dirs. Returns the
+    new shard list."""
     import shutil
 
     with open(os.path.join(index_dir, "shards.json")) as f:
@@ -440,26 +454,7 @@ def merge_hnsw_shards(index_dir: str, *, merge_factor: int = 8,
         ids = vt.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
         vecs = np.array(vt.column("vec").to_pylist(), dtype=np.float64)
         g = HnswGraph(M=M, ef_construction=ef_construction, seed=seed).build(vecs)
-        graph_tbl, meta = g.to_tables()
-        out = f"shard-{hashlib.md5(ids.tobytes()).hexdigest()[:12]}"
-        final = os.path.join(index_dir, out)
-        if not os.path.exists(final):
-            tmp = final + ".tmp-" + uuid.uuid4().hex[:8]
-            os.makedirs(tmp, exist_ok=True)
-            pq.write_table(graph_tbl, os.path.join(tmp, "graph.parquet"))
-            pq.write_table(
-                pa.table({"vec_id": pa.array(ids),
-                          "vec": pa.array(list(vecs),
-                                          type=pa.list_(pa.float64()))}),
-                os.path.join(tmp, "vectors.parquet"))
-            meta["n"] = len(ids)
-            with open(os.path.join(tmp, "meta.json"), "w") as f:
-                json.dump(meta, f)
-            try:
-                os.rename(tmp, final)
-            except OSError:
-                shutil.rmtree(tmp, ignore_errors=True)
-        return out
+        return _write_shard(index_dir, ids, vecs, g)
 
     if use_ray:
         import ray
@@ -474,10 +469,7 @@ def merge_hnsw_shards(index_dir: str, *, merge_factor: int = 8,
 
     consumed = {n for g in groups for n in g}
     new_shards = sorted([n for n in shards if n not in consumed] + merged)
-    tmp = os.path.join(index_dir, f"shards.json.tmp-{uuid.uuid4().hex[:8]}")
-    with open(tmp, "w") as f:
-        json.dump(new_shards, f)
-    os.rename(tmp, os.path.join(index_dir, "shards.json"))
+    _atomic_write(os.path.join(index_dir, "shards.json"), json.dumps(new_shards))
     for n in consumed:
         shutil.rmtree(os.path.join(index_dir, n), ignore_errors=True)
     return new_shards

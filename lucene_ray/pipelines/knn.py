@@ -1,40 +1,55 @@
 """Similarity search over embedding columns — brute-force cosine top-k and an
 IVF (inverted-file) bucketed variant for the scale path.
 
-Brute force: the query matrix is broadcast ONCE via ``ray.put``; each batch
-computes a (batch × dim) @ (dim × q) float64 matmul and emits its local
-top-k per query; a final small groupby merges — no all-to-all shuffle, the
-reduction is per-query over per-batch candidates (exactly the per-segment
-top-k + merge pattern the text searcher uses).
+Every path runs one per-batch kernel, ``CosineTopK``: the query matrix is
+broadcast ONCE via ``ray.put``; each batch computes a (batch × dim) @
+(dim × q) float64 matmul and cuts each query's local top-k in (cosine desc,
+neighbor_id asc) order; ``topk.topk_by_query`` then merges per query in that
+same order — no all-to-all shuffle of vectors, exactly the per-segment top-k
++ ``TopDocs.merge`` pattern the text searcher uses. Ties therefore resolve by
+id, so the exact paths return the true top-k even over duplicate vectors,
+and an empty result keeps its four columns.
 
 IVF: deterministic k-means-lite centroids (seeded sample, few Lloyd
-iterations via per-batch partial sums), assign each vector to its nearest
-centroid in a map_batches pass, search only the ``nprobe`` closest centroid
-buckets per query. Recall measured against brute force in tests.
+iterations via per-batch partial sums); the kernel, given the centroids and
+each query's ``nprobe`` closest buckets, keeps only rows whose nearest
+centroid is probed. Recall measured against brute force in tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+
+from lucene_ray.pipelines.topk import topk_by_query
+
+KNN_SCHEMA = pa.schema([("query_id", pa.int64()), ("rank", pa.int64()),
+                        ("neighbor_id", pa.int64()), ("cosine", pa.float64())])
 
 
 def _batch_vectors(batch: pa.Table, vec_col: str) -> np.ndarray:
     return np.array(batch.column(vec_col).to_pylist(), dtype=np.float64)
 
 
-class BruteForceTopK:
-    """map_batches callable: per-batch cosine top-k against broadcast queries."""
+def _unit(v) -> np.ndarray:
+    """``v`` (a vector or a matrix of row vectors) scaled to unit L2 norm;
+    a zero vector stays zero."""
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1e-30)
 
-    def __init__(self, queries_ref, k: int, vec_col: str, id_col: str,
-                 exclude_self: bool = True):
+
+class CosineTopK:
+    """map_batches callable — the one per-batch kernel of every kNN path:
+    cosine of each row against the broadcast unit queries, then each query's
+    local top-k in (cosine desc, neighbor_id asc) order. ``ref`` holds
+    (query_ids, unit query matrix, centroids, probes); with centroids, a row
+    is a candidate of query i only if its nearest centroid is in
+    ``probes[i]``."""
+
+    def __init__(self, ref, k: int, vec_col: str, id_col: str, exclude_self: bool):
         import ray
 
-        q = ray.get(queries_ref) if not isinstance(queries_ref, tuple) else queries_ref
-        self.query_ids, qm = q
-        qm = np.asarray(qm, dtype=np.float64)
-        self.qnorm = qm / np.linalg.norm(qm, axis=1, keepdims=True)
+        self.query_ids, self.qn, self.centroids, self.probes = ray.get(ref)
         self.k = k
         self.vec_col = vec_col
         self.id_col = id_col
@@ -42,50 +57,54 @@ class BruteForceTopK:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
-        v = _batch_vectors(batch, self.vec_col)
-        v = v / np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-30)
-        sims = v @ self.qnorm.T  # (n, q)
         out_q, out_id, out_sim = [], [], []
-        for qi, qid in enumerate(self.query_ids):
-            col = sims[:, qi]
-            mask = ids != qid if self.exclude_self else np.ones(len(ids), bool)
-            idx = np.flatnonzero(mask)
-            if not len(idx):
-                continue
-            take = idx[np.argsort(-col[idx], kind="stable")[: self.k]]
-            out_q.extend([qid] * len(take))
-            out_id.extend(ids[take].tolist())
-            out_sim.extend(col[take].tolist())
+        if len(ids):
+            v = _unit(_batch_vectors(batch, self.vec_col))
+            sims = v @ self.qn.T  # (n, q)
+            if self.centroids is not None:
+                assign = np.argmax(v @ self.centroids.T, axis=1)
+            for qi, qid in enumerate(self.query_ids):
+                mask = ids != qid if self.exclude_self else np.ones(len(ids), bool)
+                if self.centroids is not None:
+                    mask &= np.isin(assign, self.probes[qi])
+                idx = np.flatnonzero(mask)
+                take = idx[np.lexsort((ids[idx], -sims[idx, qi]))[: self.k]]
+                out_q.append(np.full(len(take), qid, dtype=np.int64))
+                out_id.append(ids[take])
+                out_sim.append(sims[take, qi])
         return pa.table(
             {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "neighbor_id": pa.array(out_id, type=pa.int64()),
-                "cosine": pa.array(np.array(out_sim, dtype=np.float64)),
+                "query_id": pa.array(np.concatenate(out_q or [[]]), type=pa.int64()),
+                "neighbor_id": pa.array(np.concatenate(out_id or [[]]), type=pa.int64()),
+                "cosine": pa.array(np.concatenate(out_sim or [[]]), type=pa.float64()),
             }
         )
+
+
+def _cosine_topk(ds, query_ids, qn, *, k: int, vec_col: str, id_col: str,
+                 concurrency: int, exclude_self: bool = True,
+                 centroids: np.ndarray | None = None, probes=None):
+    """``CosineTopK`` over ``ds``, merged by ``topk_by_query``. Returns
+    Dataset (query_id, rank, neighbor_id, cosine)."""
+    import ray
+
+    ref = ray.put((list(query_ids), qn, centroids, probes))
+    cand = ds.map_batches(
+        CosineTopK,
+        fn_constructor_args=(ref, k, vec_col, id_col, exclude_self),
+        batch_format="pyarrow",
+        concurrency=(1, concurrency),
+    )
+    return topk_by_query(cand, k, "cosine", "neighbor_id", KNN_SCHEMA)
 
 
 def knn_brute_force(ds, query_ids, query_vecs, *, k: int = 10, vec_col: str = "embedding",
                     id_col: str = "vec_id", concurrency: int = 4, exclude_self: bool = True):
     """Exact cosine top-k for each query vector. Returns Dataset
     (query_id, rank, neighbor_id, cosine)."""
-    import ray
-
-    ref = ray.put((list(query_ids), np.asarray(query_vecs, dtype=np.float64)))
-    cand = ds.map_batches(
-        BruteForceTopK,
-        fn_constructor_args=(ref, k, vec_col, id_col, exclude_self),
-        batch_format="pyarrow",
-        concurrency=(1, concurrency),
-    )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", "neighbor_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1)
-        return g[["query_id", "rank", "neighbor_id", "cosine"]]
-
-    return cand.groupby("query_id").map_groups(merge, batch_format="pandas")
+    return _cosine_topk(ds, query_ids, _unit(query_vecs), k=k, vec_col=vec_col,
+                        id_col=id_col, concurrency=concurrency,
+                        exclude_self=exclude_self)
 
 
 # ----------------------------------------------------------------------- IVF
@@ -99,7 +118,7 @@ def train_centroids(ds, *, n_centroids: int = 16, vec_col: str = "embedding",
     X0 = np.array([r[vec_col] for r in sample], dtype=np.float64)
     rng = np.random.default_rng(seed)
     cent = X0[rng.choice(len(X0), size=min(n_centroids, len(X0)), replace=False)]
-    cent = cent / np.maximum(np.linalg.norm(cent, axis=1, keepdims=True), 1e-30)
+    cent = _unit(cent)
 
     for _ in range(iters):
         import ray
@@ -108,8 +127,7 @@ def train_centroids(ds, *, n_centroids: int = 16, vec_col: str = "embedding",
 
         def partials(batch: pa.Table) -> pa.Table:
             c = ray.get(cref)
-            v = _batch_vectors(batch, vec_col)
-            vn = v / np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-30)
+            vn = _unit(_batch_vectors(batch, vec_col))
             assign = np.argmax(vn @ c.T, axis=1)
             sums = np.zeros_like(c)
             np.add.at(sums, assign, vn)
@@ -138,7 +156,7 @@ def train_centroids(ds, *, n_centroids: int = 16, vec_col: str = "embedding",
                       t.column("count").to_numpy(zero_copy_only=False))
         nz = counts > 0
         cent[nz] = sums[nz] / counts[nz, None]
-        cent = cent / np.maximum(np.linalg.norm(cent, axis=1, keepdims=True), 1e-30)
+        cent = _unit(cent)
     return cent
 
 
@@ -147,55 +165,11 @@ def knn_ivf(ds, query_ids, query_vecs, *, k: int = 10, n_centroids: int = 16,
             concurrency: int = 4, seed: int = 42):
     """IVF-bucketed approximate top-k: probe only the nprobe nearest centroid
     buckets per query. Returns (query_id, rank, neighbor_id, cosine)."""
-    import ray
-
     cent = train_centroids(ds, n_centroids=n_centroids, vec_col=vec_col, seed=seed)
-    cref = ray.put(cent)
-    qv = np.asarray(query_vecs, dtype=np.float64)
-    qn = qv / np.maximum(np.linalg.norm(qv, axis=1, keepdims=True), 1e-30)
+    qn = _unit(query_vecs)
     probe = np.argsort(-(qn @ cent.T), axis=1)[:, :nprobe]  # (q, nprobe)
-    probe_sets = [set(p.tolist()) for p in probe]
-    qref = ray.put((list(query_ids), qn, probe_sets))
-
-    class ProbedTopK:
-        def __init__(self):
-            self.cent = ray.get(cref)
-            self.query_ids, self.qn, self.probe_sets = ray.get(qref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-            v = _batch_vectors(batch, vec_col)
-            vn = v / np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-30)
-            assign = np.argmax(vn @ self.cent.T, axis=1)
-            sims = vn @ self.qn.T
-            out_q, out_id, out_sim = [], [], []
-            for qi, qid in enumerate(self.query_ids):
-                in_bucket = np.isin(assign, list(self.probe_sets[qi])) & (ids != qid)
-                idx = np.flatnonzero(in_bucket)
-                if not len(idx):
-                    continue
-                take = idx[np.argsort(-sims[idx, qi], kind="stable")[:k]]
-                out_q.extend([qid] * len(take))
-                out_id.extend(ids[take].tolist())
-                out_sim.extend(sims[take, qi].tolist())
-            return pa.table(
-                {
-                    "query_id": pa.array(out_q, type=pa.int64()),
-                    "neighbor_id": pa.array(out_id, type=pa.int64()),
-                    "cosine": pa.array(np.array(out_sim, dtype=np.float64)),
-                }
-            )
-
-    cand = ds.map_batches(ProbedTopK, batch_format="pyarrow",
-                          concurrency=(1, concurrency))
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", "neighbor_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1)
-        return g[["query_id", "rank", "neighbor_id", "cosine"]]
-
-    return cand.groupby("query_id").map_groups(merge, batch_format="pandas")
+    return _cosine_topk(ds, query_ids, qn, k=k, vec_col=vec_col, id_col=id_col,
+                        concurrency=concurrency, centroids=cent, probes=probe)
 
 
 # ------------------------------------------------- IVF with materialized layout
@@ -222,8 +196,7 @@ def build_ivf_index(ds, out_dir: str, *, n_centroids: int = 16,
 
     def assign(batch: pa.Table) -> pa.Table:
         c = ray.get(cref)
-        v = _batch_vectors(batch, vec_col)
-        vn = v / np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-30)
+        vn = _unit(_batch_vectors(batch, vec_col))
         b = np.argmax(vn @ c.T, axis=1).astype(np.int64)
         return pa.table({id_col: batch.column(id_col),
                          vec_col: batch.column(vec_col),
@@ -249,66 +222,29 @@ def knn_ivf_indexed(index_dir: str, query_ids, query_vecs, *, k: int = 10,
     buckets from the persisted centroids, ``read_parquet`` ONLY those bucket
     directories (read-level pruning), brute-force within them, exact
     per-query merge."""
+    import glob
     import json
     import os
 
-    import pandas as pd
     import pyarrow.parquet as pq
-    import ray
+
+    from lucene_ray.sources.io import read_parquet_clean
 
     with open(os.path.join(index_dir, "meta.json")) as f:
         meta = json.load(f)
-    vec_col, id_col = meta["vec_col"], meta["id_col"]
     ct = pq.read_table(os.path.join(index_dir, "centroids.parquet"))
     cent = np.array(ct.column("vec").to_pylist(), dtype=np.float64)
-    qv = np.asarray(query_vecs, dtype=np.float64)
-    qn = qv / np.maximum(np.linalg.norm(qv, axis=1, keepdims=True), 1e-30)
+    qn = _unit(query_vecs)
     probe = np.argsort(-(qn @ cent.T), axis=1)[:, :nprobe]
     buckets = sorted({int(b) for row in probe for b in row})
-    import glob as _glob
-
     # read_parquet with a path LIST expects files — expand each probed
     # bucket directory (directories are only auto-expanded for single paths)
     paths = [
         f
         for b in buckets
-        for f in sorted(_glob.glob(os.path.join(index_dir, f"bucket={b}", "*.parquet")))
+        for f in sorted(glob.glob(os.path.join(index_dir, f"bucket={b}", "*.parquet")))
     ]
-    from lucene_ray.sources.io import read_parquet_clean
-
-    sub = read_parquet_clean(paths)
     # per-query probe masks still apply within the union of read buckets
-    import ray.data  # noqa: F401
-
-    ref = ray.put((list(query_ids), qn, [set(p.tolist()) for p in probe], cent))
-
-    def topk(batch: pa.Table) -> pa.Table:
-        qids, qnn, probe_sets, c = ray.get(ref)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        v = _batch_vectors(batch, vec_col)
-        vn = v / np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-30)
-        assign = np.argmax(vn @ c.T, axis=1)
-        sims = vn @ qnn.T
-        out_q, out_id, out_sim = [], [], []
-        for qi, qid in enumerate(qids):
-            m = np.isin(assign, list(probe_sets[qi])) & (ids != qid)
-            idx = np.flatnonzero(m)
-            if not len(idx):
-                continue
-            take = idx[np.argsort(-sims[idx, qi], kind="stable")[:k]]
-            out_q.extend([qid] * len(take))
-            out_id.extend(ids[take].tolist())
-            out_sim.extend(sims[take, qi].tolist())
-        return pa.table({"query_id": pa.array(out_q, type=pa.int64()),
-                         "neighbor_id": pa.array(out_id, type=pa.int64()),
-                         "cosine": pa.array(np.array(out_sim, dtype=np.float64))})
-
-    cand = sub.map_batches(topk, batch_format="pyarrow", concurrency=concurrency)
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", "neighbor_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1)
-        return g[["query_id", "rank", "neighbor_id", "cosine"]]
-
-    return cand.groupby("query_id").map_groups(merge, batch_format="pandas")
+    return _cosine_topk(read_parquet_clean(paths), query_ids, qn, k=k,
+                        vec_col=meta["vec_col"], id_col=meta["id_col"],
+                        concurrency=concurrency, centroids=cent, probes=probe)

@@ -5,9 +5,10 @@ are a small Dataset; each (query, shard) pair is scored by a stateful
 ``SearcherShard`` actor that loads its shard's SegmentReaders ONCE in
 ``__init__`` (term dict in RAM, the DirectoryReader analogue —
 search/IndexSearcher.java leaf slices ≤250k docs); per-shard top-k rows are
-then reduced per query with the exact (score desc, doc_key asc) merge —
-``TopDocs.merge`` (search/TopDocs.java:202-227) as a
-``groupby(query_id).map_groups``.
+then reduced by ``topk.topk_by_query``, the one per-query merge every batch
+search operator shares: (score desc, doc_key asc), first k, ranks 1..k —
+``TopDocs.merge`` (search/TopDocs.java:202-227). An empty result keeps its
+columns.
 
 Partitioning assumption: per-shard top-k + exact merge is rank-identical to
 a single-searcher run because BM25 statistics are GLOBAL (read from the
@@ -21,10 +22,10 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from lucene_ray.cache import LRUCache
+from lucene_ray.pipelines.topk import topk_by_query
 from lucene_ray.searcher import IndexSearcher
 
 SHARD_SEARCHER_CACHE_ENTRIES = 8  # open shard searchers per actor
@@ -153,14 +154,6 @@ def search_distributed(
         num_cpus=1,
     )
 
-    def merge_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score", "doc_key"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1)
-        return g[["query_id", "query", "rank", "doc_key", "score"]]
-
-    # the shuffle drops the schema of an all-empty result; a zero-row block
-    # with the output schema keeps the columns when no query matches
     import pyarrow.parquet as pq
 
     key_type = pq.read_schema(
@@ -168,5 +161,4 @@ def search_distributed(
     schema = pa.schema([("query_id", pa.int64()), ("query", pa.string()),
                         ("rank", pa.int64()), ("doc_key", key_type),
                         ("score", pa.float64())])
-    merged = cand.groupby("query_id").map_groups(merge_topk, batch_format="pandas")
-    return merged.union(ray.data.from_arrow(schema.empty_table()))
+    return topk_by_query(cand, k, "score", "doc_key", schema)

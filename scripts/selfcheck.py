@@ -2,7 +2,9 @@
 runs every queries() entry and its oracle_sql() side-by-side via DuckDB,
 compares row count, column names, and order-insensitive values.
 
-Usage: python scripts/selfcheck.py [sf_dir]
+Usage: python scripts/selfcheck.py [sf_dir] [gate ...]
+
+With gate names after ``sf_dir``, only those gates run.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-import sys
 import time
 
 import duckdb
@@ -46,7 +47,18 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
-def main(sf_dir: str):
+def main(sf_dir: str, gates: list[str] | None = None):
+    import __ray_entry__ as entrymod
+
+    qs = entrymod.queries()
+    sqls = entrymod.oracle_sql()
+    if gates:
+        unknown = [g for g in gates if g not in qs]
+        if unknown:
+            print(f"unknown gate(s): {', '.join(unknown)}")
+            return len(unknown)
+        qs = {g: qs[g] for g in gates}
+
     import ray
 
     if not ray.is_initialized():
@@ -56,17 +68,12 @@ def main(sf_dir: str):
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
-    import __ray_entry__ as entrymod
-
     con = duckdb.connect()
     for t in TABLES:
         con.execute(
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
         )
 
-    qs = entrymod.queries()
-    sqls = entrymod.oracle_sql()
     n_pass = n_fail = 0
     for name, fn in qs.items():
         t0 = time.time()
@@ -115,4 +122,5 @@ def main(sf_dir: str):
 
 
 if __name__ == "__main__":
-    sys.exit(1 if main(sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01") else 0)
+    sys.exit(1 if main(sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01",
+                       sys.argv[2:]) else 0)

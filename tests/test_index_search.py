@@ -577,6 +577,30 @@ def test_distributed_search_uses_index_analyzer(ray_session, tmp_path):
     assert empty.schema().names == ["query_id", "query", "rank", "doc_key", "score"]
 
 
+def test_knn_empty_results_keep_columns(ray_session, tmp_path):
+    """Every kNN entry returns its four columns when no neighbor is left:
+    over one vector, excluding the query itself leaves nothing."""
+    import pyarrow as pa
+    import ray.data
+
+    from lucene_ray.pipelines.hnsw import build_hnsw_index, knn_hnsw
+    from lucene_ray.pipelines.knn import build_ivf_index, knn_brute_force, knn_ivf_indexed
+
+    X = np.array([[1.0, 0.0, 0.5]])
+    ds = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array([7], type=pa.int64()),
+        "embedding": pa.array(list(X), type=pa.list_(pa.float64()))}))
+    ivf = build_ivf_index(ds, str(tmp_path / "ivf"), n_centroids=1)
+    hnsw = build_hnsw_index(ds, str(tmp_path / "hnsw"), M=4, ef_construction=8)
+    for out in (knn_brute_force(ds, [7], X, k=3, concurrency=1),
+                knn_ivf_indexed(ivf, [7], X, k=3, nprobe=1, concurrency=1),
+                knn_hnsw(hnsw, [7], X, k=3, concurrency=1)):
+        assert out.count() == 0
+        schema = out.schema()
+        assert schema.names == ["query_id", "rank", "neighbor_id", "cosine"]
+        assert [str(t) for t in schema.types] == ["int64", "int64", "int64", "double"]
+
+
 def test_string_queries_use_index_analyzer(ray_session, tmp_path):
     """Every searcher entry that takes query text parses it through the
     index's analyzer, as search and count do; so does delete_by_query."""

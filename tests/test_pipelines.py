@@ -170,6 +170,30 @@ def test_knn_brute_force_matches_numpy(emb):
         assert got == want[qid], qid
 
 
+@pytest.mark.parametrize("ids", [[0, 5, 3], [0, 3, 5]])
+def test_knn_ties_cut_by_neighbor_id(ray_session, tmp_path, ids):
+    """Every per-batch and per-shard cut orders (cosine desc, neighbor_id
+    asc), as the merge does: in one block where ids 5 and 3 share a vector,
+    the top-1 neighbor of 0 is 3 whichever row comes first."""
+    import ray.data
+
+    from lucene_ray.pipelines.hnsw import build_hnsw_index, knn_hnsw
+    from lucene_ray.pipelines.knn import (build_ivf_index, knn_brute_force, knn_ivf,
+                                          knn_ivf_indexed)
+
+    X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+    ds = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(ids, type=pa.int64()),
+        "embedding": pa.array(list(X), type=pa.list_(pa.float64()))}))
+    ivf = build_ivf_index(ds, str(tmp_path / "ivf"), n_centroids=1)
+    hnsw = build_hnsw_index(ds, str(tmp_path / "hnsw"), M=4, ef_construction=8)
+    for out in (knn_brute_force(ds, [0], X[:1], k=1, concurrency=1),
+                knn_ivf(ds, [0], X[:1], k=1, n_centroids=1, nprobe=1, concurrency=1),
+                knn_ivf_indexed(ivf, [0], X[:1], k=1, nprobe=1, concurrency=1),
+                knn_hnsw(hnsw, [0], X[:1], k=1, concurrency=1)):
+        assert out.to_pandas().neighbor_id.tolist() == [3]
+
+
 def test_knn_ivf_recall(emb):
     from lucene_ray.pipelines.knn import knn_ivf
 
@@ -544,3 +568,42 @@ def test_hnsw_merge_group_vector_bound(ray_session, tmp_path):
         with open(os.path.join(idx, name, "meta.json")) as f:
             tot += json.load(f)["n"]
     assert tot == 600
+
+
+def test_hnsw_failed_shard_rename_raises(ray_session, tmp_path, monkeypatch):
+    """A merged shard whose rename fails and leaves no shard directory
+    raises: ``shards.json`` and the source shards stay as they were, instead
+    of listing a missing shard and deleting the consumed sources."""
+    import json
+    import os
+
+    import ray as _ray
+
+    from lucene_ray.pipelines.hnsw import build_hnsw_index, merge_hnsw_shards
+
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((120, 4))
+    ds = _ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(np.arange(120, dtype=np.int64)),
+        "embedding": pa.array(list(X), type=pa.list_(pa.float64()))}))
+    idx = str(tmp_path / "hnsw")
+    build_hnsw_index(ds, idx, M=4, ef_construction=16, shard_rows=40)
+    with open(os.path.join(idx, "shards.json")) as f:
+        before = json.load(f)
+    assert len(before) == 3
+
+    real_rename = os.rename
+
+    def failing_rename(src, dst):
+        if os.path.basename(dst).startswith("shard-"):
+            raise OSError("rename failed")
+        return real_rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", failing_rename)
+    with pytest.raises(OSError, match="rename failed"):
+        merge_hnsw_shards(idx, target_shards=1, M=4, ef_construction=16,
+                          use_ray=False)
+    monkeypatch.undo()
+    with open(os.path.join(idx, "shards.json")) as f:
+        assert json.load(f) == before
+    assert sorted(os.listdir(idx)) == sorted(before + ["shards.json"])
