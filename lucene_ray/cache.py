@@ -1,41 +1,49 @@
 """The one cache of lucene_ray: a bounded LRU (search/LRUQueryCache.java).
 
 Every memo the library keeps across queries is an ``LRUCache``: an entry
-bound, least-recently-used eviction, ``hits`` and ``misses`` counters, and
-``nbytes``, the numpy ``nbytes`` of the held values (arrays inside tuples and
-lists are summed; other objects count 0), summed when read so that a put
-costs no more than a dict store. Values may be ``None``. Not thread-safe:
-each owner is one actor or one searcher.
+bound, a byte bound or both, least-recently-used eviction, ``hits`` and
+``misses`` counters, and ``nbytes``, the numpy ``nbytes`` of the held values
+(arrays inside tuples and lists are summed; other objects count 0), kept as
+a running total. A value larger than the byte bound is returned but not
+held. Values may be ``None``. Not thread-safe: each owner is one actor or
+one searcher.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 
+import numpy as np
+
 _MISSING = object()
 
 
 def _nbytes(value) -> int:
+    if isinstance(value, np.ndarray):
+        return value.nbytes
     if isinstance(value, (tuple, list)):
-        return sum(_nbytes(v) for v in value)
+        return sum(map(_nbytes, value))
     n = getattr(value, "nbytes", 0)
     return n if isinstance(n, int) else 0
 
 
 class LRUCache:
-    def __init__(self, max_entries: int):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
+    def __init__(self, max_entries: int | None = None, max_bytes: int | None = None):
+        if max_entries is None and max_bytes is None:
+            raise ValueError("an LRUCache needs max_entries, max_bytes or both")
+        for name, bound in (("max_entries", max_entries), ("max_bytes", max_bytes)):
+            if bound is not None and bound < 1:
+                raise ValueError(f"{name} must be >= 1, got {bound}")
+        inf = float("inf")  # an absent bound
+        self.max_entries = inf if max_entries is None else max_entries
+        self.max_bytes = inf if max_bytes is None else max_bytes
         self._data: OrderedDict = OrderedDict()
+        self._sizes: dict = {}
+        self.nbytes = 0
         self.hits = self.misses = 0
 
     def __len__(self) -> int:
         return len(self._data)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(_nbytes(v) for v in self._data.values())
 
     def get(self, key, default=None):
         """The value under ``key`` (now most recently used), else
@@ -49,12 +57,21 @@ class LRUCache:
         return value
 
     def put(self, key, value):
-        """Store ``value`` as the most recently used entry, evicting the
-        least recently used one past ``max_entries``; returns ``value``."""
-        self._data[key] = value
-        self._data.move_to_end(key)
-        if len(self._data) > self.max_entries:
-            self._data.popitem(last=False)
+        """Store ``value`` as the most recently used entry, evicting least
+        recently used ones past either bound; returns ``value``."""
+        data, sizes = self._data, self._sizes
+        size = _nbytes(value)
+        if key in data:
+            del data[key]
+            self.nbytes -= sizes.pop(key)
+        if size > self.max_bytes:
+            return value
+        data[key] = value
+        sizes[key] = size
+        self.nbytes += size
+        while len(data) > self.max_entries or self.nbytes > self.max_bytes:
+            old, _ = data.popitem(last=False)
+            self.nbytes -= sizes.pop(old)
         return value
 
     def get_or_put(self, key, fn):

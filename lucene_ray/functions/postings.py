@@ -22,6 +22,11 @@ bits 0 → all zeros (used by freq-1 for freq-all-ones blocks).
 
 Everything is vectorized; the per-block Python overhead is amortized by
 encoding ALL blocks of a term at once via a grouped pack.
+
+Readers decode in bulk: ``decode_postings_range`` decodes the postings of a
+whole range of term ordinals of a segment in one pass (the reference decodes
+128 postings at a time and leaves residency to the OS page cache); the
+per-term ``decode_postings`` is the reference decoder it is checked against.
 """
 
 from __future__ import annotations
@@ -236,6 +241,117 @@ def decode_postings_block_range(
     freqs = (np.concatenate(out_f) + 1).astype(np.int32)
     rel_docs = np.cumsum(deltas)
     return rel_docs, freqs, block_lo * BLOCK_SIZE
+
+
+# bytes per packed value of each width class; any other width is invalid
+_WIDTH_OF = np.zeros(256, dtype=np.int64)
+_WIDTH_OF[[8, 16, 32]] = [1, 2, 4]
+_VALID_WIDTH = np.zeros(256, dtype=bool)
+_VALID_WIDTH[[0, 8, 16, 32]] = True
+
+
+def _ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """``0 .. c-1`` for each ``c`` in ``counts``, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)
+
+
+def _block_headers(packed: np.ndarray, h0: np.ndarray, end: np.ndarray,
+                   df: np.ndarray, t: np.ndarray, j: np.ndarray,
+                   cnt: np.ndarray) -> np.ndarray:
+    """Byte offset of the header of every block ``j`` of term ``t``, whose
+    first header sits at ``h0[t]`` and whose stream ends at ``end[t]``;
+    ``cnt`` is each block's posting count.
+
+    ``encode_postings`` writes every full block of a term with one width
+    pair, so block ``j`` sits ``j`` chunks of block 0 past ``h0``. That is
+    predicted for all blocks at once and checked against every header (a
+    full block's header repeats block 0's, the last block's count is what
+    is left); a stream that does not follow raises ValueError."""
+    if (h0 + 4 > end).any():
+        raise ValueError("corrupt postings stream: shorter than one block header")
+    chunk = 4 + BLOCK_SIZE * (_WIDTH_OF[packed[h0]] + _WIDTH_OF[packed[h0 + 1]])
+    hdr = h0[t] + j * chunk[t]
+    if (hdr + 4 > end[t]).any():
+        raise ValueError("corrupt postings stream: block header past the term's stream")
+    full = j < (df // BLOCK_SIZE)[t]
+    first = h0[t]
+    n16 = cnt.astype(np.uint16).view(np.uint8).reshape(-1, 2)  # u16 as written
+    if ((packed[hdr + 2] != n16[:, 0]) | (packed[hdr + 3] != n16[:, 1])
+            | (full & ((packed[hdr] != packed[first])
+                       | (packed[hdr + 1] != packed[first + 1])))).any():
+        raise ValueError("corrupt postings stream: block headers do not "
+                         "follow the one-width-pair layout")
+    return hdr
+
+
+def decode_postings_range(
+    packed_off: np.ndarray,
+    packed: np.ndarray,
+    doc_freq: np.ndarray,
+    singleton_doc: np.ndarray,
+    singleton_freq: np.ndarray,
+    lo: int,
+    hi: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode the postings of term ordinals ``[lo, hi)`` of one segment in
+    one vectorized pass → (docIDs int32, freqs int32, term_starts int64).
+
+    The arguments are the segment's postings columns: the ``packed``
+    column's byte offsets and its data as uint8, and the ``doc_freq``,
+    ``singleton_doc`` and ``singleton_freq`` columns. Term ``lo + k``'s
+    postings are ``docs[term_starts[k]:term_starts[k + 1]]`` (``hi - lo + 1``
+    starts). Block headers come from ``_block_headers``; each width class
+    is one big-endian gather over every block of that width; singletons
+    come straight from their columns; one prefix sum, restarted at each
+    term, turns the doc deltas into docIDs. Equal to ``decode_postings``
+    term by term."""
+    df = np.asarray(doc_freq[lo:hi], dtype=np.int64)
+    term_starts = np.zeros(len(df) + 1, dtype=np.int64)
+    np.cumsum(df, out=term_starts[1:])
+    starts = term_starts[:-1]
+    deltas = np.zeros(int(term_starts[-1]), dtype=np.uint32)  # width 0: zeros
+    fm1 = np.zeros(len(deltas), dtype=np.uint32)
+    one = df == 1
+    deltas[starts[one]] = singleton_doc[lo:hi][one]
+    fm1[starts[one]] = singleton_freq[lo:hi][one] - 1
+    multi = np.flatnonzero(df > 1)
+    if len(multi):
+        mdf = df[multi]
+        nb = -(-mdf // BLOCK_SIZE)
+        t = np.repeat(np.arange(len(multi)), nb)
+        j = _ragged_arange(nb)
+        h0 = np.asarray(packed_off[lo + multi], dtype=np.int64) + 4  # past u32 n
+        end = np.asarray(packed_off[lo + multi + 1], dtype=np.int64)
+        cnt = np.minimum(BLOCK_SIZE, mdf[t] - j * BLOCK_SIZE)
+        hdr = _block_headers(packed, h0, end, mdf, t, j, cnt)
+        bd, bf = packed[hdr], packed[hdr + 1]
+        if not (_VALID_WIDTH[bd].all() and _VALID_WIDTH[bf].all()):
+            raise ValueError("unsupported packed width (expected 0/8/16/32)")
+        last = np.cumsum(nb) - 1  # each term's last block ends its stream
+        if (hdr[last] + 4 + cnt[last] * (_WIDTH_OF[bd[last]] + _WIDTH_OF[bf[last]])
+                != end).any():
+            raise ValueError("corrupt postings stream: length does not match its blocks")
+        first = starts[multi][t] + j * BLOCK_SIZE  # first posting of each block
+        doff = hdr + 4
+        foff = doff + cnt * _WIDTH_OF[bd]
+        for out, width, off in ((deltas, _WIDTH_OF[bd], doff),
+                                (fm1, _WIDTH_OF[bf], foff)):
+            for w in (1, 2, 4):
+                sel = np.flatnonzero(width == w)
+                if not len(sel):
+                    continue
+                c = cnt[sel]
+                within = _ragged_arange(c)
+                src = np.repeat(off[sel], c) + within * w
+                v = packed[src].astype(np.uint32)
+                for b in range(1, w):  # big-endian
+                    v = (v << np.uint32(8)) | packed[src + b]
+                out[np.repeat(first[sel], c) + within] = v
+    cs = np.cumsum(deltas, dtype=np.int64)
+    nz = starts[df > 0]
+    docs = cs - np.repeat(cs[nz] - deltas[nz], df[df > 0])
+    return docs.astype(np.int32), (fm1 + 1).astype(np.int32), term_starts
 
 
 def block_skip_metadata(

@@ -277,8 +277,10 @@ def knn_classify(searcher, text: str, *, k: int = 10, class_field: str = "lang",
 
     The knn query is every distinct analyzed input token as a SHOULD
     TermQuery — the reference's MoreLikeThis selection at
-    minTermFreq=minDocFreq=1 with boost off; pass ``query`` to use a custom
-    selection (e.g. ``suggest.more_like_this``'s top-terms)."""
+    minTermFreq=minDocFreq=1 with boost off; past
+    ``BooleanQuery.MAX_CLAUSE_COUNT`` tokens the clauses are grouped into
+    nested SHOULD queries, which sum to the same score. Pass ``query`` to
+    use a custom selection (e.g. ``suggest.more_like_this``'s top-terms)."""
     from lucene_ray.query import BooleanQuery, TermQuery
 
     if query is None:
@@ -288,7 +290,12 @@ def knn_classify(searcher, text: str, *, k: int = 10, class_field: str = "lang",
             if t not in seen:
                 seen.add(t)
                 uniq.append(t)
-        query = BooleanQuery(should=[TermQuery(t, field=field) for t in uniq])
+        clauses = [TermQuery(t, field=field) for t in uniq]
+        n = BooleanQuery.MAX_CLAUSE_COUNT
+        while len(clauses) > n:
+            clauses = [BooleanQuery(should=clauses[i : i + n])
+                       for i in range(0, len(clauses), n)]
+        query = BooleanQuery(should=clauses)
     td = searcher.search(query, k=k, algo="exhaustive")
     hits = []
     for sd in td.score_docs:

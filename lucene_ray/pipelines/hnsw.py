@@ -35,7 +35,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from lucene_ray.cache import LRUCache
-from lucene_ray.pipelines.knn import KNN_SCHEMA, _unit
+from lucene_ray.pipelines.knn import KNN_SCHEMA, _unit, _vectors
 from lucene_ray.pipelines.topk import topk_by_query
 from lucene_ray.state.manifest import _atomic_write, fsync_path
 
@@ -289,7 +289,7 @@ def build_hnsw_index(ds, out_dir: str, *, vec_col: str = "embedding",
 
     def build_shard(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        vecs = np.array(batch.column(vec_col).to_pylist(), dtype=np.float64)
+        vecs = _vectors(batch.column(vec_col))
         g = HnswGraph(M=M, ef_construction=ef_construction, seed=seed).build(vecs)
         name = _write_shard(out_dir, ids, vecs, g)
         return pa.table({"shard": pa.array([name]), "n": pa.array([len(ids)])})
@@ -326,7 +326,7 @@ class HnswShardSearcher:
         d = os.path.join(self.index_dir, name)
         vt = pq.read_table(os.path.join(d, "vectors.parquet"))
         ids = vt.column("vec_id").to_numpy()
-        vecs = np.array(vt.column("vec").to_pylist(), dtype=np.float64)
+        vecs = _vectors(vt.column("vec"))
         with open(os.path.join(d, "meta.json")) as f:
             meta = json.load(f)
         g = HnswGraph.from_tables(
@@ -452,7 +452,7 @@ def merge_hnsw_shards(index_dir: str, *, merge_factor: int = 8,
                   for n in names]
         vt = pa.concat_tables(tables)
         ids = vt.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        vecs = np.array(vt.column("vec").to_pylist(), dtype=np.float64)
+        vecs = _vectors(vt.column("vec"))
         g = HnswGraph(M=M, ef_construction=ef_construction, seed=seed).build(vecs)
         return _write_shard(index_dir, ids, vecs, g)
 

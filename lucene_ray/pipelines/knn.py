@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from lucene_ray.pipelines.topk import topk_by_query
 
@@ -27,8 +28,21 @@ KNN_SCHEMA = pa.schema([("query_id", pa.int64()), ("rank", pa.int64()),
                         ("neighbor_id", pa.int64()), ("cosine", pa.float64())])
 
 
-def _batch_vectors(batch: pa.Table, vec_col: str) -> np.ndarray:
-    return np.array(batch.column(vec_col).to_pylist(), dtype=np.float64)
+def _vectors(col) -> np.ndarray:
+    """A list<double> column of n equal-length vectors as an (n, d) float64
+    matrix, read through its flat values buffer (no Python lists). A null
+    vector or vectors of different lengths raise ValueError."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    n = len(col)
+    if col.null_count:
+        raise ValueError(f"{col.null_count} null vector(s) in a vector column")
+    lengths = pc.min_max(pc.list_value_length(col))
+    d = lengths["min"].as_py() or 0
+    if lengths["max"].as_py() not in (None, d):
+        raise ValueError("vectors of different lengths in one column")
+    flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
+    return flat.reshape(n, d)
 
 
 def _unit(v) -> np.ndarray:
@@ -59,7 +73,7 @@ class CosineTopK:
         ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
         out_q, out_id, out_sim = [], [], []
         if len(ids):
-            v = _unit(_batch_vectors(batch, self.vec_col))
+            v = _unit(_vectors(batch.column(self.vec_col)))
             sims = v @ self.qn.T  # (n, q)
             if self.centroids is not None:
                 assign = np.argmax(v @ self.centroids.T, axis=1)
@@ -127,7 +141,7 @@ def train_centroids(ds, *, n_centroids: int = 16, vec_col: str = "embedding",
 
         def partials(batch: pa.Table) -> pa.Table:
             c = ray.get(cref)
-            vn = _unit(_batch_vectors(batch, vec_col))
+            vn = _unit(_vectors(batch.column(vec_col)))
             assign = np.argmax(vn @ c.T, axis=1)
             sums = np.zeros_like(c)
             np.add.at(sums, assign, vn)
@@ -196,7 +210,7 @@ def build_ivf_index(ds, out_dir: str, *, n_centroids: int = 16,
 
     def assign(batch: pa.Table) -> pa.Table:
         c = ray.get(cref)
-        vn = _unit(_batch_vectors(batch, vec_col))
+        vn = _unit(_vectors(batch.column(vec_col)))
         b = np.argmax(vn @ c.T, axis=1).astype(np.int64)
         return pa.table({id_col: batch.column(id_col),
                          vec_col: batch.column(vec_col),
@@ -233,7 +247,7 @@ def knn_ivf_indexed(index_dir: str, query_ids, query_vecs, *, k: int = 10,
     with open(os.path.join(index_dir, "meta.json")) as f:
         meta = json.load(f)
     ct = pq.read_table(os.path.join(index_dir, "centroids.parquet"))
-    cent = np.array(ct.column("vec").to_pylist(), dtype=np.float64)
+    cent = _vectors(ct.column("vec"))
     qn = _unit(query_vecs)
     probe = np.argsort(-(qn @ cent.T), axis=1)[:, :nprobe]
     buckets = sorted({int(b) for row in probe for b in row})

@@ -528,13 +528,18 @@ class BooleanQuery(Query):
         object.__setattr__(self, "must_not", tuple(must_not))
         object.__setattr__(self, "filter", tuple(filter))
         object.__setattr__(self, "minimum_should_match", int(minimum_should_match))
+        n = len(self.must) + len(self.should) + len(self.must_not) + len(self.filter)
+        if n > self.MAX_CLAUSE_COUNT:
+            raise TooManyClauses(
+                f"BooleanQuery with {n} clauses: more than MAX_CLAUSE_COUNT "
+                f"({self.MAX_CLAUSE_COUNT})")
 
     MAX_CLAUSE_COUNT = 1024  # BooleanQuery.java maxClauseCount default
 
-    def __post_init__(self):
-        n = len(self.must) + len(self.should) + len(self.must_not) + len(self.filter)
-        if n > self.MAX_CLAUSE_COUNT:
-            raise ValueError(f"maxClauseCount is set to {self.MAX_CLAUSE_COUNT}")
+
+class TooManyClauses(ValueError):
+    """A BooleanQuery over ``BooleanQuery.MAX_CLAUSE_COUNT`` clauses
+    (IndexSearcher.TooManyClauses)."""
 
 
 # --------------------------------------------------------------- parser

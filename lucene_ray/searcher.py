@@ -1113,20 +1113,26 @@ class IndexSearcher:
         return self._dismax([self._eval(r, d, boost) for d in q.disjuncts], q.tie_breaker)
 
     @staticmethod
-    def _union_docs(r: SegmentReader, term_indices) -> np.ndarray:
-        arrs = [r.postings(int(i))[0] for i in term_indices]
-        arrs = [a for a in arrs if len(a)]
-        if not arrs:
-            return np.empty(0, dtype=np.int32)
-        total = sum(len(a) for a in arrs)
-        if total * 4 > r.max_doc:
-            # dense path: O(max_doc) bitmap beats O(n log n) sort-unique for
-            # fat unions (prefix/wildcard expansions over dense terms)
+    def _union_docs(r: SegmentReader, ords) -> np.ndarray:
+        """Sorted docs holding any term among dictionary ordinals ``ords``
+        (a range, or ordinals in any order): one ``postings_range`` read per
+        run of adjacent ordinals, then one scatter into a bitmap
+        (MultiTermQueryConstantScoreWrapper → DocIdSetBuilder)."""
+        if isinstance(ords, range):
+            runs = [(ords.start, ords.stop)]
+        else:
+            o = np.unique(np.asarray(ords, dtype=np.int64))
+            gap = np.diff(o) != 1
+            runs = zip(o[np.r_[True, gap]].tolist(),
+                       (o[np.r_[gap, True]] + 1).tolist()) if len(o) else ()
+        docs = np.concatenate([np.empty(0, dtype=np.int32)]
+                              + [r.postings_range(lo, hi)[0] for lo, hi in runs])
+        if len(docs) * 4 > r.max_doc:
+            # dense: an O(max_doc) bitmap beats an O(n log n) sort-unique
             mask = np.zeros(r.max_doc, dtype=bool)
-            for a in arrs:
-                mask[a] = True
+            mask[docs] = True
             return np.flatnonzero(mask).astype(np.int32)
-        return np.unique(np.concatenate(arrs))
+        return np.unique(docs)
 
     @staticmethod
     def _union(subs: list[_SparseScores], max_doc: int | None = None) -> _SparseScores:
@@ -2015,8 +2021,9 @@ class IndexSearcher:
     def _term_docs(self, r: SegmentReader, term, blocks, whole: bool):
         """(docs, scores) of ``term``: its whole scored postings from the
         term-score cache, or scored whole into it when ``whole``, else only
-        the block ranges ``blocks`` ([(j0, j1)]) decoded and scored
-        (ImpactsDISI: a skipped block is never decoded)."""
+        the block ranges ``blocks`` ([(j0, j1)]) read and scored
+        (ImpactsDISI: a skipped block is never scored; it is decoded only
+        as part of a cached page, see ``SegmentReader.postings_blocks``)."""
         ti, boost, scorer = term
         key = (r, ti, boost)
         hit = self._term_scores.get(key)

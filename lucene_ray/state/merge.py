@@ -120,8 +120,8 @@ def merge_segment_group(index_dir: str, seg_names: list[str], out_name: str,
         [r.dls[lv] for r, lv in zip(readers, lives)]
     ).astype(np.int32, copy=False)
 
-    # Posting-level flattening: per reader, decode each term's postings once
-    # (decode is inherently per packed stream), remap docIDs and keep the
+    # Posting-level flattening: per reader, decode all postings in one
+    # postings_range read (a page at a time), remap docIDs and keep the
     # (term, reader) RUN with its occurrence streams. Readers are visited in
     # doc-base order and a term's postings within one reader are already
     # doc-ordered, so the runs STABLY reordered by term code are the merged
@@ -142,8 +142,11 @@ def merge_segment_group(index_dir: str, seg_names: list[str], out_name: str,
     pos_parts, ofs_parts, pay_parts = [], [], []
     for r, base, live, remap in zip(readers, bases, lives, remaps):
         gcodes = np.searchsorted(all_terms, r.terms)  # exact: r.terms ⊆ all_terms
+        docs_r, freqs_r, starts_r = r.postings_range(0, r.n_terms)
+        starts_r = starts_r.tolist()
         for i in range(r.n_terms):
-            d, f = r.postings(i)
+            s, e = starts_r[i], starts_r[i + 1]
+            d, f = docs_r[s:e], freqs_r[s:e]
             keep = live[d]
             occ = None
             if not keep.all():

@@ -49,6 +49,7 @@ import json
 import os
 import uuid
 import zlib
+from bisect import bisect_right
 
 import numpy as np
 import pyarrow as pa
@@ -58,14 +59,16 @@ from lucene_ray.cache import LRUCache
 from lucene_ray.functions.analysis import Analyzer
 from lucene_ray.functions.norms import decode_norms, encode_lengths
 # postings_table calls encode_postings, block_skip_metadata and
-# competitive_impacts as this module's globals: perfbench's traced mode
-# wraps them here by name
+# competitive_impacts, and the reader decode_postings_range and
+# decode_postings_block_range (only for a page too large to cache), as this
+# module's globals: perfbench's traced mode wraps them here by name
 from lucene_ray.functions.postings import (
     BLOCK_SIZE,
     block_skip_metadata,
     competitive_impacts,
     decode_postings,
     decode_postings_block_range,
+    decode_postings_range,
     encode_postings,
 )
 from lucene_ray.state.manifest import fsync_path
@@ -76,11 +79,17 @@ META_NAME = "meta.json"
 # every stream column is always present)
 SEGMENT_FORMAT = 2
 
-# entry bounds of the per-reader caches (decoded postings lists, single
-# decoded 128-doc blocks, phrase position keys)
-DECODE_CACHE_ENTRIES = 256
-BLOCK_CACHE_ENTRIES = 4096
-POSKEY_CACHE_ENTRIES = 64
+# A reader decodes postings a page at a time: a page is a run of adjacent
+# term ordinals, cut at PAGE_TERMS ordinals and before the run's postings
+# pass PAGE_POSTINGS; a term with PAGE_POSTINGS postings or more is a page of
+# its own. A page is decoded in one decode_postings_range pass, and decoded
+# pages live in one per-reader LRU bounded by PAGE_CACHE_BYTES. A page larger
+# than that (one very frequent term) is never decoded whole and never held:
+# each read decodes only what it asks for.
+PAGE_TERMS = 1024
+PAGE_POSTINGS = 1 << 16
+PAGE_CACHE_BYTES = 64 << 20
+POSKEY_CACHE_ENTRIES = 64  # per reader: phrase position keys of a term
 
 # utf-8 byte → character-class bucket for the fuzzy counting filter:
 # a-z → 0-25, 0-9 → 26-35, other lead bytes → 36, continuation bytes → 37
@@ -514,8 +523,10 @@ class SegmentReader:
     lookups binary-search its raw UTF-8 offset and data buffers, comparing
     bytes the way the block-tree terms dictionary compares ``BytesRef``s
     (codecs/lucene90/blocktree/SegmentTermsEnum.java) and never decoding a
-    term. Postings decode on demand per term. Intended to live inside a
-    searcher actor's ``__init__``.
+    term. Postings decode on demand a page of adjacent ordinals at a time
+    (``PAGE_TERMS``) into a byte-bounded cache that every postings read
+    goes through.
+    Intended to live inside a searcher actor's ``__init__``.
     """
 
     def __init__(self, seg_dir: str, preload: bool = True):
@@ -565,6 +576,18 @@ class SegmentReader:
         self._singleton_freq = p.column("singleton_freq").to_numpy()
         # zero-copy Arrow buffer views (no per-term Python objects)
         self._packed_off, self._packed_data = _binary_views(p.column("packed"))
+        self._packed = np.frombuffer(self._packed_data, dtype=np.uint8)
+        # first ordinal of each page, then n_terms (see PAGE_TERMS), and the
+        # bytes of each decoded page (int32 docs and freqs, int64 starts)
+        df = self.doc_freq.astype(np.int64)
+        ends = np.cumsum(df)
+        before = (ends - df) // PAGE_POSTINGS
+        cut = 1 + np.flatnonzero((np.arange(1, self.n_terms) % PAGE_TERMS == 0)
+                                 | (before[1:] != before[:-1])
+                                 | (df[1:] >= PAGE_POSTINGS))
+        self._page_starts = [0, *cut.tolist(), self.n_terms]
+        ps = np.asarray(self._page_starts)
+        self._page_nbytes = (8 * np.diff(np.r_[0, ends][ps]) + 8 * (np.diff(ps) + 1)).tolist()
         self._bld_off, self._bld_vals = _list_views(p.column("block_last_docs"))
         self._impf_views = _nested_views(p.column("imp_freqs"))
         self._impl_views = _nested_views(p.column("imp_lens"))
@@ -618,10 +641,9 @@ class SegmentReader:
         # from the manifest's del_gen (deletes.py)
         self.live: np.ndarray | None = None
         # caches of what depends only on the segment bytes: decoded postings
-        # of hot query terms (the analogue of reusing a TermsEnum/postings
-        # reader across queries), single blocks, phrase position keys
-        self._decode_cache = LRUCache(DECODE_CACHE_ENTRIES)
-        self._block_cache = LRUCache(BLOCK_CACHE_ENTRIES)
+        # pages (read-only; see PAGE_CACHE_BYTES) and
+        # phrase position keys
+        self._pages = LRUCache(max_bytes=PAGE_CACHE_BYTES)
         self._poskey_cache = LRUCache(POSKEY_CACHE_ENTRIES)
         self._key_rank: np.ndarray | None = None
         self._char_counts: np.ndarray | None = None
@@ -733,21 +755,75 @@ class SegmentReader:
 
     # -- postings ----------------------------------------------------------
 
+    def _decode_page(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(docs, freqs, term_starts) of ordinals ``_page_starts[p]`` to
+        ``_page_starts[p + 1]``, decoded and not cached."""
+        return decode_postings_range(
+            self._packed_off, self._packed, self.doc_freq, self._singleton_doc,
+            self._singleton_freq, self._page_starts[p], self._page_starts[p + 1])
+
+    def _page(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decoded page ``p`` from the page cache; its arrays are read-only."""
+        page = self._pages.get(p)
+        if page is None:
+            page = self._decode_page(p)
+            for a in page:
+                a.setflags(write=False)
+            self._pages.put(p, page)
+        return page
+
+    def _held(self, p: int) -> bool:
+        return self._page_nbytes[p] <= self._pages.max_bytes
+
+    def _part(self, lo: int, hi: int, a: int = 0, b: int | None = None):
+        """(docs, freqs, term_starts) of ordinals ``[lo, hi)`` of one page,
+        postings ``[a:b]`` of them: read-only slices of the cached page, or
+        read-only copies when under half of it (a result kept in a
+        searcher's cache must not keep a much larger page alive). Of a page
+        the cache cannot hold only ``[lo, hi)`` is decoded."""
+        p = bisect_right(self._page_starts, lo) - 1
+        if not self._held(p):
+            docs, freqs, starts = decode_postings_range(
+                self._packed_off, self._packed, self.doc_freq,
+                self._singleton_doc, self._singleton_freq, lo, hi)
+            return docs[a:b], freqs[a:b], starts
+        docs, freqs, starts = self._page(p)
+        p0 = self._page_starts[p]
+        s, e = int(starts[lo - p0]), int(starts[hi - p0])
+        d, f = docs[s:e][a:b], freqs[s:e][a:b]
+        if 2 * len(d) < len(docs):
+            d, f = d.copy(), f.copy()
+            d.setflags(write=False)
+            f.setflags(write=False)
+        return d, f, starts[lo - p0 : hi - p0 + 1] - s
+
     def postings(self, term: str | int) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted local docIDs, freqs) for a term; empty arrays if absent."""
+        """(sorted local docIDs, freqs) for a term, read-only (see
+        ``_part``); empty arrays if absent."""
         i = self.term_index(term) if isinstance(term, str) else term
         if i < 0:
             e = np.empty(0, dtype=np.int32)
             return e, e
-        if self._singleton_doc[i] >= 0:
-            return (
-                np.array([self._singleton_doc[i]], dtype=np.int32),
-                np.array([self._singleton_freq[i]], dtype=np.int32),
-            )
-        hit = self._decode_cache.get(i)
-        if hit is not None:
-            return hit
-        return self._decode_cache.put(i, decode_postings(self._packed_blob(i)))
+        return self._part(i, i + 1)[:2]
+
+    def postings_range(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(docs, freqs, term_starts) of term ordinals ``[lo, hi)``: term
+        ``lo + k``'s postings are ``docs[term_starts[k]:term_starts[k + 1]]``.
+        Read from one page as ``_part`` reads; a range over several pages is
+        their parts concatenated."""
+        parts = []
+        while lo < hi:
+            e = min(hi, self._page_starts[bisect_right(self._page_starts, lo)])
+            parts.append(self._part(lo, e))
+            lo = e
+        if len(parts) == 1:
+            return parts[0]
+        e = np.empty(0, dtype=np.int32)
+        base = np.cumsum([0] + [len(d) for d, _, _ in parts])
+        return (np.concatenate([e] + [d for d, _, _ in parts]),
+                np.concatenate([e] + [f for _, f, _ in parts]),
+                np.concatenate([s[:-1] + o for (_, _, s), o in zip(parts, base)]
+                               + [base[-1:]]))
 
     def poskeys(self, i: int) -> np.ndarray:
         """Sorted ``doc << POS_BITS | position`` int64 keys of term ordinal
@@ -828,27 +904,14 @@ class SegmentReader:
         return np.frombuffer(sl, dtype=np.float32)
 
     def postings_blocks(self, i: int, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Decode ONLY the 128-doc blocks [j0, j1) of term ``i`` (absolute
-        docIDs) — the ImpactsDISI skip path: pruned blocks are never
-        decoded. Sliced from the whole list when that is decoded; a single
-        block is cached per (term, block), so repeated lookups reuse it."""
-        if self._singleton_doc[i] >= 0:
-            return (
-                np.array([self._singleton_doc[i]], dtype=np.int32),
-                np.array([self._singleton_freq[i]], dtype=np.int32),
-            )
-        full = self._decode_cache.get(i)
-        if full is not None:  # whole list already decoded — slice it
-            d, f = full
-            lo, hi = j0 * BLOCK_SIZE, j1 * BLOCK_SIZE
-            return d[lo:hi], f[lo:hi]
-        hit = self._block_cache.get((i, j0)) if j1 == j0 + 1 else None
-        if hit is not None:
-            return hit
+        """The 128-doc blocks [j0, j1) of term ``i`` (absolute docIDs): the
+        ImpactsDISI skip path's read, read-only (see ``_part``). Of a page
+        the cache cannot hold only these blocks are decoded."""
+        if self._held(bisect_right(self._page_starts, i) - 1) or self.doc_freq[i] == 1:
+            return self._part(i, i + 1, j0 * BLOCK_SIZE, j1 * BLOCK_SIZE)[:2]
         rel, f, _ = decode_postings_block_range(self._packed_blob(i), j0, j1)
         base = int(self._bld_vals[self._bld_off[i] + j0 - 1]) if j0 > 0 else 0
-        out = (rel + base).astype(np.int32), f
-        return self._block_cache.put((i, j0), out) if j1 == j0 + 1 else out
+        return (rel + base).astype(np.int32), f
 
     def impacts(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-block competitive impacts as zero-copy views:
@@ -991,7 +1054,9 @@ def check_segment(seg_dir: str) -> list[str]:
     """CheckIndex-style invariant pass (index/CheckIndex.java:482-770).
 
     Returns a list of problems (empty = healthy). Verifies: terms sorted
-    strictly; per-term docIDs strictly increasing and < maxDoc; doc_freq ==
+    strictly; each term's decoded page slice equals the per-term
+    ``decode_postings`` of its packed stream (or its singleton columns);
+    per-term docIDs strictly increasing and < maxDoc; doc_freq ==
     len(postings); total_tf == sum(freqs); segment stats equal recomputed
     sums; norms/dl arrays sized maxDoc; norm byte == encode(dl).
     """
@@ -1002,24 +1067,40 @@ def check_segment(seg_dir: str) -> list[str]:
         problems.append("terms not strictly sorted")
     sum_df = 0
     sum_ttf = 0
-    for i in range(len(t)):
-        docs, freqs = r.postings(int(i))
-        if len(docs) != r.doc_freq[i]:
-            problems.append(f"term {t[i]}: doc_freq {r.doc_freq[i]} != {len(docs)}")
-        if freqs.sum() != r.total_tf[i]:
-            problems.append(f"term {t[i]}: total_tf mismatch")
-        if len(docs) and (np.any(np.diff(docs) <= 0) or docs[-1] >= r.max_doc or docs[0] < 0):
-            problems.append(f"term {t[i]}: docIDs not strictly increasing in range")
-        if np.any(freqs <= 0):
-            problems.append(f"term {t[i]}: non-positive freq")
-        bld = r.skip_meta(i)
-        if len(docs) and int(bld[-1]) != int(docs[-1]):
-            problems.append(f"term {t[i]}: skip last_doc mismatch")
-        n_blocks_expected = (len(docs) + BLOCK_SIZE - 1) // BLOCK_SIZE
-        if len(docs) and len(bld) != n_blocks_expected:
-            problems.append(f"term {t[i]}: skip entries {len(bld)} != {n_blocks_expected}")
-        sum_df += len(docs)
-        sum_ttf += int(freqs.sum())
+    # each term's slice of its page, decoded a page at a time and not
+    # cached, so the check leaves no decoded segment behind
+    ps = r._page_starts
+    for p in range(len(ps) - 1):
+        try:
+            page_docs, page_freqs, starts = r._decode_page(p)
+        except ValueError as e:
+            problems.append(f"terms {t[ps[p]]} to {t[ps[p + 1] - 1]}: {e}")
+            continue
+        for i in range(ps[p], ps[p + 1]):
+            s, e = starts[i - ps[p]], starts[i - ps[p] + 1]
+            docs, freqs = page_docs[s:e], page_freqs[s:e]
+            if r._singleton_doc[i] >= 0:
+                want = [r._singleton_doc[i]], [r._singleton_freq[i]]
+            else:
+                want = decode_postings(r._packed_blob(i))
+            if not (np.array_equal(docs, want[0]) and np.array_equal(freqs, want[1])):
+                problems.append(f"term {t[i]}: page decode != stream decode")
+            if len(docs) != r.doc_freq[i]:
+                problems.append(f"term {t[i]}: doc_freq {r.doc_freq[i]} != {len(docs)}")
+            if freqs.sum() != r.total_tf[i]:
+                problems.append(f"term {t[i]}: total_tf mismatch")
+            if len(docs) and (np.any(np.diff(docs) <= 0) or docs[-1] >= r.max_doc or docs[0] < 0):
+                problems.append(f"term {t[i]}: docIDs not strictly increasing in range")
+            if np.any(freqs <= 0):
+                problems.append(f"term {t[i]}: non-positive freq")
+            bld = r.skip_meta(i)
+            if len(docs) and int(bld[-1]) != int(docs[-1]):
+                problems.append(f"term {t[i]}: skip last_doc mismatch")
+            n_blocks_expected = (len(docs) + BLOCK_SIZE - 1) // BLOCK_SIZE
+            if len(docs) and len(bld) != n_blocks_expected:
+                problems.append(f"term {t[i]}: skip entries {len(bld)} != {n_blocks_expected}")
+            sum_df += len(docs)
+            sum_ttf += int(freqs.sum())
     fs = r.meta.get("field_stats")
     want_df = sum(v["sum_doc_freq"] for v in fs.values()) if fs else r.meta["sum_doc_freq"]
     want_ttf = (

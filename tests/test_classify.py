@@ -116,3 +116,40 @@ def test_knn_vote_under_k_correction():
 def test_knn_vote_skips_unlabeled():
     vote = knn_vote([(None, 2.0), ("a", 1.0)], 10)
     assert vote == [("a", pytest.approx(0.5 / 1))]
+
+
+def test_knn_classify_input_past_the_clause_limit(monkeypatch):
+    """An input with more distinct tokens than BooleanQuery.MAX_CLAUSE_COUNT
+    is still classified, with the same vote as one flat SHOULD query."""
+    from types import SimpleNamespace
+
+    from lucene_ray.functions.analysis import get_analyzer
+    from lucene_ray.pipelines.classify import knn_classify
+    from lucene_ray.query import BooleanQuery
+    from lucene_ray.searcher import IndexSearcher
+    from lucene_ray.state.segment import SegmentReader, build_segment_tables
+
+    rng = np.random.default_rng(4)
+    vocab = np.array([f"w{i:04d}" for i in range(1500)])
+    texts = [" ".join(rng.choice(vocab, size=30)) for _ in range(60)]
+    labels = ["a" if i % 3 else "b" for i in range(len(texts))]
+    keys = np.arange(len(texts))
+    p, d, stats = build_segment_tables(keys, texts, get_analyzer("standard"))
+    inner = IndexSearcher.from_readers([SegmentReader.from_tables(p, d, {"name": "s", **stats})])
+
+    class Labeled:  # the searcher surface knn_classify reads
+        manifest = SimpleNamespace(config={"analyzer": "standard"})
+
+        def search(self, q, **kw):
+            return inner.search(q, **kw)
+
+        def document(self, key):
+            return {"lang": labels[key]}
+
+    text = " ".join(vocab[:1100])
+    got = knn_classify(Labeled(), text, k=5)
+    assert got and {c for c, _ in got} <= {"a", "b"}
+    monkeypatch.setattr(BooleanQuery, "MAX_CLAUSE_COUNT", 2000)
+    flat = knn_classify(Labeled(), text, k=5)
+    assert [c for c, _ in got] == [c for c, _ in flat]
+    assert [s for _, s in got] == pytest.approx([s for _, s in flat], rel=1e-12)

@@ -577,6 +577,32 @@ def test_distributed_search_uses_index_analyzer(ray_session, tmp_path):
     assert empty.schema().names == ["query_id", "query", "rank", "doc_key", "score"]
 
 
+def test_vector_columns_read_through_values_buffer():
+    """kNN and HNSW read list<double> columns through the flat values
+    buffer: equal to the Python-list read, over chunked and sliced columns."""
+    import pyarrow as pa
+
+    from lucene_ray.pipelines.knn import _vectors
+
+    m = np.random.default_rng(3).random((300, 8))
+    col = pa.chunked_array([pa.array(list(m[:100])), pa.array(list(m[100:170])),
+                            pa.array(list(m[170:]))])
+    for c in (col, col.slice(95, 80), col.combine_chunks().slice(5, 7)):
+        got = _vectors(c)
+        assert got.dtype == np.float64 and got.shape == (len(c), 8)
+        assert np.array_equal(got, np.array(c.to_pylist(), dtype=np.float64))
+    f32 = pa.array(list(m[:4].astype(np.float32)), type=pa.list_(pa.float32()))
+    assert np.array_equal(_vectors(f32), m[:4].astype(np.float32).astype(np.float64))
+    assert _vectors(pa.array([], type=pa.list_(pa.float64()))).shape == (0, 0)
+    # ragged (even when the values divide evenly) or null vectors raise
+    for bad in ([[1.0, 2.0], [3.0]], [[1.0, 2.0, 3.0], [4.0]],
+                [[1.0, 2.0], None, [3.0, 4.0], None]):
+        with pytest.raises(ValueError):
+            _vectors(pa.array(bad))
+        with pytest.raises(ValueError):
+            _vectors(pa.chunked_array([pa.array(bad[:1]), pa.array(bad[1:])]))
+
+
 def test_knn_empty_results_keep_columns(ray_session, tmp_path):
     """Every kNN entry returns its four columns when no neighbor is left:
     over one vector, excluding the query itself leaves nothing."""

@@ -141,3 +141,25 @@ def test_normalize_applies_to_terms_not_wildcards():
     assert up == BooleanQuery(should=[TermQuery("foo"), PrefixQuery("bar")])
     # wildcard patterns lowercase but do not stem
     assert parse_query("TE?T") == WildcardQuery("te?t")
+
+
+def test_boolean_clause_limit_in_constructor():
+    from lucene_ray.query import TooManyClauses
+
+    n = BooleanQuery.MAX_CLAUSE_COUNT
+    ok = BooleanQuery(should=[TermQuery(f"t{i}") for i in range(n)])
+    assert len(ok.should) == n
+    with pytest.raises(TooManyClauses, match="MAX_CLAUSE_COUNT"):
+        BooleanQuery(should=[TermQuery(f"t{i}") for i in range(n + 1)])
+    with pytest.raises(TooManyClauses):  # counted over all four occurs
+        BooleanQuery(must=[TermQuery("a")] * 600, must_not=[TermQuery("b")] * 600)
+
+
+def test_parsed_2000_term_or_is_refused():
+    from lucene_ray.query import TooManyClauses
+
+    text = " ".join(f"t{i}" for i in range(2000))
+    with pytest.raises(TooManyClauses, match="2000 clauses"):
+        parse_query(text)
+    with pytest.raises(ValueError):  # still a ValueError for older callers
+        parse_query(" OR ".join(f"t{i}" for i in range(2000)))
