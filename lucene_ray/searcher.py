@@ -4,9 +4,10 @@ The driver-side / in-actor search engine: loads the manifest's segments once
 (search/IndexSearcher.java's DirectoryReader analogue), computes global
 collection + term statistics by summing per-segment partials exactly like the
 reference sums per-leaf stats (IndexSearcher.java:919-934, index/TermStates.
-java), then scores each segment independently and merges per-segment top-k
-with the (score desc, doc_key asc) comparator — the distributed analogue of
-TopDocs.merge (search/TopDocs.java:202-227).
+java), then scores each segment independently and selects one top-k over
+every segment's matches with the (score desc, doc_key asc) comparator
+(``_TopK``: per-leaf collection and TopDocs.merge, search/TopDocs.java:
+202-227, in one step).
 
 Physical plans (Boolean2ScorerSupplier.java:30-247 analogue):
 
@@ -33,8 +34,8 @@ deterministic global order is the document key, so every sort here uses
 
 from __future__ import annotations
 
+import bisect
 import contextlib
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -89,11 +90,18 @@ from lucene_ray.query import (
 )
 from lucene_ray.query import extract_terms
 from lucene_ray.state.manifest import Manifest
-from lucene_ray.state.segment import BLOCK_SIZE, POS_BITS, POS_SHIFT, SegmentReader
+from lucene_ray.state.segment import (
+    BLOCK_SIZE,
+    POS_BITS,
+    POS_SHIFT,
+    SegmentReader,
+    TermDictionary,
+)
 
 # entry bounds of the caches the searcher owns: what depends on its
 # statistics or config. Per-reader bounds scale with the searcher's readers.
 TERM_STATS_RANGE_CACHE_ENTRIES = 8  # lazily loaded term-stats range files
+TERM_STATS_RANGE_CACHE_BYTES = 256 << 20  # ... and their dictionaries' bytes
 TERM_SCORE_CACHE_ENTRIES = 128  # per reader: (docs, BM25 scores) of a term
 TERM_BOUND_CACHE_ENTRIES = 512  # per reader: block and window score bounds of a term
 FILTER_CACHE_ENTRIES = 64  # per reader: matching docs of a filter clause
@@ -119,13 +127,73 @@ class TopDocs:
     score_docs: list  # of ScoreDoc, sorted (score desc, doc_key asc)
 
 
-def _merge_top(parts: list[list[ScoreDoc]], k: int, after: tuple | None = None) -> list[ScoreDoc]:
-    """k-way merge of per-segment top lists (TopDocs.merge analogue)."""
-    allsd = [sd for p in parts for sd in p]
-    if after is not None:
-        a_score, a_key = after
-        allsd = [sd for sd in allsd if (-sd.score, sd.doc_key) > (-a_score, a_key)]
-    return heapq.nsmallest(k, allsd, key=ScoreDoc.sort_key)
+class _TopK:
+    """The one top-k collector of ``IndexSearcher.search``: every segment
+    hands in its live matches as (docs, scores) arrays, and ``top`` selects
+    the k best by (score desc, doc_key asc) once over all of them — the
+    per-leaf TopScoreDocCollector and TopDocs.merge (search/TopDocs.java:
+    202-227) in one step. One k-th-score threshold over every segment's
+    scores keeps the docs at or above it; past k × (segments + 1) of them,
+    each segment's tie group at the threshold is cut to its smallest doc
+    keys (integer key ranks). The survivors are sorted once. ``theta`` is
+    the k-th score so far: the min competitive score of the next segment."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.parts: list[tuple[SegmentReader, np.ndarray, np.ndarray]] = []
+
+    def collect(self, r: SegmentReader, docs: np.ndarray, scores: np.ndarray) -> None:
+        if len(docs):
+            self.parts.append((r, docs, scores))
+
+    def _scores(self) -> np.ndarray:
+        if len(self.parts) == 1:
+            return self.parts[0][2]
+        return np.concatenate([s for _, _, s in self.parts] or [np.empty(0)])
+
+    def theta(self) -> float:
+        scores, k = self._scores(), self.k
+        n = len(scores)
+        return float(np.partition(scores, n - k)[n - k]) if n >= k else -math.inf
+
+    def top(self) -> list[ScoreDoc]:
+        parts, k = self.parts, self.k
+        if not parts:
+            return []
+        scores = self._scores()
+        n = len(scores)
+        if n > k:
+            kth = np.partition(scores, n - k)[n - k]
+            keep = []
+            for r, d, s in parts:
+                m = s >= kth
+                keep.append((r, d[m], s[m]))
+            if sum(len(d) for _, d, _ in keep) > k * (len(parts) + 1):
+                # fewer than k docs score above kth; of the tie group at it
+                # each segment can place at most the rest, and those are its
+                # smallest doc keys (integer key ranks)
+                need = k - sum(int(np.count_nonzero(s > kth)) for _, _, s in keep)
+                for i, (r, d, s) in enumerate(keep):
+                    eq = np.flatnonzero(s == kth)
+                    if len(eq) > need:
+                        m = s > kth
+                        m[eq[np.argpartition(r.key_rank[d[eq]], need - 1)[:need]]] = True
+                        keep[i] = (r, d[m], s[m])
+            parts = keep
+            scores = np.concatenate([s for _, _, s in parts])
+        keys = (np.concatenate([r.doc_keys[d] for r, d, _ in parts]) if len(parts) > 1
+                else parts[0][0].doc_keys[parts[0][1]])
+        order = np.lexsort((keys, -scores))[:k].tolist()
+        return [ScoreDoc(keys[i], float(scores[i])) for i in order]
+
+
+def _after(r: SegmentReader, docs: np.ndarray, scores: np.ndarray, after: tuple):
+    """Keyset pagination: the matches strictly after the (score, key)
+    anchor, kept BEFORE top-k selection (PagingTopScoreDocCollector,
+    TopScoreDocCollector.java:104-114)."""
+    a_score, a_key = after
+    m = (scores < a_score) | ((scores == a_score) & (r.doc_keys[docs] > a_key))
+    return docs[m], scores[m]
 
 
 def _wildcard_literal_prefix(pattern: str) -> str:
@@ -302,9 +370,10 @@ class _QueryTerms:
 
 class GlobalTermStats:
     """The materialized global term dictionary (index-time groupby(term).sum
-    over per-segment partials — pipelines/index_pipeline.build_term_stats).
-    Sorted arrays + binary search; every searcher actor loads it once so all
-    actors score with identical statistics."""
+    over per-segment partials — pipelines/index_pipeline.build_term_stats):
+    a ``TermDictionary`` with doc_freq and total_tf arrays in key order;
+    every searcher actor loads it once so all actors score with identical
+    statistics."""
 
     LAZY_FILE_THRESHOLD = 4  # dirs with more range files load lazily
 
@@ -344,57 +413,47 @@ class GlobalTermStats:
             self._file_min = [b[0] for b in bounds]
             self._file_max = [b[1] for b in bounds]
             self._files = [b[2] for b in bounds]
-            # file -> (terms, df, ttf)
-            self._range_cache = LRUCache(TERM_STATS_RANGE_CACHE_ENTRIES)
+            # file -> (TermDictionary, df, ttf)
+            self._range_cache = LRUCache(TERM_STATS_RANGE_CACHE_ENTRIES,
+                                         TERM_STATS_RANGE_CACHE_BYTES)
             return
-        t = pq.read_table(path)
-        self.terms = np.asarray(t.column("term").to_pylist(), dtype=object)
-        self.doc_freq = t.column("doc_freq").to_numpy()
-        self.total_tf = t.column("total_tf").to_numpy()
-        # concatenation order across range files is not guaranteed — re-sort
-        # when needed (no-op for the single-file layout, written sorted)
-        if len(self.terms) > 1 and not np.all(self.terms[:-1] <= self.terms[1:]):
-            order = np.argsort(self.terms)
-            self.terms = self.terms[order]
-            self.doc_freq = self.doc_freq[order]
-            self.total_tf = self.total_tf[order]
+        self.term_dict, self.doc_freq, self.total_tf = self._read_range(path)
 
-    def _range_arrays(self, f: str):
-        return self._range_cache.get_or_put(f, lambda: self._read_range(f))
+    @property
+    def terms(self) -> np.ndarray:
+        """Every key as a Python string, in order (eager mode), built on
+        first use: lookups never need it."""
+        return self.term_dict.terms
 
     @staticmethod
-    def _read_range(f: str):
+    def _read_range(path: str):
+        import pyarrow.compute as pc
         import pyarrow.parquet as pq
 
-        t = pq.read_table(f)
-        terms = np.asarray(t.column("term").to_pylist(), dtype=object)
-        df = t.column("doc_freq").to_numpy()
-        ttf = t.column("total_tf").to_numpy()
-        if len(terms) > 1 and not np.all(terms[:-1] <= terms[1:]):
-            order = np.argsort(terms)
-            terms, df, ttf = terms[order], df[order], ttf[order]
-        return terms, df, ttf
+        t = pq.read_table(path, columns=["term", "doc_freq", "total_tf"])
+        terms = t.column("term").combine_chunks()
+        # concatenation order across range files is not guaranteed — re-sort
+        # when needed (no-op for the single-file layout, written sorted)
+        if len(terms) > 1 and not pc.all(pc.less_equal(terms[:-1], terms[1:])).as_py():
+            t = t.take(pc.sort_indices(terms))
+            terms = t.column("term").combine_chunks()
+        return (TermDictionary(terms), t.column("doc_freq").to_numpy(),
+                t.column("total_tf").to_numpy())
 
     def lookup(self, term: str) -> tuple[int, int]:
-        if not self.eager:
-            import bisect
-
+        if self.eager:
+            terms, df, ttf = self.term_dict, self.doc_freq, self.total_tf
+        else:
             j = bisect.bisect_right(self._file_min, term) - 1
-            if j < 0:
+            if j < 0 or term > self._file_max[j]:
+                # before the first range file or in the gap between two — a
+                # definite miss; don't read (and LRU-pollute with) a file
+                # that can't hold it
                 return 0, 0
-            if term > self._file_max[j]:
-                # falls in the gap between range files — a definite miss;
-                # don't read (and LRU-pollute with) a file that can't hold it
-                return 0, 0
-            terms, df, ttf = self._range_arrays(self._files[j])
-            i = int(np.searchsorted(terms, term))
-            if i < len(terms) and terms[i] == term:
-                return int(df[i]), int(ttf[i])
-            return 0, 0
-        i = np.searchsorted(self.terms, term)
-        if i < len(self.terms) and self.terms[i] == term:
-            return int(self.doc_freq[i]), int(self.total_tf[i])
-        return 0, 0
+            f = self._files[j]
+            terms, df, ttf = self._range_cache.get_or_put(f, lambda: self._read_range(f))
+        i = terms.index(term)
+        return (int(df[i]), int(ttf[i])) if i >= 0 else (0, 0)
 
 
 class IndexSearcher:
@@ -661,24 +720,19 @@ class IndexSearcher:
                                         "intervals_total": 0, "intervals_visited": 0}
                 clauses = [(t.term, boost, scorer) for t, boost in self._wand_clauses(query)
                            if (scorer := self._term_scorer(t.term, boost, t.field)) is not None]
-            parts = []
+            top = _TopK(k)
             total = 0
-            theta = -math.inf
-            for n, r in enumerate(self.readers, 1):
+            for r in self.readers:
                 if use_wand:
-                    sd, nhits = self._search_segment_wand(r, clauses, k, theta)
+                    docs, scores, nhits = self._search_segment_wand(r, clauses, k, top.theta())
                 else:
                     sp = self._apply_live(r, self._eval(r, query))
-                    sd = self._top_of(r, sp, k, search_after)
-                    nhits = len(sp.docs)
-                parts.append(sd)
+                    docs, scores, nhits = sp.docs, sp.scores, len(sp.docs)
+                    if search_after is not None:
+                        docs, scores = _after(r, docs, scores, search_after)
+                top.collect(r, docs, scores)
                 total += nhits
-                if use_wand and n < len(self.readers):
-                    # the k-th score so far is the next segment's min
-                    # competitive score (TopScoreDocCollector across leaves)
-                    scores = sorted((x.score for p in parts for x in p), reverse=True)
-                    theta = scores[k - 1] if k <= len(scores) else theta
-        return TopDocs(total, _merge_top(parts, k, search_after))
+        return TopDocs(total, top.top())
 
     def matches(self, query: Query | str):
         """The live matches of ``query``, one segment at a time: yields
@@ -825,40 +879,6 @@ class IndexSearcher:
                     out[name] = v.item() if hasattr(v, "item") else v
                 return out
         return None
-
-    def _top_of(self, r: SegmentReader, sp: _SparseScores, k: int, after) -> list[ScoreDoc]:
-        scores = sp.scores
-        docs = sp.docs
-        ranks = r.key_rank[docs]  # integer tie-break proxy for doc_key order
-        if after is not None:
-            # keyset pagination: keep entries strictly after the (score, key)
-            # anchor BEFORE top-k selection (PagingTopScoreDocCollector,
-            # TopScoreDocCollector.java:104-114)
-            keys_all = r.doc_keys[docs]
-            a_score, a_key = after
-            m = (scores < a_score) | ((scores == a_score) & (keys_all > a_key))
-            scores, docs, ranks = scores[m], docs[m], ranks[m]
-        n = len(scores)
-        if n == 0:
-            return []
-        if n > k * 4:
-            # docs strictly above the k-th score all qualify; among the (often
-            # large) tie group AT the k-th score only the smallest keys (==
-            # smallest key ranks, integer argpartition) can qualify.
-            kk = min(k, n)
-            thresh = np.partition(scores, n - kk)[n - kk]
-            gt = np.flatnonzero(scores > thresh)
-            eq = np.flatnonzero(scores == thresh)
-            need = k - len(gt)
-            if need > 0 and len(eq) > need:
-                eq = eq[np.argpartition(ranks[eq], need - 1)[:need]]
-            cand = np.concatenate([gt, eq]) if need > 0 else gt
-        else:
-            cand = np.arange(n)
-        order = np.lexsort((ranks[cand], -scores[cand]))[:k]
-        sel = cand[order]
-        keys = r.doc_keys[docs[sel]]
-        return [ScoreDoc(keys[i], float(scores[sel[i]])) for i in range(len(sel))]
 
     @staticmethod
     def _wand_clauses(q: Query):
@@ -1925,9 +1945,10 @@ class IndexSearcher:
 
     def _search_segment_wand(
         self, r: SegmentReader, clauses: list, k: int, theta: float
-    ) -> tuple[list[ScoreDoc], int]:
-        """One segment's top-k of a disjunction of term clauses (``clauses``:
-        (term, boost, scorer) in clause order): MaxScore (Turtle & Flood;
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """One segment's top-k candidates of a disjunction of term clauses
+        (``clauses``: (term, boost, scorer) in clause order), as (docs,
+        scores, hits) for ``_TopK``: MaxScore (Turtle & Flood;
         MaxScoreBulkScorer.java) over MAXSCORE_WINDOW-doc windows, visited in
         descending order of their summed term bounds until that falls below
         ``theta``, the k-th score so far — at first that of the segments
@@ -2016,7 +2037,7 @@ class IndexSearcher:
         stats["blocks_visited"] += sum(map(np.count_nonzero, seen))
         stats["intervals_total"] += n_windows if terms else 0
         stats["intervals_visited"] += visited
-        return self._top_of(r, _SparseScores(best_d, best_s), k, None), nhits
+        return best_d, best_s, nhits
 
     def _term_docs(self, r: SegmentReader, term, blocks, whole: bool):
         """(docs, scores) of ``term``: its whole scored postings from the

@@ -47,9 +47,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import uuid
 import zlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pyarrow as pa
@@ -89,6 +90,9 @@ SEGMENT_FORMAT = 2
 PAGE_TERMS = 1024
 PAGE_POSTINGS = 1 << 16
 PAGE_CACHE_BYTES = 64 << 20
+# a term-dictionary lookup bisects every TERMS_INDEX_INTERVAL-th key, held as
+# bytes, then at most this many stored keys (the terms-index interval)
+TERMS_INDEX_INTERVAL = 16
 POSKEY_CACHE_ENTRIES = 64  # per reader: phrase position keys of a term
 
 # utf-8 byte → character-class bucket for the fuzzy counting filter:
@@ -516,13 +520,94 @@ def _nested_views(arr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arr.offsets.to_numpy(), inner.offsets.to_numpy(), np.asarray(inner.values)
 
 
+class TermDictionary:
+    """Sorted dictionary keys as one Arrow string column behind a sampled
+    terms index (the ``.tip`` over ``.tim`` of the block-tree terms
+    dictionary, codecs/lucene90/blocktree): every ``TERMS_INDEX_INTERVAL``-th
+    key is held as ``bytes``, a C ``bisect`` over those narrows a lookup to
+    one run of at most that many keys, and the run is searched over the
+    column's raw UTF-8 buffers. UTF-8 byte order is code-point order, the
+    order Python compares ``str`` in and dictionaries are written in, so no
+    key is decoded. ``terms`` decodes every key, once, for whole-dictionary
+    scans.
+    """
+
+    def __init__(self, arr):
+        if isinstance(arr, pa.ChunkedArray):
+            arr = arr.combine_chunks()
+        self.arr = arr
+        self.n = len(arr)
+        off, data = _binary_views(arr)
+        # memoryview indexing yields Python ints, several times cheaper per
+        # probe than indexing the numpy array
+        self._off = memoryview(off)
+        self._data = data
+        step = TERMS_INDEX_INTERVAL
+        buf = data.tobytes()
+        self._index = [buf[a:b] for a, b in zip(off[0 : self.n : step].tolist(),
+                                                 off[1 : self.n + 1 : step].tolist())]
+        self._terms_np: np.ndarray | None = None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the Arrow column and the sampled keys."""
+        return int(self.arr.nbytes) + sum(map(sys.getsizeof, self._index))
+
+    def _seek(self, key: bytes, right: bool) -> int:
+        """First ordinal whose key is > ``key`` (``right``), else >= it."""
+        j = (bisect_right if right else bisect_left)(self._index, key)
+        # the sample before j sorts before the answer, the sample at j not
+        lo = (j - 1) * TERMS_INDEX_INTERVAL + 1 if j else 0
+        hi = min(j * TERMS_INDEX_INTERVAL, self.n)
+        off, data = self._off, self._data
+        while lo < hi:
+            mid = (lo + hi) // 2
+            t = data[off[mid] : off[mid + 1]].tobytes()
+            if t < key or (right and t == key):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def bisect(self, key: str, side: str = "left") -> int:
+        return self._seek(_utf8(key), side == "right")
+
+    def index(self, term: str) -> int:
+        """Ordinal of ``term``, or -1."""
+        key = _utf8(term)
+        i = self._seek(key, False)
+        off = self._off
+        if i < self.n and self._data[off[i] : off[i + 1]].tobytes() == key:
+            return i
+        return -1
+
+    def range(self, prefix: str) -> tuple[int, int]:
+        """[lo, hi) of the keys starting with ``prefix``."""
+        lo = self.bisect(prefix)
+        succ = prefix_successor(prefix)
+        return lo, self.bisect(succ) if succ is not None else self.n
+
+    def term_at(self, i: int) -> str:
+        if self._terms_np is not None:
+            return self._terms_np[i]
+        return self.arr[i].as_py()
+
+    @property
+    def terms(self) -> np.ndarray:
+        """Every key as a Python string (an object array), built on first
+        use: only whole-dictionary scans pay for it."""
+        if self._terms_np is None:
+            self._terms_np = np.asarray(self.arr.to_pylist(), dtype=object)
+        return self._terms_np
+
+
 class SegmentReader:
     """Point-in-time reader over one segment (the LeafReader analogue).
 
-    Loads the term dictionary into RAM once as the Arrow term column; point
-    lookups binary-search its raw UTF-8 offset and data buffers, comparing
-    bytes the way the block-tree terms dictionary compares ``BytesRef``s
-    (codecs/lucene90/blocktree/SegmentTermsEnum.java) and never decoding a
+    Loads the term dictionary into RAM once as the Arrow term column behind
+    a sampled terms index (``TermDictionary``); point lookups compare bytes
+    the way the block-tree terms dictionary compares ``BytesRef``s
+    (codecs/lucene90/blocktree/SegmentTermsEnum.java) and never decode a
     term. Postings decode on demand a page of adjacent ordinals at a time
     (``PAGE_TERMS``) into a byte-bounded cache that every postings read
     goes through.
@@ -557,19 +642,11 @@ class SegmentReader:
 
     def _load(self, p: pa.Table, d: pa.Table) -> None:
         self._ptable = p  # owns every zero-copy buffer view below
-        # term dictionary stays an ARROW string array; term_index/term_range
-        # binary-search its raw UTF-8 buffers (_bisect_terms) — the full
-        # Python string list only materializes if a dictionary SCAN runs
+        # the Python string list only materializes if a dictionary SCAN runs
         # (wildcard/regexp/spell/merge), via the lazy .terms property
-        ta = p.column("term")
-        self._terms_arr = ta.combine_chunks() if isinstance(ta, pa.ChunkedArray) else ta
-        self._terms_np: np.ndarray | None = None
-        self.n_terms = len(self._terms_arr)
-        off, data = _binary_views(self._terms_arr)
-        # memoryview indexing yields Python ints, several times cheaper per
-        # probe than indexing the numpy array
-        self._term_off = memoryview(off)
-        self._term_data = data
+        self.term_dict = TermDictionary(p.column("term"))
+        self._terms_arr = self.term_dict.arr
+        self.n_terms = self.term_dict.n
         self.doc_freq = p.column("doc_freq").to_numpy()
         self.total_tf = p.column("total_tf").to_numpy()
         self._singleton_doc = p.column("singleton_doc").to_numpy()
@@ -669,9 +746,7 @@ class SegmentReader:
     def terms(self) -> np.ndarray:
         """Materialized term strings — LAZY; only dictionary scans (wildcard,
         regexp, spell, merge) pay for it. Point lookups never do."""
-        if self._terms_np is None:
-            self._terms_np = np.asarray(self._terms_arr.to_pylist(), dtype=object)
-        return self._terms_np
+        return self.term_dict.terms
 
     @property
     def char_counts(self) -> np.ndarray:
@@ -706,52 +781,18 @@ class SegmentReader:
         return self._char_counts
 
     def term_at(self, i: int) -> str:
-        if self._terms_np is not None:
-            return self._terms_np[i]
-        return self._terms_arr[i].as_py()
-
-    def _bisect_terms(self, key: bytes, side: str = "left") -> int:
-        """searchsorted of a UTF-8 key over the term column's raw bytes.
-
-        UTF-8 byte order is code-point order, which is the order Python
-        compares ``str`` in and the order the dictionary is written in, so
-        no term is decoded."""
-        off, data = self._term_off, self._term_data
-        lo, hi = 0, self.n_terms
-        if side == "left":
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if data[off[mid] : off[mid + 1]].tobytes() < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-        else:
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if data[off[mid] : off[mid + 1]].tobytes() <= key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-        return lo
+        return self.term_dict.term_at(i)
 
     def bisect(self, key: str, side: str = "left") -> int:
-        return self._bisect_terms(_utf8(key), side)
+        return self.term_dict.bisect(key, side)
 
     def term_index(self, term: str) -> int:
         """seekExact: index of term or -1."""
-        key = _utf8(term)
-        i = self._bisect_terms(key)
-        off = self._term_off
-        if i < self.n_terms and self._term_data[off[i] : off[i + 1]].tobytes() == key:
-            return i
-        return -1
+        return self.term_dict.index(term)
 
     def term_range(self, prefix: str) -> tuple[int, int]:
         """seekCeil range scan for PrefixQuery: [lo, hi) of terms with prefix."""
-        lo = self.bisect(prefix)
-        succ = prefix_successor(prefix)
-        hi = self.bisect(succ) if succ is not None else self.n_terms
-        return lo, hi
+        return self.term_dict.range(prefix)
 
     # -- postings ----------------------------------------------------------
 
@@ -934,15 +975,12 @@ class SegmentReader:
         """Reader-resident memory: Arrow buffers (shared, zero-copy) vs
         materialized Python objects (lazy term list) — the metric the
         Arrow-native reader exists to keep small."""
-        import sys
-
-        py = 0
-        if self._terms_np is not None:
-            py = sum(sys.getsizeof(t) for t in self._terms_np.tolist())
+        built = self.term_dict._terms_np
+        py = 0 if built is None else sum(map(sys.getsizeof, built.tolist()))
         return {
             "arrow_bytes": int(self._ptable.nbytes),
             "python_term_bytes": int(py),
-            "terms_materialized": self._terms_np is not None,
+            "terms_materialized": built is not None,
         }
 
     def numeric_index(self, field: str) -> tuple[np.ndarray, np.ndarray]:

@@ -524,15 +524,14 @@ def _prefix_pool(searcher, prefix: str) -> list[tuple[str, int]]:
     eagerly, else summed over the searcher's segments."""
     g = searcher.global_term_stats
     if g is not None and g.eager:
-        lo = int(np.searchsorted(g.terms, prefix))
-        succ = prefix_successor(prefix)
-        hi = int(np.searchsorted(g.terms, succ)) if succ is not None else len(g.terms)
-        return [(str(g.terms[i]), int(g.total_tf[i])) for i in range(lo, hi)]
+        lo, hi = g.term_dict.range(prefix)
+        return list(zip(g.term_dict.arr.slice(lo, hi - lo).to_pylist(),
+                        g.total_tf[lo:hi].tolist()))
     agg: dict[str, int] = {}
     for r in searcher.readers:
         lo, hi = r.term_range(prefix)
-        for i in range(lo, hi):
-            agg[r.terms[i]] = agg.get(r.terms[i], 0) + int(r.total_tf[i])
+        for t, f in zip(r._terms_arr.slice(lo, hi - lo).to_pylist(), r.total_tf[lo:hi].tolist()):
+            agg[t] = agg.get(t, 0) + f
     return list(agg.items())
 
 
@@ -679,11 +678,11 @@ def more_like_this(searcher, doc_key, *, max_query_terms: int = 10,
                     tf[t] = tf.get(t, 0) + int(f)
             continue
         lo, hi = r.term_range(fp)
-        for i in range(lo, hi):
-            docs, freqs = r.postings(int(i))
+        for i, t in enumerate(r._terms_arr.slice(lo, hi - lo).to_pylist(), lo):
+            docs, freqs = r.postings(i)
             j = np.searchsorted(docs, local)
             if j < len(docs) and docs[j] == local:
-                t = r.terms[i][len(fp):]
+                t = t[len(fp):]
                 tf[t] = tf.get(t, 0) + int(freqs[j])
     scored = []
     cstats = searcher._field_cstats(None)

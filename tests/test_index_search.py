@@ -699,3 +699,15 @@ def test_terms_resolved_once_per_query(index_dir, algo):
         s.search(t, k=3)
         assert s._query_terms is None
     assert len(lookups) == 3 + len(vocab)
+
+
+def test_search_builds_no_term_lists(index_dir):
+    """Opening a searcher and answering term, AND, OR and phrase queries
+    probe the term dictionaries in place: neither the global term statistics
+    nor any segment turns its terms into a Python list."""
+    s = IndexSearcher(index_dir)
+    for q in ["merge", "+merge +spark", "merge spark window", '"spark window"']:
+        for algo in ("auto", "exhaustive", "wand"):
+            s.search(q, k=5, algo=algo)
+    assert s.global_term_stats.term_dict._terms_np is None
+    assert all(r.term_dict._terms_np is None for r in s.readers)
