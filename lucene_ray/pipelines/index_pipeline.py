@@ -530,7 +530,8 @@ def build_term_stats(index_dir: str, manifest: Manifest | None = None, *,
     if os.path.exists(out_path):
         return out_path
     total_terms = sum(s.get("n_terms", 0) for s in manifest.segments)
-    if total_terms and total_terms <= small_dict_limit:
+    # a 0-term index too: the distributed write of no rows writes no file
+    if total_terms <= small_dict_limit:
         import concurrent.futures
 
         import pyarrow.parquet as _pq

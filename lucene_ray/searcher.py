@@ -96,6 +96,7 @@ from lucene_ray.state.segment import (
     POS_SHIFT,
     SegmentReader,
     TermDictionary,
+    read_parquet,
 )
 
 # entry bounds of the caches the searcher owns: what depends on its
@@ -107,6 +108,7 @@ TERM_BOUND_CACHE_ENTRIES = 512  # per reader: block and window score bounds of a
 FILTER_CACHE_ENTRIES = 64  # per reader: matching docs of a filter clause
 JOIN_CACHE_ENTRIES = 16  # from-side (value -> score) tables of joins
 EXPANSION_CACHE_ENTRIES = 4096  # complex-phrase and span slot expansions
+PARSE_CACHE_ENTRIES = 1024  # parsed query strings
 # doc IDs per step of the disjunction top-k (MaxScoreBulkScorer's
 # INNER_WINDOW_SIZE)
 MAXSCORE_WINDOW = 4096
@@ -357,13 +359,15 @@ def _aggregate(keys: np.ndarray, scores: np.ndarray, mode: str, boost: float):
 
 class _QueryTerms:
     """The terms one query has resolved (the TermStates analogue, built once
-    at Weight creation in the reference): global statistics by dictionary
-    key, and scorers by (key, boost, field). Lives for one query, so it is
-    bounded by the query's own terms."""
+    at Weight creation in the reference): each segment's ordinal by
+    (reader, dictionary key), global statistics by key, and scorers by
+    (key, boost, field). Lives for one query, so it is bounded by the
+    query's own terms."""
 
-    __slots__ = ("stats", "scorers")
+    __slots__ = ("ords", "stats", "scorers")
 
     def __init__(self):
+        self.ords: dict[tuple, int] = {}
         self.stats: dict[str, TermStatistics] = {}
         self.scorers: dict[tuple, object] = {}
 
@@ -488,11 +492,7 @@ class IndexSearcher:
                 r.live = load_livedocs(r.dir, del_gen)
             # overlay updated doc-values generations (docValuesGen analogue)
             for field, dv_gen in (entry.get("dv_gens") or {}).items():
-                import pyarrow.parquet as _pq
-
-                t = _pq.read_table(
-                    os.path.join(r.dir, f"dv-{field}-{dv_gen}.parquet")
-                )
+                t = read_parquet(os.path.join(r.dir, f"dv-{field}-{dv_gen}.parquet"))
                 r.doc_values[field] = t.column(field).to_numpy(zero_copy_only=False)
             # soft deletes (SoftDeletesDirectoryReaderWrapper.java:38):
             # docs whose soft-deletes DV is set are hidden exactly like
@@ -505,8 +505,13 @@ class IndexSearcher:
                     base = r.live if r.live is not None else np.ones(
                         len(soft), dtype=bool)
                     r.live = base & ~soft
+        # term statistics: a searcher over every segment sums its readers'
+        # partials (term_statistics); one over a strict subset cannot see
+        # the rest of the index and reads the global dictionary instead
         ts_path = os.path.join(index_dir, f"term_stats-{manifest.gen}.parquet")
-        self.global_term_stats = GlobalTermStats(ts_path) if os.path.exists(ts_path) else None
+        self.global_term_stats = (
+            GlobalTermStats(ts_path)
+            if len(dirs) < len(manifest.segments) and os.path.exists(ts_path) else None)
         self.collection_stats = manifest.collection_stats()
         self._configure(manifest.config, mode, similarity)
 
@@ -562,6 +567,7 @@ class IndexSearcher:
         self._filters = LRUCache(FILTER_CACHE_ENTRIES * n)
         self._joins = LRUCache(JOIN_CACHE_ENTRIES)
         self._expansions = LRUCache(EXPANSION_CACHE_ENTRIES)
+        self._parsed = LRUCache(PARSE_CACHE_ENTRIES)
         self.mode = mode if similarity is None else "exact"
         if similarity is not None:
             self.sim = similarity
@@ -615,7 +621,23 @@ class IndexSearcher:
         finally:
             self._query_terms = None
 
+    def _term_ord(self, r: SegmentReader, term: str) -> int:
+        """``r``'s ordinal of dictionary key ``term`` (-1 if absent), probed
+        once per query: the statistics and every evaluator of the query
+        read it from there."""
+        memo = self._query_terms
+        if memo is None:
+            return r.term_index(term)
+        key = (r, term)
+        i = memo.ords.get(key)
+        if i is None:
+            i = memo.ords[key] = r.term_index(term)
+        return i
+
     def term_statistics(self, term: str) -> TermStatistics:
+        """The term's statistics over the whole index: the sums of the
+        readers' partials at their ``_term_ord`` (TermStates.build), or the
+        global dictionary's for a searcher over a subset of the segments."""
         memo = self._query_terms
         if memo is not None:
             hit = memo.stats.get(term)
@@ -627,7 +649,7 @@ class IndexSearcher:
             df = 0
             ttf = 0
             for r in self.readers:
-                i = r.term_index(term)
+                i = self._term_ord(r, term)
                 if i >= 0:
                     df += int(r.doc_freq[i])
                     ttf += int(r.total_tf[i])
@@ -685,7 +707,15 @@ class IndexSearcher:
         stemmed/folded index meets stemmed/folded query terms —
         QueryParser(analyzer) in the reference) and numeric doc-values
         columns get NumericRangeQuery range syntax (the points-config
-        analogue)."""
+        analogue).
+
+        Parsed queries are kept by string (frozen, and the analyzer and
+        the numeric fields are fixed for the searcher's life); a string
+        that fails to parse is not kept and raises on every call."""
+        q = self._parsed.get(s)
+        return q if q is not None else self._parsed.put(s, self._parse(s))
+
+    def _parse(self, s: str) -> Query:
         an = self.query_analyzer()
         numeric = getattr(self, "_numeric_dv_fields", None)
         if numeric is None:
@@ -795,7 +825,8 @@ class IndexSearcher:
             local = int(pos[0])
             if r.live is not None and not r.live[local]:
                 continue
-            return self._explain_node(r, query, local, 1.0)
+            with self._query_scope():
+                return self._explain_node(r, query, local, 1.0)
         return {"description": f"no document {doc_key!r}", "value": 0.0,
                 "match": False, "details": []}
 
@@ -948,7 +979,7 @@ class IndexSearcher:
         if self._multi and q.field and q.field not in self.fields:
             return _EMPTY
         full = self._fp(q.field) + q.term
-        ti = r.term_index(full)
+        ti = self._term_ord(r, full)
         if ti < 0:
             return _EMPTY
         # per-(segment, term, boost) score cache: BM25 term scores are a
@@ -973,7 +1004,7 @@ class IndexSearcher:
         """queries/payloads/PayloadScoreQuery.java: per-doc aggregate of the
         term's occurrence payloads (stream is doc-major, so one
         ufunc.reduceat per segment), optionally × the term's own score."""
-        ti = r.term_index(self._fp(q.field) + q.term)
+        ti = self._term_ord(r, self._fp(q.field) + q.term)
         if ti < 0:
             return _EMPTY
         docs, freqs = r.postings(ti)
@@ -1502,7 +1533,7 @@ class IndexSearcher:
             max(s.doc_freq for s in stats),
             sum(s.total_term_freq for s in stats),
         )
-        got = _summed_tf([r.postings(fp + t) for t in q.terms])
+        got = _summed_tf([r.postings(self._term_ord(r, fp + t)) for t in q.terms])
         if got is None:
             return _EMPTY
         docs, tf = got
@@ -1554,7 +1585,7 @@ class IndexSearcher:
         parts = []
         for f, w in q.fields:
             for t in q.terms:
-                d, fr = r.postings(f + FIELD_SEP + t)
+                d, fr = r.postings(self._term_ord(r, f + FIELD_SEP + t))
                 parts.append((d, w * fr.astype(np.float64)))
         got = _summed_tf(parts)
         if got is None:
@@ -1656,7 +1687,7 @@ class IndexSearcher:
         slot_keys: list[np.ndarray] = []
         for slot in slots:
             parts = [r.poskeys(i)
-                     for i in (r.term_index(fp + t) for t in slot) if i >= 0]
+                     for i in (self._term_ord(r, fp + t) for t in slot) if i >= 0]
             if not parts:
                 return _EMPTY  # no accepted term of this slot exists here
             # distinct terms never share a position, so the union is disjoint
@@ -1832,7 +1863,7 @@ class IndexSearcher:
         # per-leaf postings + flat positions, sliced per doc below
         post = {}
         for fld, t in leaves:
-            i = r.term_index(self._fp(fld if fld is not None else field) + t)
+            i = self._term_ord(r, self._fp(fld if fld is not None else field) + t)
             if i < 0:
                 post[(fld, t)] = None
                 continue
@@ -1962,7 +1993,7 @@ class IndexSearcher:
         the top-k is exact. Hits: live docs of an essential term in a
         visited window — a lower bound once anything is pruned."""
         terms = [(ti, boost, scorer) for t, boost, scorer in clauses
-                 if (ti := r.term_index(t)) >= 0]
+                 if (ti := self._term_ord(r, t)) >= 0]
         nblocks = [-(-int(r.doc_freq[ti]) // BLOCK_SIZE) for ti, _, _ in terms]
         seen = [np.zeros(n, dtype=bool) for n in nblocks]
         slack = 1.0 + len(terms) * 2.0 ** -51

@@ -33,6 +33,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from lucene_ray.state.manifest import CommitConflict, Manifest, commit_update, fsync_path
+from lucene_ray.state.segment import read_parquet
 
 
 def livedocs_path(seg_dir: str, del_gen: int) -> str:
@@ -42,7 +43,7 @@ def livedocs_path(seg_dir: str, del_gen: int) -> str:
 def load_livedocs(seg_dir: str, del_gen: int) -> np.ndarray | None:
     if not del_gen:
         return None
-    t = pq.read_table(livedocs_path(seg_dir, del_gen))
+    t = read_parquet(livedocs_path(seg_dir, del_gen))
     return t.column("live").to_numpy(zero_copy_only=False)
 
 

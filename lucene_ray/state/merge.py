@@ -455,6 +455,7 @@ def merge_index(index_dir: str, *, merge_factor: int = 10,
                  for n, o in jobs]
 
     consumed = {n for g in groups for n in g}
+    docs_in = sum(s["max_doc"] for s in manifest.segments if s["name"] in consumed)
     from lucene_ray.state.manifest import CommitConflict
 
     for _attempt in range(8):
@@ -487,10 +488,10 @@ def merge_index(index_dir: str, *, merge_factor: int = 10,
     else:
         raise CommitConflict("merge gave up after 8 manifest commit retries")
     new_gen = new_manifest.gen
-    # global term dictionary: unchanged by a pure merge (copy forward); a
-    # merge that reclaimed deletes changes df/ttf → rebuild from the new
-    # segment partials
-    reclaimed = any(del_gens.get(n, 0) for g in groups for n in g)
+    # global term dictionary: unchanged by a merge that keeps every doc
+    # (copy forward); one that reclaimed hard- or soft-deleted docs changes
+    # df/ttf → rebuild from the new segment partials
+    reclaimed = sum(m["max_doc"] for m in metas) < docs_in
     old_ts = os.path.join(index_dir, f"term_stats-{manifest.gen}.parquet")
     new_ts = os.path.join(index_dir, f"term_stats-{new_gen}.parquet")
     if reclaimed:

@@ -94,6 +94,11 @@ PAGE_CACHE_BYTES = 64 << 20
 # bytes, then at most this many stored keys (the terms-index interval)
 TERMS_INDEX_INTERVAL = 16
 POSKEY_CACHE_ENTRIES = 64  # per reader: phrase position keys of a term
+# postings.parquet columns a reader reads when it opens (dictionary and doc
+# postings); the per-term streams are read together on first use, the way
+# the reference opens .pos/.pay only for a query that needs them
+CORE_COLUMNS = ("term", "doc_freq", "total_tf", "singleton_doc", "singleton_freq", "packed")
+STREAM_COLUMNS = ("positions", "offsets", "payloads", "block_last_docs", "imp_freqs", "imp_lens")
 
 # utf-8 byte → character-class bucket for the fuzzy counting filter:
 # a-z → 0-25, 0-9 → 26-35, other lead bytes → 36, continuation bytes → 37
@@ -111,6 +116,14 @@ def char_count_vec(s: str) -> np.ndarray:
     b = np.frombuffer(s.encode(), dtype=np.uint8)
     bk = _CHAR_BUCKET[b]
     return np.bincount(bk[bk < 37], minlength=37).astype(np.int32)
+
+
+def read_parquet(path: str, columns=None) -> pa.Table:
+    """One parquet file as a table, read directly (``pq.read_table`` goes
+    through the datasets layer, about 1 ms of fixed cost per file)."""
+    with pq.ParquetFile(path) as f:
+        return f.read(columns=columns)
+
 
 def prefix_successor(prefix: str) -> str | None:
     """Smallest string strictly greater than every string with ``prefix``.
@@ -612,9 +625,17 @@ class SegmentReader:
     (``PAGE_TERMS``) into a byte-bounded cache that every postings read
     goes through.
     Intended to live inside a searcher actor's ``__init__``.
+
+    Opening reads only ``CORE_COLUMNS`` of ``postings.parquet``. The per-term
+    streams (positions, offsets, payloads, skip lists and impacts) are read
+    in one call the first time an accessor needs them, through the
+    ``ParquetFile`` kept open for it: a reader opened before its directory
+    is unlinked (``merge_index(delete_sources=True)``) still reads them from
+    the open file. Once read they are plain attributes (the class has no
+    ``__getattr__``: that hook would slow every attribute read).
     """
 
-    def __init__(self, seg_dir: str, preload: bool = True):
+    def __init__(self, seg_dir: str):
         self.dir = seg_dir
         with open(os.path.join(seg_dir, META_NAME)) as f:
             self.meta = json.load(f)
@@ -624,24 +645,60 @@ class SegmentReader:
                 f"segment {seg_dir} has format_version {found!r}, expected "
                 f"{SEGMENT_FORMAT}: rebuild the index with this version")
         self.name = self.meta["name"]
-        p = pq.read_table(os.path.join(seg_dir, "postings.parquet"))
-        d = pq.read_table(os.path.join(seg_dir, "docs.parquet"))
-        self._load(p, d)
+        self._postings_file = pq.ParquetFile(os.path.join(seg_dir, "postings.parquet"))
+        p = self._postings_file.read(columns=list(CORE_COLUMNS))
+        self._load(p, read_parquet(os.path.join(seg_dir, "docs.parquet")))
 
     @classmethod
     def from_tables(cls, postings_tbl: pa.Table, docs_tbl: pa.Table, meta: dict) -> "SegmentReader":
         """In-RAM reader over freshly built tables — the MemoryIndex analogue
         (memory/.../MemoryIndex.java:161): no disk round-trip, same read
-        surface. Used by the percolator pipeline."""
+        surface. Used by the percolator pipeline. Its streams are set at
+        once: the tables are already in memory."""
         r = cls.__new__(cls)
         r.dir = None
         r.meta = dict(meta)
         r.name = meta.get("name", "memory")
-        r._load(postings_tbl, docs_tbl)
+        r._load(postings_tbl.select(CORE_COLUMNS), docs_tbl)
+        r._set_streams(postings_tbl.select(STREAM_COLUMNS))
         return r
+
+    def _need_streams(self) -> None:
+        """Read the per-term streams, unless they are read already."""
+        if self._stream_table is None:
+            self._set_streams(self._postings_file.read(columns=list(STREAM_COLUMNS)))
+
+    def _set_streams(self, s: pa.Table) -> None:
+        self._stream_table = s  # owns the zero-copy stream views below
+        self._bld_off, self._bld_vals = _list_views(s.column("block_last_docs"))
+        self._impf_views = _nested_views(s.column("imp_freqs"))
+        self._impl_views = _nested_views(s.column("imp_lens"))
+        self._pos_off, self._pos_data = _binary_views(s.column("positions"))
+        self._ofs_off, self._ofs_data = _binary_views(s.column("offsets"))
+        self._pay_off, self._pay_data = _binary_views(s.column("payloads"))
+        # vacuously true for a 0-term segment (it must not veto a stream
+        # surviving a merge with its siblings)
+        self._stored = tuple(self.n_terms == 0 or int(off[-1]) > 0
+                             for off in (self._pos_off, self._ofs_off, self._pay_off))
+
+    @property
+    def has_positions(self) -> bool:
+        self._need_streams()
+        return self._stored[0]
+
+    @property
+    def has_offsets(self) -> bool:
+        self._need_streams()
+        return self._stored[1]
+
+    @property
+    def has_payloads(self) -> bool:
+        self._need_streams()
+        return self._stored[2]
 
     def _load(self, p: pa.Table, d: pa.Table) -> None:
         self._ptable = p  # owns every zero-copy buffer view below
+        self._stream_table: pa.Table | None = None  # see _need_streams
         # the Python string list only materializes if a dictionary SCAN runs
         # (wildcard/regexp/spell/merge), via the lazy .terms property
         self.term_dict = TermDictionary(p.column("term"))
@@ -665,17 +722,6 @@ class SegmentReader:
         self._page_starts = [0, *cut.tolist(), self.n_terms]
         ps = np.asarray(self._page_starts)
         self._page_nbytes = (8 * np.diff(np.r_[0, ends][ps]) + 8 * (np.diff(ps) + 1)).tolist()
-        self._bld_off, self._bld_vals = _list_views(p.column("block_last_docs"))
-        self._impf_views = _nested_views(p.column("imp_freqs"))
-        self._impl_views = _nested_views(p.column("imp_lens"))
-        self._pos_off, self._pos_data = _binary_views(p.column("positions"))
-        self._ofs_off, self._ofs_data = _binary_views(p.column("offsets"))
-        self._pay_off, self._pay_data = _binary_views(p.column("payloads"))
-        # vacuously true for a 0-term segment (it must not veto a stream
-        # surviving a merge with its siblings)
-        self.has_positions = self.n_terms == 0 or int(self._pos_off[-1]) > 0
-        self.has_offsets = self.n_terms == 0 or int(self._ofs_off[-1]) > 0
-        self.has_payloads = self.n_terms == 0 or int(self._pay_off[-1]) > 0
         self.doc_keys = d.column("doc_key").to_numpy(zero_copy_only=False)
         self.norms = d.column("norm").to_numpy()
         self.dls = d.column("dl").to_numpy()
@@ -884,6 +930,7 @@ class SegmentReader:
         i = self.term_index(term) if isinstance(term, str) else term
         if i < 0:
             return np.empty(0, dtype=np.int32)
+        self._need_streams()
         sl = self._pos_data[self._pos_off[i] : self._pos_off[i + 1]]
         return np.frombuffer(sl, dtype=np.int32)
 
@@ -915,6 +962,7 @@ class SegmentReader:
         i = self.term_index(term) if isinstance(term, str) else term
         if i < 0:
             return np.empty(0, dtype=np.int32)
+        self._need_streams()
         sl = self._ofs_data[self._ofs_off[i] : self._ofs_off[i + 1]]
         return np.frombuffer(sl, dtype=np.int32)
 
@@ -941,6 +989,7 @@ class SegmentReader:
         i = self.term_index(term) if isinstance(term, str) else term
         if i < 0:
             return np.empty(0, dtype=np.float32)
+        self._need_streams()
         sl = self._pay_data[self._pay_off[i] : self._pay_off[i + 1]]
         return np.frombuffer(sl, dtype=np.float32)
 
@@ -951,12 +1000,14 @@ class SegmentReader:
         if self._held(bisect_right(self._page_starts, i) - 1) or self.doc_freq[i] == 1:
             return self._part(i, i + 1, j0 * BLOCK_SIZE, j1 * BLOCK_SIZE)[:2]
         rel, f, _ = decode_postings_block_range(self._packed_blob(i), j0, j1)
+        self._need_streams()
         base = int(self._bld_vals[self._bld_off[i] + j0 - 1]) if j0 > 0 else 0
         return (rel + base).astype(np.int32), f
 
     def impacts(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-block competitive impacts as zero-copy views:
         (pair counts per block, flat freqs, flat lengths)."""
+        self._need_streams()
         o1, o2, vals_f = self._impf_views
         _, _, vals_l = self._impl_views
         b0, b1 = o1[i], o1[i + 1]
@@ -969,16 +1020,21 @@ class SegmentReader:
 
     def skip_meta(self, i: int) -> np.ndarray:
         """Zero-copy view of term ``i``'s block last docs (its skip entries)."""
+        self._need_streams()
         return self._bld_vals[self._bld_off[i] : self._bld_off[i + 1]]
 
     def memory_bytes(self) -> dict:
-        """Reader-resident memory: Arrow buffers (shared, zero-copy) vs
+        """Reader-resident memory: the Arrow buffers of the core columns
+        and, once read, of the per-term streams (shared, zero-copy) vs
         materialized Python objects (lazy term list) — the metric the
         Arrow-native reader exists to keep small."""
         built = self.term_dict._terms_np
         py = 0 if built is None else sum(map(sys.getsizeof, built.tolist()))
+        streams = self._stream_table
         return {
-            "arrow_bytes": int(self._ptable.nbytes),
+            "core_bytes": int(self._ptable.nbytes),
+            "stream_bytes": 0 if streams is None else int(streams.nbytes),
+            "streams_loaded": streams is not None,
             "python_term_bytes": int(py),
             "terms_materialized": built is not None,
         }

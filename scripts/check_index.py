@@ -11,8 +11,6 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-import sys
-
 from lucene_ray.state.manifest import Manifest
 from lucene_ray.state.segment import SegmentReader, check_segment
 
@@ -23,10 +21,15 @@ def main(index_dir: str) -> int:
     for seg, d in zip(manifest.segments, manifest.segment_dirs()):
         problems = check_segment(d)
         status = "OK" if not problems else "BROKEN"
-        mem = SegmentReader(d).memory_bytes()
+        # an open reader holds the core columns; a positional or impact
+        # read adds the per-term streams
+        r = SegmentReader(d)
+        r.has_positions  # reads the streams
+        mem = r.memory_bytes()
         print(f"segment {seg['name']}: max_doc={seg['max_doc']} "
               f"terms={seg.get('n_terms')} "
-              f"reader_arrow_bytes={mem['arrow_bytes']} "
+              f"reader_core_bytes={mem['core_bytes']} "
+              f"reader_stream_bytes={mem['stream_bytes']} "
               f"terms_materialized={mem['terms_materialized']} {status}")
         for p in problems:
             print(f"  !! {p}")

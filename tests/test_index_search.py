@@ -674,22 +674,25 @@ def test_from_readers_uses_config_analyzer():
 
 @pytest.mark.parametrize("algo", ["wand", "exhaustive"])
 def test_terms_resolved_once_per_query(index_dir, algo):
-    """Each query term's global statistics are looked up once per query,
-    not once per segment, and the dictionary is probed once per (segment,
-    term); nothing per term outlives the query."""
+    """The dictionary is probed once per (segment, term) per query, and a
+    full-index searcher's statistics come from those probes; a searcher
+    over a subset of the segments looks each query term's global
+    statistics up once per query, not once per segment; nothing per term
+    outlives the query."""
     from lucene_ray.state.segment import SegmentReader
+
+    def count_probes(s):
+        probes = []
+        real_term_index = SegmentReader.term_index
+        for r in s.readers:
+            r.term_index = lambda t, r=r: probes.append(t) or real_term_index(r, t)
+        return probes
 
     s = IndexSearcher(index_dir)
     assert len(s.readers) == 4
-    lookups = []
-    real_lookup = s.global_term_stats.lookup
-    s.global_term_stats.lookup = lambda t: lookups.append(t) or real_lookup(t)
-    probes = []
-    real_term_index = SegmentReader.term_index
-    for r in s.readers:
-        r.term_index = lambda t, r=r: probes.append(t) or real_term_index(r, t)
+    assert s.global_term_stats is None
+    probes = count_probes(s)
     want = s.search("merge spark window", k=5, algo=algo).score_docs
-    assert sorted(lookups) == ["merge", "spark", "window"]
     assert sorted(probes) == sorted(["merge", "spark", "window"] * 4)
     assert want
     # a long run of distinct terms: the per-query resolution is released
@@ -698,6 +701,21 @@ def test_terms_resolved_once_per_query(index_dir, algo):
     for t in vocab:
         s.search(t, k=3)
         assert s._query_terms is None
+
+    names = [r.name for r in s.readers][:3]
+    sub = IndexSearcher(index_dir, segment_names=names)
+    assert [r.name for r in sub.readers] == names
+    lookups = []
+    real_lookup = sub.global_term_stats.lookup
+    sub.global_term_stats.lookup = lambda t: lookups.append(t) or real_lookup(t)
+    probes = count_probes(sub)
+    sub.search("merge spark window", k=5, algo=algo)
+    assert sorted(lookups) == ["merge", "spark", "window"]
+    assert sorted(probes) == sorted(["merge", "spark", "window"] * 3)
+    vocab = sorted(set(sub.readers[0].terms.tolist()))[:300]
+    for t in vocab:
+        sub.search(t, k=3)
+        assert sub._query_terms is None
     assert len(lookups) == 3 + len(vocab)
 
 
@@ -709,5 +727,11 @@ def test_search_builds_no_term_lists(index_dir):
     for q in ["merge", "+merge +spark", "merge spark window", '"spark window"']:
         for algo in ("auto", "exhaustive", "wand"):
             s.search(q, k=5, algo=algo)
-    assert s.global_term_stats.term_dict._terms_np is None
+    assert s.global_term_stats is None
     assert all(r.term_dict._terms_np is None for r in s.readers)
+    sub = IndexSearcher(index_dir, segment_names=[r.name for r in s.readers][:3])
+    for q in ["merge", "+merge +spark", "merge spark window", '"spark window"']:
+        for algo in ("auto", "exhaustive", "wand"):
+            sub.search(q, k=5, algo=algo)
+    assert sub.global_term_stats.term_dict._terms_np is None
+    assert all(r.term_dict._terms_np is None for r in sub.readers)
