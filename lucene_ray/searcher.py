@@ -104,7 +104,9 @@ from lucene_ray.state.segment import (
 TERM_STATS_RANGE_CACHE_ENTRIES = 8  # lazily loaded term-stats range files
 TERM_STATS_RANGE_CACHE_BYTES = 256 << 20  # ... and their dictionaries' bytes
 TERM_SCORE_CACHE_ENTRIES = 128  # per reader: (docs, BM25 scores) of a term
+TERM_SCORE_CACHE_BYTES = 32 << 20  # ... and their bytes, per reader
 TERM_BOUND_CACHE_ENTRIES = 512  # per reader: block and window score bounds of a term
+TERM_BOUND_CACHE_BYTES = 4 << 20  # ... and their bytes, per reader
 FILTER_CACHE_ENTRIES = 64  # per reader: matching docs of a filter clause
 JOIN_CACHE_ENTRIES = 16  # from-side (value -> score) tables of joins
 EXPANSION_CACHE_ENTRIES = 4096  # complex-phrase and span slot expansions
@@ -137,8 +139,9 @@ class _TopK:
     202-227) in one step. One k-th-score threshold over every segment's
     scores keeps the docs at or above it; past k × (segments + 1) of them,
     each segment's tie group at the threshold is cut to its smallest doc
-    keys (integer key ranks). The survivors are sorted once. ``theta`` is
-    the k-th score so far: the min competitive score of the next segment."""
+    keys (integer key ranks). The survivors are sorted once. MaxScore
+    (``IndexSearcher._search_wand``) carries its k-th score across global
+    doc-ID windows itself and hands in each reader's survivors."""
 
     def __init__(self, k: int):
         self.k = k
@@ -152,11 +155,6 @@ class _TopK:
         if len(self.parts) == 1:
             return self.parts[0][2]
         return np.concatenate([s for _, _, s in self.parts] or [np.empty(0)])
-
-    def theta(self) -> float:
-        scores, k = self._scores(), self.k
-        n = len(scores)
-        return float(np.partition(scores, n - k)[n - k]) if n >= k else -math.inf
 
     def top(self) -> list[ScoreDoc]:
         parts, k = self.parts, self.k
@@ -562,8 +560,8 @@ class IndexSearcher:
                 acc[3] += fs["sum_total_term_freq"]
         self._field_stats = {f: CollectionStatistics(*v) for f, v in sums.items()}
         n = max(1, len(self.readers))
-        self._term_scores = LRUCache(TERM_SCORE_CACHE_ENTRIES * n)
-        self._term_bounds = LRUCache(TERM_BOUND_CACHE_ENTRIES * n)
+        self._term_scores = LRUCache(TERM_SCORE_CACHE_ENTRIES * n, TERM_SCORE_CACHE_BYTES * n)
+        self._term_bounds = LRUCache(TERM_BOUND_CACHE_ENTRIES * n, TERM_BOUND_CACHE_BYTES * n)
         self._filters = LRUCache(FILTER_CACHE_ENTRIES * n)
         self._joins = LRUCache(JOIN_CACHE_ENTRIES)
         self._expansions = LRUCache(EXPANSION_CACHE_ENTRIES)
@@ -574,6 +572,7 @@ class IndexSearcher:
         else:
             self.sim = BM25Similarity() if mode == "lucene" else BM25ExactSimilarity()
         self._query_terms: _QueryTerms | None = None
+        self._space = None  # see _doc_space
         # cumulative pruning telemetry (range pruning / sorted-index early
         # termination); read the delta around a call to measure
         self.range_stats = {"docs_examined": 0, "max_doc_total": 0}
@@ -740,28 +739,20 @@ class IndexSearcher:
         if isinstance(query, str):
             query = self.parse(query)
         with self._query_scope():
-            use_wand = (
-                search_after is None
-                and self._wand_eligible(query)
-                and (algo == "wand" or (algo == "auto" and self._wand_worthwhile(query)))
-            )
-            if use_wand:
-                self.last_wand_stats = {"blocks_total": 0, "blocks_visited": 0,
-                                        "intervals_total": 0, "intervals_visited": 0}
-                clauses = [(t.term, boost, scorer) for t, boost in self._wand_clauses(query)
-                           if (scorer := self._term_scorer(t.term, boost, t.field)) is not None]
+            if (search_after is None and self._wand_eligible(query)
+                    and (algo == "wand" or (algo == "auto" and self._wand_worthwhile(query)))):
+                return self._search_wand(
+                    [(t.term, boost, scorer) for t, boost in self._wand_clauses(query)
+                     if (scorer := self._term_scorer(t.term, boost, t.field)) is not None], k)
             top = _TopK(k)
             total = 0
             for r in self.readers:
-                if use_wand:
-                    docs, scores, nhits = self._search_segment_wand(r, clauses, k, top.theta())
-                else:
-                    sp = self._apply_live(r, self._eval(r, query))
-                    docs, scores, nhits = sp.docs, sp.scores, len(sp.docs)
-                    if search_after is not None:
-                        docs, scores = _after(r, docs, scores, search_after)
+                sp = self._apply_live(r, self._eval(r, query))
+                docs, scores = sp.docs, sp.scores
+                total += len(docs)
+                if search_after is not None:
+                    docs, scores = _after(r, docs, scores, search_after)
                 top.collect(r, docs, scores)
-                total += nhits
         return TopDocs(total, top.top())
 
     def matches(self, query: Query | str):
@@ -1953,139 +1944,223 @@ class IndexSearcher:
 
     # ------------------------------------------------------------ MaxScore
 
-    def _bounds_of(self, r: SegmentReader, ti: int, boost: float, scorer):
-        """(block last docs, then per window: bound, first and past-last
-        block) of term ``ti``. A block's bound is the max of ``scorer.score``
-        over its competitive impact pairs (MaxScoreCache.java), a window's
-        the max over its blocks; cached per (segment, term, boost)."""
+    def _doc_space(self) -> tuple[list[int], np.ndarray]:
+        """(bases, norms) of the searcher's global doc-ID space: reader
+        ``i``'s doc ``d`` is global doc ``bases[i] + d`` (a composite
+        reader's docBase; ``bases[-1]`` is the total ``max_doc``), and
+        ``norms`` holds every global doc's scoring norm, ``r.norms`` in
+        lucene mode and ``r.dls`` in exact mode, in base order. Built on the
+        first disjunction."""
+        if self._space is None:
+            bases = np.cumsum([0] + [r.max_doc for r in self.readers]).tolist()
+            norms = [r.norms if self.mode == "lucene" else r.dls for r in self.readers]
+            self._space = bases, np.concatenate(norms or [np.empty(0)])
+        return self._space
+
+    def _bounds_of(self, r: SegmentReader, base: int, ti: int, boost: float, scorer):
+        """(global block last docs, first global window, then per window from
+        it: bound, first and past-last block) of term ``ti`` of the reader
+        at ``base``. A block's bound is the max of ``scorer.score`` over its
+        competitive impact pairs (MaxScoreCache.java), a window's the max
+        over its blocks; cached per (segment, term, boost)."""
         key = (r, ti, boost)
         hit = self._term_bounds.get(key)
         if hit is not None:
             return hit
-        bld = r.skip_meta(ti)
+        bld = r.skip_meta(ti).astype(np.int64) + base
         counts, freqs, lengths = r.impacts(ti)
         lengths = (encode_lengths(lengths) if self.mode == "lucene"
                    else np.asarray(lengths, dtype=np.float64))
         ubs = np.maximum.reduceat(scorer.score(freqs, lengths), np.cumsum(counts) - counts)
-        starts = np.arange(0, r.max_doc, MAXSCORE_WINDOW)
+        w0 = base // MAXSCORE_WINDOW
+        starts = np.arange(w0 * MAXSCORE_WINDOW, base + r.max_doc, MAXSCORE_WINDOW)
         # block j spans docs (bld[j-1], bld[j]]
         jlo = np.searchsorted(bld, starts)
         jhi = np.minimum(np.searchsorted(bld, starts + MAXSCORE_WINDOW - 1) + 1, len(bld))
-        wub = [max(float(ubs[a:b].max()), 0.0) if a < b else 0.0 for a, b in zip(jlo, jhi)]
-        return self._term_bounds.put(key, (bld, wub, jlo.tolist(), jhi.tolist()))
+        wub = np.array([max(float(ubs[a:b].max()), 0.0) if a < b else 0.0
+                        for a, b in zip(jlo.tolist(), jhi.tolist())])
+        return self._term_bounds.put(key, (bld, w0, wub, jlo, jhi))
 
-    def _search_segment_wand(
-        self, r: SegmentReader, clauses: list, k: int, theta: float
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """One segment's top-k candidates of a disjunction of term clauses
-        (``clauses``: (term, boost, scorer) in clause order), as (docs,
-        scores, hits) for ``_TopK``: MaxScore (Turtle & Flood;
-        MaxScoreBulkScorer.java) over MAXSCORE_WINDOW-doc windows, visited in
-        descending order of their summed term bounds until that falls below
-        ``theta``, the k-th score so far — at first that of the segments
-        searched before (TopScoreDocCollector's min competitive score). In a
-        window the terms sorted by bound split into non-essential ones, the
-        longest prefix whose bounds sum below theta, and essential ones,
-        whose docs are scored in one vectorized union; the non-essential
-        ones are looked up only for candidates that can still reach theta.
-        Final scores are summed in clause order like the exhaustive union's,
-        and bound sums widened by their float error (MathUtil.sumUpperBound):
-        the top-k is exact. Hits: live docs of an essential term in a
-        visited window — a lower bound once anything is pruned."""
-        terms = [(ti, boost, scorer) for t, boost, scorer in clauses
-                 if (ti := self._term_ord(r, t)) >= 0]
-        nblocks = [-(-int(r.doc_freq[ti]) // BLOCK_SIZE) for ti, _, _ in terms]
-        seen = [np.zeros(n, dtype=bool) for n in nblocks]
+    def _search_wand(self, clauses: list, k: int) -> TopDocs:
+        """Top-k of a disjunction of term clauses (``clauses``: (term, boost,
+        scorer) in clause order): MaxScore (Turtle & Flood;
+        MaxScoreBulkScorer.java), run once over the searcher's global doc-ID
+        space (``_doc_space``) in MAXSCORE_WINDOW-doc windows. A window may
+        hold several small segments, and a large segment spans several
+        windows. Windows are visited in descending order of their summed
+        clause bounds until that falls below theta, the k-th score so far
+        (TopScoreDocCollector's min competitive score), carried from window
+        to window. In a window the clauses sorted by bound split into
+        non-essential ones, the longest prefix whose bounds sum below theta,
+        and essential ones: each essential clause's postings from every
+        reader in the window are scored in one call and summed into one
+        dense window array; the non-essential ones are looked up only for
+        candidates that can still reach theta. Final scores are summed in
+        clause order like the exhaustive union's, and bound sums widened by
+        their float error (MathUtil.sumUpperBound): the top-k is exact.
+        Total hits: live docs of an essential clause in a visited window, a
+        lower bound once anything is pruned."""
+        stats = self.last_wand_stats = {"blocks_total": 0, "blocks_visited": 0,
+                                        "intervals_total": 0, "intervals_visited": 0}
+        bases, norms = self._doc_space()
+        n_windows = -(-bases[-1] // MAXSCORE_WINDOW)
+        # per clause present anywhere: (scorer, its entries: reader, base,
+        # ordinal, blocks, then the ``_bounds_of`` tuple). A one-window
+        # index is entered with theta = -inf, so it needs no bounds
+        terms = []
+        for term, boost, scorer in clauses:
+            ents = []
+            for r, base in zip(self.readers, bases):
+                ti = self._term_ord(r, term)
+                if ti >= 0:
+                    nb = -(-int(r.doc_freq[ti]) // BLOCK_SIZE)
+                    ents.append((r, base, ti, nb, *(
+                        self._bounds_of(r, base, ti, boost, scorer) if n_windows > 1
+                        else (None, 0, (math.inf,), (0,), (nb,)))))
+            if ents:
+                terms.append((scorer, ents))
+        if not terms:
+            return TopDocs(0, [])
+        stats["blocks_total"] = sum(e[3] for _, ents in terms for e in ents)
         slack = 1.0 + len(terms) * 2.0 ** -51
-        n_windows = -(-r.max_doc // MAXSCORE_WINDOW)
-        # in a one-window segment a term needs no bound while nothing can be
-        # pruned, nor when it has one block: that bound costs about as much
-        # as scoring it
-        bounds = [(None, [math.inf], [0], [nb])
-                  if n_windows == 1 and (nb == 1 or theta == -math.inf)
-                  else self._bounds_of(r, *term) for term, nb in zip(terms, nblocks)]
-        wsum = [sum(ubs) * slack for ubs in zip(*(b[1] for b in bounds))]
-        best_d, best_s = np.empty(0, dtype=np.int32), np.empty(0)
+        if n_windows == 1:
+            order, wsum, seen = [0], (math.inf,), None
+            cub = np.full((len(terms), 1), math.inf)
+        else:  # clause bound per window; windows holding a block, by bound sum
+            cub = np.zeros((len(terms), n_windows))
+            occupied = np.zeros(n_windows, dtype=bool)
+            for i, (_, ents) in enumerate(terms):
+                for *_, w0, wub, jlo, jhi in ents:
+                    w1 = w0 + len(wub)
+                    np.maximum(cub[i, w0:w1], wub, out=cub[i, w0:w1])
+                    occupied[w0:w1] |= jlo < jhi
+            wsum = cub.sum(axis=0) * slack
+            order = np.flatnonzero(occupied)
+            order = order[np.argsort(-wsum[order], kind="stable")].tolist()
+            seen = [[np.zeros(e[3], dtype=bool) for e in ents] for _, ents in terms]
+        theta = -math.inf
+        best = []  # (docs, scores) per visited window
         nhits = visited = 0
-        order = sorted(range(len(wsum)), key=wsum.__getitem__, reverse=True)
         for w in order:
             if wsum[w] < theta:
                 break
             visited += 1
             lo = w * MAXSCORE_WINDOW
-            hi = min(lo + MAXSCORE_WINDOW, r.max_doc)
-            # (clause index, bound, block range) of the window's terms
-            inw = [(i, b[1][w], b[2][w], b[3][w]) for i, b in enumerate(bounds) if b[2][w] < b[3][w]]
+            hi = min(lo + MAXSCORE_WINDOW, bases[-1])
+            # (clause, bound, [(entry, first block, past-last block)]) of the
+            # window's clauses, in clause order
+            inw = []
+            for i, (_, ents) in enumerate(terms):
+                reads = [(j, int(e[7][x]), int(e[8][x])) for j, e in enumerate(ents)
+                         if 0 <= (x := w - e[5]) < len(e[6]) and e[7][x] < e[8][x]]
+                if reads:
+                    inw.append((i, cub[i, w], reads))
             non, acc = set(), 0.0
-            for i, ub, _, _ in sorted(inw, key=lambda x: x[1]):
-                if (acc + ub) * slack >= theta:
-                    break
-                acc += ub
-                non.add(i)
+            if theta > -math.inf:
+                for i, ub, _ in sorted(inw, key=lambda x: x[1]):
+                    if (acc + ub) * slack >= theta:
+                        break
+                    acc += ub
+                    non.add(i)
             cols = {}
-            for i, _, jlo, jhi in inw:
-                if i not in non:
-                    seen[i][jlo:jhi] = True
-                    d, sc = self._term_docs(r, terms[i], [(jlo, jhi)], jhi - jlo == nblocks[i])
-                    if lo or hi < r.max_doc:
-                        a, b = np.searchsorted(d, (lo, hi))
-                        d, sc = d[a:b], sc[a:b]
-                    cols[i] = d, sc
-            if not cols:
-                continue
             dense = np.zeros(hi - lo)
             present = np.zeros(hi - lo, dtype=bool)
-            for d, sc in cols.values():  # clause order, like the exhaustive union
-                d = d - lo if lo else d
-                dense[d] += sc
-                present[d] = True
+            for i, _, reads in inw:  # clause order, like the exhaustive union
+                if i not in non:
+                    d, sc = cols[i] = self._window_scores(
+                        terms[i], seen[i] if seen else None, reads, lo, hi, norms)
+                    if lo:
+                        d = d - lo
+                    dense[d] += sc
+                    present[d] = True
+            if not cols:
+                continue
             at = np.flatnonzero(present)
-            cand, part = (at + lo).astype(np.int32), dense[at]
-            if r.live is not None:
-                live = r.live[cand]
+            cand, part = at + lo if lo else at, dense[at]
+            # deleted docs: each reader's live docs, read at query time
+            live = None
+            for ri in range(bisect.bisect_right(bases, lo) - 1, bisect.bisect_left(bases, hi)):
+                r = self.readers[ri]
+                if r.live is not None:
+                    live = np.ones(len(cand), dtype=bool) if live is None else live
+                    a, b = np.searchsorted(cand, bases[ri : ri + 2])
+                    live[a:b] = r.live[cand[a:b] - bases[ri]]
+            if live is not None:
                 cand, part = cand[live], part[live]
             nhits += len(cand)
             if non:
                 cand = cand[(part + acc) * slack >= theta]
                 if not len(cand):
                     continue
-                for i in non:  # decode only the blocks that can hold a candidate
-                    js = np.unique(np.minimum(np.searchsorted(bounds[i][0], cand), nblocks[i] - 1))
-                    seen[i][js] = True
-                    cols[i] = self._term_docs(r, terms[i], [(j, j + 1) for j in js], False)
+                for i, _, reads in inw:
+                    if i in non:  # read only the blocks that can hold a candidate
+                        cols[i] = self._window_scores(terms[i], seen[i], reads, lo, hi, norms, cand)
                 # re-summed in clause order, as the exhaustive union adds
-                part = sum(_lookup(*cols[i], cand) for i, _, _, _ in inw)
-            keep = part >= theta
-            best_d = np.concatenate([best_d, cand[keep]])
-            best_s = np.concatenate([best_s, part[keep]])
-            if len(best_s) >= k and visited < len(order):
+                part = sum(_lookup(*cols[i], cand) for i, _, _ in inw)
+            if theta > -math.inf:
+                keep = part >= theta
+                cand, part = cand[keep], part[keep]
+            best.append((cand, part))
+            if visited < len(order) and sum(len(s) for _, s in best) >= k:
+                best_s = np.concatenate([s for _, s in best])
                 kth = np.partition(best_s, len(best_s) - k)[len(best_s) - k]
                 theta = max(theta, float(kth))
                 keep = best_s >= kth  # ties at the k-th score stay: doc_key decides
-                best_d, best_s = best_d[keep], best_s[keep]
-        stats = self.last_wand_stats
-        stats["blocks_total"] += sum(nblocks)
-        stats["blocks_visited"] += sum(map(np.count_nonzero, seen))
-        stats["intervals_total"] += n_windows if terms else 0
-        stats["intervals_visited"] += visited
-        return best_d, best_s, nhits
+                best = [(np.concatenate([d for d, _ in best])[keep], best_s[keep])]
+        stats["blocks_visited"] = (stats["blocks_total"] if seen is None else
+                                   sum(int(np.count_nonzero(s)) for row in seen for s in row))
+        stats["intervals_total"] = n_windows
+        stats["intervals_visited"] = visited
+        # survivors back to their readers' local doc IDs, in doc order
+        top = _TopK(k)
+        if best:
+            best_d, best_s = best[0] if len(best) == 1 else map(np.concatenate, zip(*best))
+            if visited > 1:
+                o = np.argsort(best_d, kind="stable")
+                best_d, best_s = best_d[o], best_s[o]
+            cut = np.searchsorted(best_d, bases).tolist()
+            for r, base, a, b in zip(self.readers, bases, cut, cut[1:]):
+                top.collect(r, best_d[a:b] - base if base else best_d[a:b], best_s[a:b])
+        return TopDocs(nhits, top.top())
 
-    def _term_docs(self, r: SegmentReader, term, blocks, whole: bool):
-        """(docs, scores) of ``term``: its whole scored postings from the
-        term-score cache, or scored whole into it when ``whole``, else only
-        the block ranges ``blocks`` ([(j0, j1)]) read and scored
-        (ImpactsDISI: a skipped block is never scored; it is decoded only
-        as part of a cached page, see ``SegmentReader.postings_blocks``)."""
-        ti, boost, scorer = term
-        key = (r, ti, boost)
-        hit = self._term_scores.get(key)
-        if hit is None and whole:
-            docs, freqs = r.postings(ti)
-            hit = self._term_scores.put(key, (docs, self._score_arrays(r, scorer, docs, freqs)))
-        if hit is None:
-            docs, freqs = (np.concatenate(x) for x in zip(*(r.postings_blocks(ti, *b) for b in blocks)))
-            hit = docs, self._score_arrays(r, scorer, docs, freqs)
-        return hit
+    @staticmethod
+    def _window_scores(term, seen, reads, lo: int, hi: int, norms: np.ndarray, cand=None):
+        """Global (docs, scores) in window [lo, hi) of one clause (``term``:
+        its scorer and entries): the blocks ``reads`` names per entry
+        ([(entry index, first, past-last block)]), or with ``cand`` only
+        the blocks that can hold one of those sorted global docs; read from
+        every reader (the whole postings when that is every block of the
+        term there) and scored in one call against the global ``norms``.
+        ``seen`` marks the blocks read (ImpactsDISI: a skipped block is
+        never scored; it is decoded only as part of a cached page, see
+        ``SegmentReader.postings_blocks``)."""
+        scorer, ents = term
+        docs, freqs = [], []
+        for j, j0, j1 in reads:
+            r, base, ti, nb, bld = ents[j][:5]
+            runs = [(j0, j1)]
+            if cand is not None:
+                a, b = np.searchsorted(cand, (base, base + r.max_doc))
+                if a == b:
+                    continue
+                js = np.unique(np.minimum(np.searchsorted(bld, cand[a:b]), nb - 1))
+                cut = np.flatnonzero(np.diff(js) > 1) + 1
+                runs = zip(js[np.r_[0, cut]].tolist(), (js[np.r_[cut - 1, len(js) - 1]] + 1).tolist())
+            for j0, j1 in runs:
+                if seen is not None:
+                    seen[j][j0:j1] = True
+                d, f = r.postings(ti) if j1 - j0 == nb else r.postings_blocks(ti, j0, j1)
+                if lo > base or hi < base + r.max_doc:
+                    a, b = np.searchsorted(d, (lo - base, hi - base))
+                    d, f = d[a:b], f[a:b]
+                docs.append(d + base if base else d)
+                freqs.append(f)
+        if not docs:
+            e = np.empty(0, dtype=np.int64)
+            return e, e.astype(np.float64)
+        d = docs[0] if len(docs) == 1 else np.concatenate(docs)
+        f = freqs[0] if len(freqs) == 1 else np.concatenate(freqs)
+        return d, scorer.score(f, norms[d])
 
     # exact query type -> evaluator(self, reader, query, boost). Every Query
     # subclasses Query directly, so the exact type is enough.

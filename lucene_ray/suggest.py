@@ -518,30 +518,51 @@ class FreeTextSuggester:
 # Suggestions drawn from an index's own term dictionary, through a searcher.
 
 
-def _prefix_pool(searcher, prefix: str) -> list[tuple[str, int]]:
-    """``(term, total term frequency)`` of every dictionary term starting
-    with ``prefix``: from the global term statistics when they are loaded
-    eagerly, else summed over the searcher's segments."""
+def _prefix_table(searcher, prefix: str):
+    """Arrow ``(term, ttf)`` table of every dictionary term starting with
+    ``prefix``, one row per term: from the global term statistics when they
+    are loaded eagerly, else each segment's slice, summed per term."""
+    import pyarrow as pa
+
     g = searcher.global_term_stats
     if g is not None and g.eager:
         lo, hi = g.term_dict.range(prefix)
-        return list(zip(g.term_dict.arr.slice(lo, hi - lo).to_pylist(),
-                        g.total_tf[lo:hi].tolist()))
-    agg: dict[str, int] = {}
+        return pa.table({"term": g.term_dict.arr.slice(lo, hi - lo), "ttf": g.total_tf[lo:hi]})
+    parts = []
     for r in searcher.readers:
         lo, hi = r.term_range(prefix)
-        for t, f in zip(r._terms_arr.slice(lo, hi - lo).to_pylist(), r.total_tf[lo:hi].tolist()):
-            agg[t] = agg.get(t, 0) + f
-    return list(agg.items())
+        parts.append(pa.table({"term": r._terms_arr.slice(lo, hi - lo), "ttf": r.total_tf[lo:hi]}))
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return pa.table({"term": pa.array([], pa.string()), "ttf": pa.array([], pa.int64())})
+    t = pa.concat_tables(parts, promote_options="permissive")
+    t = t.group_by("term").aggregate([("ttf", "sum")])
+    return pa.table({"term": t["term"], "ttf": t["ttf_sum"]})
+
+
+def _prefix_pool(searcher, prefix: str) -> list[tuple[str, int]]:
+    """``(term, total term frequency)`` of every dictionary term starting
+    with ``prefix``."""
+    t = _prefix_table(searcher, prefix)
+    return list(zip(t["term"].to_pylist(), t["ttf"].to_pylist()))
 
 
 def suggest_terms(searcher, prefix: str, k: int = 5) -> list[tuple[str, int]]:
     """Prefix autocomplete (suggest/.../AnalyzingSuggester analogue with
     weight = total term frequency): top-k dictionary terms with the
-    prefix, ordered by (ttf desc, term asc)."""
-    pool = _prefix_pool(searcher, prefix)
-    pool.sort(key=lambda x: (-x[1], x[0]))
-    return pool[:k]
+    prefix, ordered by (ttf desc, term asc). Selected in Arrow (UTF-8 byte
+    order is code point order), so only the k answers become Python."""
+    import pyarrow.compute as pc
+
+    if k < 1:
+        return []
+    t = _prefix_table(searcher, prefix)
+    order = [("ttf", "descending"), ("term", "ascending")]
+    if len(t) > k:
+        t = t.take(pc.select_k_unstable(t, k, sort_keys=order))
+    t = t.sort_by(order)
+    return list(zip(t["term"].to_pylist(), t["ttf"].to_pylist()))
 
 
 def _prefix_edit_distance(typed: str, term: str, max_edits: int) -> int:

@@ -1,10 +1,12 @@
 """MaxScore disjunction top-k (``algo="wand"``) == exhaustive evaluation.
 
 Random multi-segment in-RAM indexes whose terms span several 128-doc
-blocks, with the MaxScore window shrunk to 128 doc IDs so that every segment
-has many windows; deleted docs, boosted and repeated clauses, ties from
-duplicate texts, both scoring modes. Keys and scores must be identical (the
-reference's TestWANDScorer / TestMaxScoreBulkScorer property)."""
+blocks, with the MaxScore window shrunk to 100, 128 or 4,096 global doc IDs
+(so that windows straddle segment bases, one window holds several segments
+and a segment spans several windows); deleted docs, boosted and repeated
+clauses, ties from duplicate texts, both scoring modes. Keys and scores must
+be identical (the reference's TestWANDScorer / TestMaxScoreBulkScorer
+property)."""
 
 from __future__ import annotations
 
@@ -70,15 +72,16 @@ def _cases(draw):
     query = clauses[0] if len(clauses) == 1 and draw(st.booleans()) else BooleanQuery(
         should=clauses)
     k = draw(st.integers(1, 50))
-    return segments, keys, live, query, k, draw(st.sampled_from(["lucene", "exact"]))
+    mode = draw(st.sampled_from(["lucene", "exact"]))
+    return segments, keys, live, query, k, mode, draw(st.sampled_from([100, 128, 4096]))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
 @given(_cases())
 def test_maxscore_equals_exhaustive(case):
-    segments, keys, live, query, k, mode = case
+    segments, keys, live, query, k, mode, window = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(searcher_mod, "MAXSCORE_WINDOW", 128)
+        mp.setattr(searcher_mod, "MAXSCORE_WINDOW", window)
         s = _searcher(segments, mode, live, keys)
         want = s.search(query, k=k, algo="exhaustive")
         got = s.search(query, k=k, algo="wand")
@@ -91,25 +94,52 @@ def test_maxscore_equals_exhaustive(case):
 
 
 def test_carried_threshold_makes_term_non_essential(monkeypatch):
-    """The k-th score of segment 1 is segment 2's starting threshold: it
-    already ranks below it the common term's bound there, so that term is
-    only looked up for the rare term's docs, never scored whole."""
-    seg1 = ["rare common"] * 20
-    seg2 = [f"common filler{i % 7}" for i in range(300)] + ["rare"] * 2
+    """The k-th score of the window visited first is the starting threshold
+    of the window visited second: there it already ranks the common term's
+    bound below it, so that term is only looked up for the rare term's
+    docs, never scored as an essential clause."""
+    monkeypatch.setattr(searcher_mod, "MAXSCORE_WINDOW", 20)
+    seg1 = ["rare common"] * 3 + ["common"] * 17  # global docs 0-19: window 0
+    seg2 = ["rare filler7 filler8"] * 2 + [f"common filler{i % 7}" for i in range(300)]
     s = _searcher([seg1, seg2], "lucene")
-    scored = []  # (segment, term, scored whole)
-    real = IndexSearcher._term_docs
-    monkeypatch.setattr(IndexSearcher, "_term_docs", lambda self, r, term, blocks, whole: (
-        scored.append((r.name, r.terms[term[0]], whole))
-        or real(self, r, term, blocks, whole)))
+    calls = []  # (window start, term, candidates looked up or None)
+    real = IndexSearcher._window_scores
+
+    def spy(term, seen, reads, lo, hi, norms, cand=None):
+        r, _, ti = term[1][reads[0][0]][:3]
+        calls.append((lo, r.terms[ti], None if cand is None else cand.tolist()))
+        return real(term, seen, reads, lo, hi, norms, cand)
+
+    monkeypatch.setattr(IndexSearcher, "_window_scores", staticmethod(spy))
     got = s.search("rare common", k=5, algo="wand")
-    assert ("s1", "common", True) not in scored and ("s1", "rare", True) in scored
-    assert ("s1", "common", False) in scored  # looked up for the rare docs
+    # window 0 first, every clause essential; in window 1 (seg2's first 20
+    # docs) only the rare term is, and the common term is looked up for
+    # seg2's two rare docs (global 20 and 21); no other window can compete
+    assert calls == [(0, "rare", None), (0, "common", None),
+                     (20, "rare", None), (20, "common", [20, 21])]
     assert _pairs(got) == _pairs(s.search("rare common", k=5, algo="exhaustive"))
-    # without the carried threshold segment 2 starts with every term essential
-    scored.clear()
-    _searcher([seg2], "lucene").search("rare common", k=5, algo="wand")
-    assert ("s0", "common", True) in scored
+    assert s.last_wand_stats["intervals_visited"] == 2
+
+
+def test_wand_reads_live_docs_at_query_time(monkeypatch):
+    """Deletes applied to an open searcher's readers after its first
+    disjunction are honoured by the next one, in every window."""
+    monkeypatch.setattr(searcher_mod, "MAXSCORE_WINDOW", 100)
+    rng = np.random.default_rng(11)
+    segs = [_texts(rng, n, 600) for n in (250, 130, 40)]
+    s = _searcher(segs, "lucene")
+    q = BooleanQuery(should=[TermQuery("w0"), TermQuery("w2"), BoostQuery(TermQuery("w5"), 2.0)])
+    before = s.search(q, k=20, algo="wand")
+    assert _pairs(before) == _pairs(s.search(q, k=20, algo="exhaustive"))
+    for r in s.readers:  # delete every doc of the first top-k, and more
+        r.live = rng.random(r.max_doc) > 0.3
+        r.live[[r.doc_keys.tolist().index(sd.doc_key) for sd in before.score_docs
+                if sd.doc_key in set(r.doc_keys.tolist())]] = False
+    want = s.search(q, k=20, algo="exhaustive")
+    got = s.search(q, k=20, algo="wand")
+    assert _pairs(got) == _pairs(want)
+    assert not {sd.doc_key for sd in got.score_docs} & {sd.doc_key for sd in before.score_docs}
+    assert got.total_hits <= want.total_hits
 
 
 def test_block_bounds_computed_once_per_term(monkeypatch):
@@ -138,3 +168,32 @@ def test_carried_threshold_keeps_ties_with_smaller_keys():
     got = s.search("alpha beta", k=5, algo="wand")
     assert [sd.doc_key for sd in got.score_docs] == [f"a{i}" for i in range(5)]
     assert _pairs(got) == _pairs(s.search("alpha beta", k=5, algo="exhaustive"))
+
+
+def test_wand_loop_keeps_term_caches_inside_byte_bounds(monkeypatch):
+    """Over a 2,000-query loop of boosted disjunctions (MaxScore) and
+    conjunctions (exhaustive, through the term-score cache) the block-bound
+    and term-score caches stay inside their byte bounds while evicting, and
+    answers equal those of a searcher with the default bounds."""
+    monkeypatch.setattr(searcher_mod, "MAXSCORE_WINDOW", 128)
+    rng = np.random.default_rng(5)
+    segs = [_texts(rng, n, 600) for n in (600, 400, 300)]
+    ref = _searcher(segs, "lucene")
+    monkeypatch.setattr(searcher_mod, "TERM_SCORE_CACHE_BYTES", 2000)
+    monkeypatch.setattr(searcher_mod, "TERM_BOUND_CACHE_BYTES", 1000)
+    s = IndexSearcher.from_readers(ref.readers, mode="lucene")
+    caches = (s._term_bounds, s._term_scores)
+    assert [c.max_bytes for c in caches] == [3000, 6000]
+    boosts = np.round(np.linspace(0.5, 5.0, 40), 3).tolist()
+    for n in range(2000):
+        terms = rng.choice(VOCAB, size=rng.integers(1, 5), replace=False).tolist()
+        if n % 4 == 0:
+            q = BooleanQuery(must=[TermQuery(t) for t in terms])
+        else:
+            q = BooleanQuery(should=[BoostQuery(TermQuery(t), rng.choice(boosts)) for t in terms])
+        got = s.search(q, k=10, algo="wand")
+        assert all(c.nbytes <= c.max_bytes for c in caches)
+        if n % 20 == 0:
+            assert _pairs(got) == _pairs(ref.search(q, k=10, algo="wand"))
+    for c in caches:
+        assert c.nbytes > 0 and c.misses > len(c) and len(c) < c.max_entries

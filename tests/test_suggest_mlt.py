@@ -164,3 +164,34 @@ def test_mlt_text_path_matches_scan_path(idx):
     td = more_like_this(s, key, k=5, text="merge sort stream batch merge")
     assert all(sd.doc_key != key for sd in td.score_docs)
     assert len(td.score_docs) > 0
+
+
+def test_suggest_terms_equals_python_sum_across_segments():
+    """Whole-index suggestions summed and selected in Arrow equal the
+    per-term Python sum sorted by (ttf desc, term asc), over three segments
+    sharing terms, with ttf ties and non-ASCII terms."""
+    import numpy as np
+
+    from lucene_ray.functions.analysis import get_analyzer
+    from lucene_ray.state.segment import SegmentReader, build_segment_tables
+
+    an = get_analyzer("standard")
+    segs = [["été étude zèbre apple", "apple apply été"], ["zèbre zoo apple", "étude étude"],
+            ["apply ápice", "zoo été ápice 日本"]]
+    readers = []
+    for n, texts in enumerate(segs):
+        keys = np.array([f"s{n}-{i}" for i in range(len(texts))], dtype=object)
+        p, d, stats = build_segment_tables(keys, texts, an)
+        readers.append(SegmentReader.from_tables(p, d, {"name": f"s{n}", **stats}))
+    s = IndexSearcher.from_readers(readers)
+    assert s.global_term_stats is None
+    for prefix in ("", "a", "ap", "é", "z", "ápice", "日", "nothing"):
+        agg = {}
+        for r in readers:
+            lo, hi = r.term_range(prefix)
+            for i in range(lo, hi):
+                agg[r.term_at(i)] = agg.get(r.term_at(i), 0) + int(r.total_tf[i])
+        want = sorted(agg.items(), key=lambda x: (-x[1], x[0]))
+        for k in (1, 2, 3, 5, 50):
+            assert suggest_terms(s, prefix, k) == want[:k], (prefix, k)
+    assert suggest_terms(s, "", 4) == [("apple", 3), ("étude", 3), ("été", 3), ("apply", 2)]
