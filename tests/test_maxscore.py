@@ -160,8 +160,8 @@ def test_block_bounds_computed_once_per_term(monkeypatch):
 
 
 def test_carried_threshold_keeps_ties_with_smaller_keys():
-    """A doc of a later segment that ties the carried k-th score still
-    enters the top-k when its key is smaller (TopDocs.merge order)."""
+    """A doc of a later segment that ties an earlier segment's k-th score
+    still enters the top-k when its key is smaller (TopDocs.merge order)."""
     segs = [["alpha beta"] * 8, ["alpha beta"] * 8]
     keys = [[f"b{i}" for i in range(8)], [f"a{i}" for i in range(8)]]
     s = _searcher(segs, "lucene", keys=keys)
