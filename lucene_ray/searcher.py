@@ -1944,39 +1944,48 @@ class IndexSearcher:
 
     # ------------------------------------------------------------ MaxScore
 
-    def _doc_space(self) -> tuple[list[int], np.ndarray]:
-        """(bases, norms) of the searcher's global doc-ID space: reader
-        ``i``'s doc ``d`` is global doc ``bases[i] + d`` (a composite
-        reader's docBase; ``bases[-1]`` is the total ``max_doc``), and
-        ``norms`` holds every global doc's scoring norm, ``r.norms`` in
-        lucene mode and ``r.dls`` in exact mode, in base order. Built on the
-        first disjunction."""
+    def _doc_space(self) -> tuple[list[int], list[int]]:
+        """(bases, window starts) of the searcher's global doc-ID space:
+        reader ``i``'s doc ``d`` is global doc ``bases[i] + d`` (a composite
+        reader's docBase; ``bases[-1]`` is the total ``max_doc``). Windows
+        are at most MAXSCORE_WINDOW IDs wide: a reader that does not fit in
+        the current window opens windows at its base and every
+        MAXSCORE_WINDOW IDs after it, and the readers after it join its last
+        window while they fit. So a window holds several small segments
+        whole, and only a segment larger than a window is cut."""
         if self._space is None:
             bases = np.cumsum([0] + [r.max_doc for r in self.readers]).tolist()
-            norms = [r.norms if self.mode == "lucene" else r.dls for r in self.readers]
-            self._space = bases, np.concatenate(norms or [np.empty(0)])
+            starts = []
+            for base, end in zip(bases, bases[1:]):
+                if not starts or end - starts[-1] > MAXSCORE_WINDOW:
+                    starts.extend(range(base, end, MAXSCORE_WINDOW))
+            self._space = bases, starts
         return self._space
 
     def _bounds_of(self, r: SegmentReader, base: int, ti: int, boost: float, scorer):
-        """(global block last docs, first global window, then per window from
-        it: bound, first and past-last block) of term ``ti`` of the reader
-        at ``base``. A block's bound is the max of ``scorer.score`` over its
+        """(block last docs, first global window, then per window from it:
+        bound, first and past-last block) of term ``ti`` of the reader at
+        ``base``. A block's bound is the max of ``scorer.score`` over its
         competitive impact pairs (MaxScoreCache.java), a window's the max
         over its blocks; cached per (segment, term, boost)."""
         key = (r, ti, boost)
         hit = self._term_bounds.get(key)
         if hit is not None:
             return hit
-        bld = r.skip_meta(ti).astype(np.int64) + base
+        bld = r.skip_meta(ti)
         counts, freqs, lengths = r.impacts(ti)
         lengths = (encode_lengths(lengths) if self.mode == "lucene"
                    else np.asarray(lengths, dtype=np.float64))
         ubs = np.maximum.reduceat(scorer.score(freqs, lengths), np.cumsum(counts) - counts)
-        w0 = base // MAXSCORE_WINDOW
-        starts = np.arange(w0 * MAXSCORE_WINDOW, base + r.max_doc, MAXSCORE_WINDOW)
-        # block j spans docs (bld[j-1], bld[j]]
-        jlo = np.searchsorted(bld, starts)
-        jhi = np.minimum(np.searchsorted(bld, starts + MAXSCORE_WINDOW - 1) + 1, len(bld))
+        _, starts = self._doc_space()
+        w0 = bisect.bisect_right(starts, base) - 1
+        # the reader's own first doc of each of its windows; block j spans
+        # docs (bld[j-1], bld[j]]
+        first = np.array(starts[w0 : bisect.bisect_left(starts, base + r.max_doc)],
+                         dtype=np.int64) - base
+        first[0] = 0
+        jlo = np.searchsorted(bld, first)
+        jhi = np.minimum(np.searchsorted(bld, np.append(first[1:], r.max_doc) - 1) + 1, len(bld))
         wub = np.array([max(float(ubs[a:b].max()), 0.0) if a < b else 0.0
                         for a, b in zip(jlo.tolist(), jhi.tolist())])
         return self._term_bounds.put(key, (bld, w0, wub, jlo, jhi))
@@ -1985,59 +1994,74 @@ class IndexSearcher:
         """Top-k of a disjunction of term clauses (``clauses``: (term, boost,
         scorer) in clause order): MaxScore (Turtle & Flood;
         MaxScoreBulkScorer.java), run once over the searcher's global doc-ID
-        space (``_doc_space``) in MAXSCORE_WINDOW-doc windows. A window may
-        hold several small segments, and a large segment spans several
-        windows. Windows are visited in descending order of their summed
-        clause bounds until that falls below theta, the k-th score so far
-        (TopScoreDocCollector's min competitive score), carried from window
-        to window. In a window the clauses sorted by bound split into
-        non-essential ones, the longest prefix whose bounds sum below theta,
-        and essential ones: each essential clause's postings from every
-        reader in the window are scored in one call and summed into one
-        dense window array; the non-essential ones are looked up only for
-        candidates that can still reach theta. Final scores are summed in
-        clause order like the exhaustive union's, and bound sums widened by
-        their float error (MathUtil.sumUpperBound): the top-k is exact.
-        Total hits: live docs of an essential clause in a visited window, a
-        lower bound once anything is pruned."""
+        space in the windows of ``_doc_space``. Windows are visited in
+        descending order of their summed clause bounds until that falls
+        below theta, the k-th score so far (TopScoreDocCollector's min
+        competitive score), carried from window to window. In a window the
+        clauses sorted by bound split into non-essential ones, the longest
+        prefix whose bounds sum below theta, and essential ones: each
+        essential clause's postings from every reader in the window are
+        summed into one dense window array; the non-essential ones are
+        looked up only for candidates that can still reach theta. Final
+        scores are summed in clause order like the exhaustive union's, and
+        bound sums widened by their float error (MathUtil.sumUpperBound):
+        the top-k is exact. Total hits: live docs of an essential clause in
+        a visited window, a lower bound once anything is pruned."""
         stats = self.last_wand_stats = {"blocks_total": 0, "blocks_visited": 0,
                                         "intervals_total": 0, "intervals_visited": 0}
-        bases, norms = self._doc_space()
-        n_windows = -(-bases[-1] // MAXSCORE_WINDOW)
-        # per clause present anywhere: (scorer, its entries: reader, base,
-        # ordinal, blocks, then the ``_bounds_of`` tuple). A one-window
-        # index is entered with theta = -inf, so it needs no bounds
+        bases, starts = self._doc_space()
+        n_windows = len(starts)
+        # per clause present anywhere: (scorer, its entries: reader,
+        # base, ordinal, blocks, then the ``_bounds_of`` tuple). An entry
+        # takes no bound, so its clause's bound in its window is inf, in a
+        # one-window index (entered with theta = -inf) and when it is one
+        # block of a reader lying in one window (the bound would cost about
+        # as much as scoring that block)
         terms = []
         for term, boost, scorer in clauses:
             ents = []
             for r, base in zip(self.readers, bases):
                 ti = self._term_ord(r, term)
-                if ti >= 0:
-                    nb = -(-int(r.doc_freq[ti]) // BLOCK_SIZE)
-                    ents.append((r, base, ti, nb, *(
-                        self._bounds_of(r, base, ti, boost, scorer) if n_windows > 1
-                        else (None, 0, (math.inf,), (0,), (nb,)))))
+                if ti < 0:
+                    continue
+                nb = -(-int(r.doc_freq[ti]) // BLOCK_SIZE)
+                w0 = bisect.bisect_right(starts, base) - 1
+                if n_windows == 1 or nb == 1 and (
+                        w0 + 1 == n_windows or starts[w0 + 1] >= base + r.max_doc):
+                    ents.append((r, base, ti, nb, None, w0, None, (0,), (nb,)))
+                else:
+                    ents.append((r, base, ti, nb, *self._bounds_of(r, base, ti, boost, scorer)))
             if ents:
-                terms.append((scorer, ents))
+                terms.append((scorer, ents, boost))
         if not terms:
             return TopDocs(0, [])
-        stats["blocks_total"] = sum(e[3] for _, ents in terms for e in ents)
+        stats["blocks_total"] = sum(e[3] for _, ents, _ in terms for e in ents)
         slack = 1.0 + len(terms) * 2.0 ** -51
+        # per window: {clause: [(entry, first block, past-last block)]}, in
+        # clause order; the clause bounds per window; windows holding a
+        # block, by bound sum
         if n_windows == 1:
-            order, wsum, seen = [0], (math.inf,), None
-            cub = np.full((len(terms), 1), math.inf)
-        else:  # clause bound per window; windows holding a block, by bound sum
+            plan = [{i: [(j, 0, e[3]) for j, e in enumerate(ents)]
+                     for i, (_, ents, _) in enumerate(terms)}]
+            cub, wsum, order, seen = np.full((len(terms), 1), math.inf), (math.inf,), [0], None
+        else:
+            plan = [{} for _ in range(n_windows)]
             cub = np.zeros((len(terms), n_windows))
-            occupied = np.zeros(n_windows, dtype=bool)
-            for i, (_, ents) in enumerate(terms):
-                for *_, w0, wub, jlo, jhi in ents:
-                    w1 = w0 + len(wub)
-                    np.maximum(cub[i, w0:w1], wub, out=cub[i, w0:w1])
-                    occupied[w0:w1] |= jlo < jhi
+            for i, (_, ents, _) in enumerate(terms):
+                for j, (*_, w0, wub, jlo, jhi) in enumerate(ents):
+                    if wub is None:
+                        cub[i, w0] = math.inf
+                    else:
+                        w1 = w0 + len(wub)
+                        np.maximum(cub[i, w0:w1], wub, out=cub[i, w0:w1])
+                        jlo, jhi = jlo.tolist(), jhi.tolist()
+                    for w, a, b in zip(range(w0, w0 + len(jlo)), jlo, jhi):
+                        if a < b:
+                            plan[w].setdefault(i, []).append((j, a, b))
             wsum = cub.sum(axis=0) * slack
-            order = np.flatnonzero(occupied)
-            order = order[np.argsort(-wsum[order], kind="stable")].tolist()
-            seen = [[np.zeros(e[3], dtype=bool) for e in ents] for _, ents in terms]
+            order = [w for w in np.argsort(-wsum, kind="stable").tolist() if plan[w]]
+            seen = [[np.zeros(e[3], dtype=bool) for e in ents] for _, ents, _ in terms]
+        ends = starts[1:] + bases[-1:]
         theta = -math.inf
         best = []  # (docs, scores) per visited window
         nhits = visited = 0
@@ -2045,16 +2069,9 @@ class IndexSearcher:
             if wsum[w] < theta:
                 break
             visited += 1
-            lo = w * MAXSCORE_WINDOW
-            hi = min(lo + MAXSCORE_WINDOW, bases[-1])
-            # (clause, bound, [(entry, first block, past-last block)]) of the
-            # window's clauses, in clause order
-            inw = []
-            for i, (_, ents) in enumerate(terms):
-                reads = [(j, int(e[7][x]), int(e[8][x])) for j, e in enumerate(ents)
-                         if 0 <= (x := w - e[5]) < len(e[6]) and e[7][x] < e[8][x]]
-                if reads:
-                    inw.append((i, cub[i, w], reads))
+            lo, hi = starts[w], ends[w]
+            # (clause, bound, its reads) of the window's clauses
+            inw = [(i, cub[i, w], reads) for i, reads in plan[w].items()]
             non, acc = set(), 0.0
             if theta > -math.inf:
                 for i, ub, _ in sorted(inw, key=lambda x: x[1]):
@@ -2068,7 +2085,7 @@ class IndexSearcher:
             for i, _, reads in inw:  # clause order, like the exhaustive union
                 if i not in non:
                     d, sc = cols[i] = self._window_scores(
-                        terms[i], seen[i] if seen else None, reads, lo, hi, norms)
+                        terms[i], seen[i] if seen else None, reads, lo, hi)
                     if lo:
                         d = d - lo
                     dense[d] += sc
@@ -2094,7 +2111,7 @@ class IndexSearcher:
                     continue
                 for i, _, reads in inw:
                     if i in non:  # read only the blocks that can hold a candidate
-                        cols[i] = self._window_scores(terms[i], seen[i], reads, lo, hi, norms, cand)
+                        cols[i] = self._window_scores(terms[i], seen[i], reads, lo, hi, cand)
                 # re-summed in clause order, as the exhaustive union adds
                 part = sum(_lookup(*cols[i], cand) for i, _, _ in inw)
             if theta > -math.inf:
@@ -2123,19 +2140,25 @@ class IndexSearcher:
                 top.collect(r, best_d[a:b] - base if base else best_d[a:b], best_s[a:b])
         return TopDocs(nhits, top.top())
 
-    @staticmethod
-    def _window_scores(term, seen, reads, lo: int, hi: int, norms: np.ndarray, cand=None):
+    def _window_scores(self, term, seen, reads, lo: int, hi: int, cand=None):
         """Global (docs, scores) in window [lo, hi) of one clause (``term``:
-        its scorer and entries): the blocks ``reads`` names per entry
+        its scorer, entries and boost): the blocks ``reads`` names per entry
         ([(entry index, first, past-last block)]), or with ``cand`` only
         the blocks that can hold one of those sorted global docs; read from
         every reader (the whole postings when that is every block of the
-        term there) and scored in one call against the global ``norms``.
-        ``seen`` marks the blocks read (ImpactsDISI: a skipped block is
-        never scored; it is decoded only as part of a cached page, see
-        ``SegmentReader.postings_blocks``)."""
-        scorer, ents = term
-        docs, freqs = [], []
+        term there) and scored in one call against the norms gathered from
+        each reader. ``seen`` marks the blocks read (ImpactsDISI: a skipped
+        block is never scored; it is decoded only as part of a cached page,
+        see ``SegmentReader.postings_blocks``). In an index of several
+        windows a reader's whole scored postings of the term come from the
+        term-score cache when it holds them (``_eval_term`` puts them too),
+        and go into it when every block of the term there is read, so a
+        repeated term is not rescored window by window; a one-window index
+        neither reads nor fills it."""
+        scorer, ents, boost = term
+        cache = len(self._space[1]) > 1
+        lucene = self.mode == "lucene"
+        docs, scores, freqs, norms = [], [], [], []  # a score of None: still to score
         for j, j0, j1 in reads:
             r, base, ti, nb, bld = ents[j][:5]
             runs = [(j0, j1)]
@@ -2143,24 +2166,51 @@ class IndexSearcher:
                 a, b = np.searchsorted(cand, (base, base + r.max_doc))
                 if a == b:
                     continue
-                js = np.unique(np.minimum(np.searchsorted(bld, cand[a:b]), nb - 1))
+                js = np.unique(np.minimum(np.searchsorted(bld, cand[a:b] - base), nb - 1))
                 cut = np.flatnonzero(np.diff(js) > 1) + 1
-                runs = zip(js[np.r_[0, cut]].tolist(), (js[np.r_[cut - 1, len(js) - 1]] + 1).tolist())
+                runs = zip(js[np.append(0, cut)].tolist(),
+                           (js[np.append(cut - 1, len(js) - 1)] + 1).tolist())
+            key = (r, ti, boost)
+            hit = self._term_scores.get(key) if cache else None
             for j0, j1 in runs:
                 if seen is not None:
                     seen[j][j0:j1] = True
+                if hit is not None:
+                    continue
                 d, f = r.postings(ti) if j1 - j0 == nb else r.postings_blocks(ti, j0, j1)
+                if cache and j1 - j0 == nb:
+                    hit = self._term_scores.put(key, (d, scorer.score(
+                        f, (r.norms if lucene else r.dls)[d])))
+                    continue
                 if lo > base or hi < base + r.max_doc:
                     a, b = np.searchsorted(d, (lo - base, hi - base))
                     d, f = d[a:b], f[a:b]
+                norms.append((r.norms if lucene else r.dls)[d])
                 docs.append(d + base if base else d)
                 freqs.append(f)
+                scores.append(None)
+            if hit is not None:
+                d, sc = hit
+                if lo > base or hi < base + r.max_doc:
+                    a, b = np.searchsorted(d, (lo - base, hi - base))
+                    d, sc = d[a:b], sc[a:b]
+                docs.append(d + base if base else d)
+                scores.append(sc)
         if not docs:
             e = np.empty(0, dtype=np.int64)
             return e, e.astype(np.float64)
-        d = docs[0] if len(docs) == 1 else np.concatenate(docs)
-        f = freqs[0] if len(freqs) == 1 else np.concatenate(freqs)
-        return d, scorer.score(f, norms[d])
+        if freqs:
+            sc = (scorer.score(freqs[0], norms[0]) if len(freqs) == 1
+                  else scorer.score(np.concatenate(freqs), np.concatenate(norms)))
+            if len(freqs) == len(docs):
+                scores = [sc]
+            else:
+                cut = np.cumsum([len(d) for d, s in zip(docs, scores) if s is None])
+                fresh = iter(np.split(sc, cut[:-1]))
+                scores = [next(fresh) if s is None else s for s in scores]
+        if len(docs) == 1:
+            return docs[0], scores[0]
+        return np.concatenate(docs), np.concatenate(scores)
 
     # exact query type -> evaluator(self, reader, query, boost). Every Query
     # subclasses Query directly, so the exact type is enough.

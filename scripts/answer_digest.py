@@ -15,7 +15,8 @@ exceeds exhaustive's, which must be 0 (the exit status is 1 otherwise)::
 
     python scripts/answer_digest.py /path/to/index 5 --queries 6000 > digest.txt
 
-The index should be the one perfbench builds for the same seed.
+The index should be the one perfbench builds for the same seed, or one that
+``scripts/wand_timing.py build`` builds for that seed with ``--docs`` docs.
 """
 
 from __future__ import annotations
@@ -28,25 +29,27 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from lucene_ray.searcher import IndexSearcher
+from perfbench.run import N_DOCS
 
 WAND_SHAPES = ("term", "or", "or3")
 
 
-def query_logs(seed: int, n: int) -> list[tuple[str, str]]:
-    """The first ``n`` (shape, query) pairs of the seed's hot log, then of
-    its tail log."""
+def query_logs(seed: int, n: int, n_docs: int) -> list[tuple[str, str]]:
+    """The first ``n`` (shape, query) pairs of the hot log, then of the
+    tail log, of the seed's ``n_docs``-doc corpus."""
     from perfbench import corpus as C
-    from perfbench.run import HOT_LOG_LEN, N_DOCS, TAIL_LOG_LEN
+    from perfbench.run import HOT_LOG_LEN, TAIL_LOG_LEN
 
-    corpus = C.make_corpus(seed, N_DOCS)
+    corpus = C.make_corpus(seed, n_docs)
     return C.hot_log(corpus, HOT_LOG_LEN)[:n] + C.tail_log(corpus, TAIL_LOG_LEN)[:n]
 
 
-def digests(index_dir: str, seed: int, n: int, ks: list[int]) -> tuple[list[tuple[str, str]], int]:
+def digests(index_dir: str, seed: int, n: int, ks: list[int],
+            n_docs: int) -> tuple[list[tuple[str, str]], int]:
     """([(sha256 hex, label)], queries whose wand total_hits exceeds
     exhaustive's)."""
     s = IndexSearcher(index_dir)
-    log = query_logs(seed, n)
+    log = query_logs(seed, n, n_docs)
     hashes = {}
     over = 0
 
@@ -79,9 +82,10 @@ def main(argv=None) -> int:
     ap.add_argument("seed", type=int)
     ap.add_argument("--queries", type=int, default=6000, help="first N of each log")
     ap.add_argument("--k", default="1,10,100", help="comma-separated k values")
+    ap.add_argument("--docs", type=int, default=N_DOCS, help="docs of the seed's corpus")
     args = ap.parse_args(argv)
     lines, over = digests(args.index_dir, args.seed, args.queries,
-                          [int(x) for x in args.k.split(",")])
+                          [int(x) for x in args.k.split(",")], args.docs)
     for h, label in lines:
         print(f"{h}  {label}")
     print(f"wand_total_hits_over_exhaustive {over}")

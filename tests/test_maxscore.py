@@ -2,9 +2,10 @@
 
 Random multi-segment in-RAM indexes whose terms span several 128-doc
 blocks, with the MaxScore window shrunk to 100, 128 or 4,096 global doc IDs
-(so that windows straddle segment bases, one window holds several segments
-and a segment spans several windows); deleted docs, boosted and repeated
-clauses, ties from duplicate texts, both scoring modes. Keys and scores must
+(so that one window holds several segments, a segment spans several
+windows, and a segment's last window takes in the segments after it);
+deleted docs, boosted and repeated clauses, ties from duplicate texts, both
+scoring modes. Keys and scores must
 be identical (the reference's TestWANDScorer / TestMaxScoreBulkScorer
 property)."""
 
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lucene_ray.searcher as searcher_mod
+from lucene_ray.cache import LRUCache
 from lucene_ray.functions.analysis import get_analyzer
 from lucene_ray.query import BooleanQuery, BoostQuery, TermQuery
 from lucene_ray.searcher import IndexSearcher
@@ -76,7 +78,7 @@ def _cases(draw):
     return segments, keys, live, query, k, mode, draw(st.sampled_from([100, 128, 4096]))
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+@settings(max_examples=90, deadline=None, suppress_health_check=list(HealthCheck))
 @given(_cases())
 def test_maxscore_equals_exhaustive(case):
     segments, keys, live, query, k, mode, window = case
@@ -85,7 +87,11 @@ def test_maxscore_equals_exhaustive(case):
         s = _searcher(segments, mode, live, keys)
         want = s.search(query, k=k, algo="exhaustive")
         got = s.search(query, k=k, algo="wand")
+        stats = s.last_wand_stats
+        again = s.search(query, k=k, algo="wand")  # term scores from the cache
     assert _pairs(got) == _pairs(want)
+    assert _pairs(again) == _pairs(got) and again.total_hits == got.total_hits
+    assert s.last_wand_stats == stats
     assert [np.float32(x) for _, x in _pairs(got)] == [np.float32(x) for _, x in _pairs(want)]
     assert got.total_hits <= want.total_hits
     st_ = s.last_wand_stats
@@ -105,12 +111,12 @@ def test_carried_threshold_makes_term_non_essential(monkeypatch):
     calls = []  # (window start, term, candidates looked up or None)
     real = IndexSearcher._window_scores
 
-    def spy(term, seen, reads, lo, hi, norms, cand=None):
+    def spy(self, term, seen, reads, lo, hi, cand=None):
         r, _, ti = term[1][reads[0][0]][:3]
         calls.append((lo, r.terms[ti], None if cand is None else cand.tolist()))
-        return real(term, seen, reads, lo, hi, norms, cand)
+        return real(self, term, seen, reads, lo, hi, cand)
 
-    monkeypatch.setattr(IndexSearcher, "_window_scores", staticmethod(spy))
+    monkeypatch.setattr(IndexSearcher, "_window_scores", spy)
     got = s.search("rare common", k=5, algo="wand")
     # window 0 first, every clause essential; in window 1 (seg2's first 20
     # docs) only the rare term is, and the common term is looked up for
@@ -119,6 +125,21 @@ def test_carried_threshold_makes_term_non_essential(monkeypatch):
                      (20, "rare", None), (20, "common", [20, 21])]
     assert _pairs(got) == _pairs(s.search("rare common", k=5, algo="exhaustive"))
     assert s.last_wand_stats["intervals_visited"] == 2
+
+
+def test_windows_hold_small_segments_whole_and_cut_large_ones(monkeypatch):
+    """A segment that does not fit in the current window opens windows at
+    its base and every MAXSCORE_WINDOW IDs after it; the segments after it
+    join its last window while that stays within MAXSCORE_WINDOW IDs."""
+    monkeypatch.setattr(searcher_mod, "MAXSCORE_WINDOW", 100)
+    rng = np.random.default_rng(7)
+    s = _searcher([_texts(rng, n, 600) for n in (250, 30, 40, 10, 500)], "lucene")
+    q = BooleanQuery(should=[TermQuery("w0"), TermQuery("w3"), TermQuery("w9")])
+    got = s.search(q, k=10, algo="wand")
+    assert s._doc_space() == ([0, 250, 280, 320, 330, 830],
+                              [0, 100, 200, 280, 330, 430, 530, 630, 730])
+    assert s.last_wand_stats["intervals_total"] == 9
+    assert _pairs(got) == _pairs(s.search(q, k=10, algo="exhaustive"))
 
 
 def test_wand_reads_live_docs_at_query_time(monkeypatch):
@@ -157,6 +178,37 @@ def test_block_bounds_computed_once_per_term(monkeypatch):
     assert n > 0
     assert _pairs(s.search(q, k=5, algo="wand")) == first
     assert len(calls) == n
+
+
+def test_repeated_query_takes_term_scores_from_cache(monkeypatch):
+    """In an index of several windows a reader's whole scored postings of a
+    term go into the term-score cache, and the same query again reads no
+    postings and answers the same; a one-window index neither reads nor
+    fills that cache."""
+    monkeypatch.setattr(searcher_mod, "MAXSCORE_WINDOW", 100)
+    rng = np.random.default_rng(13)
+    segs = [_texts(rng, n, 600) for n in (100, 90, 100)]  # one window each
+    q = BooleanQuery(should=[TermQuery("w0"), TermQuery("w4"), BoostQuery(TermQuery("w9"), 2.0)])
+    s = _searcher(segs, "lucene")
+    want = s.search(q, k=10, algo="exhaustive")
+    s._term_scores = LRUCache(1000)  # only what MaxScore puts
+    reads = []
+    for r in s.readers:
+        for name in ("postings", "postings_blocks"):
+            fn = getattr(r, name)
+            setattr(r, name, lambda *a, fn=fn: (reads.append(a), fn(*a))[1])
+    first = s.search(q, k=10, algo="wand")
+    stats = s.last_wand_stats
+    assert s.last_wand_stats["intervals_total"] == 3 and reads and len(s._term_scores)
+    reads.clear()
+    again = s.search(q, k=10, algo="wand")
+    assert reads == [] and s.last_wand_stats == stats
+    assert _pairs(first) == _pairs(again) == _pairs(want)
+    monkeypatch.setattr(searcher_mod, "MAXSCORE_WINDOW", 4096)
+    one = _searcher(segs, "lucene")
+    n = one._term_scores.misses
+    assert _pairs(one.search(q, k=10, algo="wand")) == _pairs(want)
+    assert one._term_scores.misses == n and len(one._term_scores) == 0
 
 
 def test_carried_threshold_keeps_ties_with_smaller_keys():
