@@ -26,7 +26,7 @@ import pyarrow as pa
 
 from lucene_ray.cache import LRUCache
 from lucene_ray.pipelines.topk import topk_by_query
-from lucene_ray.searcher import IndexSearcher
+from lucene_ray.searcher import IndexSearcher, check_algo
 
 SHARD_SEARCHER_CACHE_ENTRIES = 8  # open shard searchers per actor
 
@@ -109,7 +109,10 @@ def search_distributed(
 
     Returns a Dataset with (query_id, query, rank, doc_key, score), ranks
     1..k per query, rank-identical to a local single-process search.
+    ``algo`` is ``IndexSearcher.search``'s; an unknown one raises before
+    any actor starts.
     """
+    check_algo(algo)
     import ray.data
 
     from lucene_ray.state.manifest import Manifest

@@ -9,7 +9,8 @@ every segment's matches with the (score desc, doc_key asc) comparator
 (``_TopK``: per-leaf collection and TopDocs.merge, search/TopDocs.java:
 202-227, in one step).
 
-Physical plans (Boolean2ScorerSupplier.java:30-247 analogue):
+Physical plans, one picked per query by ``_Plan``
+(Boolean2ScorerSupplier.java:30-247 analogue):
 
 * ``exhaustive`` — vectorized term-at-a-time over numpy arrays: decode each
   term's postings once, combine with sorted-array union/intersection kernels
@@ -35,7 +36,6 @@ deterministic global order is the document key, so every sort here uses
 from __future__ import annotations
 
 import bisect
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -88,7 +88,6 @@ from lucene_ray.query import (
     WildcardQuery,
     parse_query,
 )
-from lucene_ray.query import extract_terms
 from lucene_ray.state.manifest import Manifest
 from lucene_ray.state.segment import (
     BLOCK_SIZE,
@@ -355,19 +354,88 @@ def _aggregate(keys: np.ndarray, scores: np.ndarray, mode: str, boost: float):
     raise ValueError(f"unknown score_mode {mode!r}")
 
 
-class _QueryTerms:
-    """The terms one query has resolved (the TermStates analogue, built once
-    at Weight creation in the reference): each segment's ordinal by
-    (reader, dictionary key), global statistics by key, and scorers by
-    (key, boost, field). Lives for one query, so it is bounded by the
-    query's own terms."""
+ALGOS = ("auto", "wand", "exhaustive")
 
-    __slots__ = ("ords", "stats", "scorers")
 
-    def __init__(self):
-        self.ords: dict[tuple, int] = {}
-        self.stats: dict[str, TermStatistics] = {}
-        self.scorers: dict[tuple, object] = {}
+def check_algo(algo: str) -> None:
+    """Reject a physical-plan name ``IndexSearcher.search`` does not know."""
+    if algo not in ALGOS:
+        raise ValueError(f"unknown algo {algo!r}; expected one of {', '.join(ALGOS)}")
+
+
+class _Plan:
+    """One query's resolved terms and physical path, the Weight analogue:
+    built once per ``search``, ``matches`` or ``explain`` call, it holds the
+    ordinal of each dictionary key in each reader it has probed, each key's
+    global statistics (TermStates) and the scorers by (key, boost, field)
+    (TermQuery.createWeight, TermQuery.java:211). ``wand`` is the path
+    (Boolean2ScorerSupplier.java:30-247): the MaxScore clauses ``(term,
+    boost, scorer)``, or None for the exhaustive walk. Nothing per term
+    outlives the call."""
+
+    __slots__ = ("searcher", "_ords", "_stats", "_scorers", "wand")
+
+    def __init__(self, searcher: "IndexSearcher", query: Query | None = None,
+                 algo: str = "exhaustive", search_after: tuple | None = None):
+        check_algo(algo)
+        self.searcher = searcher
+        self._ords: dict[tuple, int] = {}
+        self._stats: dict[str, TermStatistics] = {}
+        self._scorers: dict[tuple, object] = {}
+        self.wand: list | None = None
+        if algo == "exhaustive" or search_after is not None or searcher._multi:
+            return
+        # the WANDScorer shape (Boolean2ScorerSupplier.java:242-247): a term
+        # query or a pure disjunction of term queries, each optionally
+        # boosted by a factor >= 0
+        subs = [query]
+        if isinstance(query, BooleanQuery):
+            if query.must or query.must_not or query.filter or query.minimum_should_match > 1:
+                return
+            subs = query.should
+        clauses = []
+        for s in subs:
+            boost = 1.0
+            if isinstance(s, BoostQuery) and s.boost >= 0:
+                s, boost = s.query, float(s.boost)
+            if not isinstance(s, TermQuery):
+                return
+            clauses.append((s, boost))
+        if algo == "auto":  # the faster path for these statistics; same answers
+            dfs = [self.statistics(t).doc_freq
+                   for t in dict.fromkeys(s.term for s, _ in clauses)]
+            dc = max(1, searcher.collection_stats.doc_count)
+            if (sum(dfs) < searcher.WAND_AUTO_MIN_POSTINGS
+                    or max(dfs) > searcher.WAND_AUTO_MAX_DENSITY * dc):
+                return
+        self.wand = [(t.term, boost, scorer) for t, boost in clauses
+                     if (scorer := self.scorer(t.term, boost, t.field)) is not None]
+
+    def ord(self, r: SegmentReader, key: str) -> int:
+        """``r``'s ordinal of dictionary key ``key`` (-1 if absent), probed
+        once per plan."""
+        i = self._ords.get((r, key))
+        if i is None:
+            i = self._ords[(r, key)] = r.term_index(key)
+        return i
+
+    def statistics(self, key: str) -> TermStatistics:
+        """``key``'s global statistics (``IndexSearcher.term_statistics``
+        over this plan's ordinals), resolved once per plan."""
+        ts = self._stats.get(key)
+        if ts is None:
+            ts = self._stats[key] = self.searcher.term_statistics(key, self)
+        return ts
+
+    def scorer(self, key: str, boost: float = 1.0, field: str | None = None):
+        """The scorer of one FULL dictionary key (field-prefixed when multi)
+        from global statistics; None for a key no document holds."""
+        sk = (key, boost, field)
+        if sk not in self._scorers:
+            s, ts = self.searcher, self.statistics(key)
+            self._scorers[sk] = (s.sim.scorer(s._field_cstats(field), ts, boost=boost)
+                                 if ts.doc_freq > 0 else None)
+        return self._scorers[sk]
 
 
 class GlobalTermStats:
@@ -459,6 +527,16 @@ class GlobalTermStats:
 
 
 class IndexSearcher:
+    # ``algo='auto'`` policy, applied by ``_Plan``:
+    # below this many total postings the vectorized exhaustive kernel wins:
+    # the Python-driven window walk costs tens of µs per window, so pruning
+    # has to save at least a few dozen 128-doc block decodes to pay for it.
+    WAND_AUTO_MIN_POSTINGS = 4096
+    # above this per-term density (df / docCount), posting lists are so hot
+    # that one vectorized whole-list pass beats any Python-driven skipping —
+    # and the near-uniform block bounds of a dense term prune nothing anyway
+    WAND_AUTO_MAX_DENSITY = 0.10
+
     def __init__(self, index_dir: str, *, mode: str = "lucene", segment_names=None,
                  similarity=None):
         """``similarity`` plugs in a non-BM25 scorer (ClassicSimilarity,
@@ -571,7 +649,6 @@ class IndexSearcher:
             self.sim = similarity
         else:
             self.sim = BM25Similarity() if mode == "lucene" else BM25ExactSimilarity()
-        self._query_terms: _QueryTerms | None = None
         self._space = None  # see _doc_space
         # cumulative pruning telemetry (range pruning / sorted-index early
         # termination); read the delta around a call to measure
@@ -607,74 +684,23 @@ class IndexSearcher:
 
     # ---------------------------------------------------------------- stats
 
-    @contextlib.contextmanager
-    def _query_scope(self):
-        """Resolve each term of the query run inside at most once: global
-        statistics and scorers are memoized until the outermost scope ends."""
-        if self._query_terms is not None:  # nested: the outer query's scope
-            yield
-            return
-        self._query_terms = _QueryTerms()
-        try:
-            yield
-        finally:
-            self._query_terms = None
-
-    def _term_ord(self, r: SegmentReader, term: str) -> int:
-        """``r``'s ordinal of dictionary key ``term`` (-1 if absent), probed
-        once per query: the statistics and every evaluator of the query
-        read it from there."""
-        memo = self._query_terms
-        if memo is None:
-            return r.term_index(term)
-        key = (r, term)
-        i = memo.ords.get(key)
-        if i is None:
-            i = memo.ords[key] = r.term_index(term)
-        return i
-
-    def term_statistics(self, term: str) -> TermStatistics:
+    def term_statistics(self, term: str, plan: _Plan | None = None) -> TermStatistics:
         """The term's statistics over the whole index: the sums of the
-        readers' partials at their ``_term_ord`` (TermStates.build), or the
-        global dictionary's for a searcher over a subset of the segments."""
-        memo = self._query_terms
-        if memo is not None:
-            hit = memo.stats.get(term)
-            if hit is not None:
-                return hit
+        readers' partials at their ordinals in ``plan`` (TermStates.build;
+        a fresh plan when none is given), or the global dictionary's for a
+        searcher over a subset of the segments."""
         if self.global_term_stats is not None:
             df, ttf = self.global_term_stats.lookup(term)
         else:
+            plan = plan if plan is not None else _Plan(self)
             df = 0
             ttf = 0
             for r in self.readers:
-                i = self._term_ord(r, term)
+                i = plan.ord(r, term)
                 if i >= 0:
                     df += int(r.doc_freq[i])
                     ttf += int(r.total_tf[i])
-        ts = TermStatistics(term, df, ttf)
-        if memo is not None:
-            memo.stats[term] = ts
-        return ts
-
-    def _term_scorer(self, term: str, boost: float = 1.0, field: str | None = None):
-        """The scorer of one FULL dictionary key (field-prefixed when multi)
-        from GLOBAL stats — fixed before any segment is scored, like
-        TermQuery.createWeight (TermQuery.java:211); None for a term no
-        document holds. Built once per query inside ``_query_scope``."""
-        memo = self._query_terms
-        key = (term, boost, field)
-        if memo is not None and key in memo.scorers:
-            return memo.scorers[key]
-        ts = self.term_statistics(term)
-        sc = self.sim.scorer(self._field_cstats(field), ts, boost=boost) if ts.doc_freq > 0 else None
-        if memo is not None:
-            memo.scorers[key] = sc
-        return sc
-
-    def _scorers_for(self, terms: list[str]) -> dict:
-        """``_term_scorer`` of each term that some document holds."""
-        return {t: sc for t in terms if (sc := self._term_scorer(t)) is not None}
+        return TermStatistics(term, df, ttf)
 
     @staticmethod
     def _apply_live(r: SegmentReader, sp: _SparseScores) -> _SparseScores:
@@ -734,39 +760,56 @@ class IndexSearcher:
         algo: str = "auto",
         search_after: tuple | None = None,
     ) -> TopDocs:
+        """The top ``k`` live matches of ``query`` by (score desc, doc_key
+        asc), and the number of live matches. Strings parse through
+        ``parse``. ``algo`` picks the physical path:
+
+        * ``"exhaustive"`` scores every match of every segment;
+        * ``"wand"`` runs MaxScore over the searcher's global doc IDs when
+          the query is a term query or a pure disjunction of (boosted) term
+          queries on a single-field index, and the exhaustive walk
+          otherwise. Its ``total_hits`` is a lower bound once anything is
+          pruned;
+        * ``"auto"`` (the default) takes the wand path for that shape only
+          when the clause terms' document frequencies sum to at least
+          ``WAND_AUTO_MIN_POSTINGS`` and none exceeds
+          ``WAND_AUTO_MAX_DENSITY`` of the document count.
+
+        The top ``k`` is the same on every path. ``search_after``, a (score,
+        doc_key) anchor, keeps only the matches after it and forces the
+        exhaustive path. Any other ``algo`` raises ``ValueError``."""
         if k < 1:  # TopScoreDocCollector rejects numHits <= 0 the same way
             raise ValueError(f"k must be >= 1, got {k}; count() gives the hit count")
         if isinstance(query, str):
             query = self.parse(query)
-        with self._query_scope():
-            if (search_after is None and self._wand_eligible(query)
-                    and (algo == "wand" or (algo == "auto" and self._wand_worthwhile(query)))):
-                return self._search_wand(
-                    [(t.term, boost, scorer) for t, boost in self._wand_clauses(query)
-                     if (scorer := self._term_scorer(t.term, boost, t.field)) is not None], k)
-            top = _TopK(k)
-            total = 0
-            for r in self.readers:
-                sp = self._apply_live(r, self._eval(r, query))
-                docs, scores = sp.docs, sp.scores
-                total += len(docs)
-                if search_after is not None:
-                    docs, scores = _after(r, docs, scores, search_after)
-                top.collect(r, docs, scores)
+        p = _Plan(self, query, algo, search_after)
+        if p.wand is not None:
+            return self._search_wand(p, k)
+        top = _TopK(k)
+        total = 0
+        for r, docs, scores in self._matches(p, query):
+            total += len(docs)
+            if search_after is not None:
+                docs, scores = _after(r, docs, scores, search_after)
+            top.collect(r, docs, scores)
         return TopDocs(total, top.top())
 
     def matches(self, query: Query | str):
         """The live matches of ``query``, one segment at a time: yields
         ``(reader, docs, scores)`` — sorted local docIDs and their scores —
         for each segment with at least one live match. Strings parse through
-        ``parse``; every term resolves once for the whole iteration."""
+        ``parse``; every term resolves once for the whole iteration, in the
+        iteration's own plan."""
         if isinstance(query, str):
             query = self.parse(query)
-        with self._query_scope():
-            for r in self.readers:
-                sp = self._apply_live(r, self._eval(r, query))
-                if len(sp.docs):
-                    yield r, sp.docs, sp.scores
+        yield from self._matches(_Plan(self, query), query)
+
+    def _matches(self, p: _Plan, query: Query):
+        """``matches`` under plan ``p``."""
+        for r in self.readers:
+            sp = self._apply_live(r, self._eval(p, r, query))
+            if len(sp.docs):
+                yield r, sp.docs, sp.scores
 
     def count(self, query: Query | str) -> int:
         return sum(len(docs) for _, docs, _ in self.matches(query))
@@ -816,20 +859,19 @@ class IndexSearcher:
             local = int(pos[0])
             if r.live is not None and not r.live[local]:
                 continue
-            with self._query_scope():
-                return self._explain_node(r, query, local, 1.0)
+            return self._explain_node(_Plan(self, query), r, query, local, 1.0)
         return {"description": f"no document {doc_key!r}", "value": 0.0,
                 "match": False, "details": []}
 
-    def _explain_node(self, r: SegmentReader, q: Query, doc: int,
+    def _explain_node(self, p: _Plan, r: SegmentReader, q: Query, doc: int,
                       boost: float) -> dict:
         def value_of(node: Query, b: float) -> float:
-            sp = self._eval(r, node, b)
+            sp = self._eval(p, r, node, b)
             i = int(np.searchsorted(sp.docs, doc))
             return float(sp.scores[i]) if i < len(sp.docs) and sp.docs[i] == doc else 0.0
 
         if isinstance(q, BoostQuery):
-            inner = self._explain_node(r, q.query, doc, boost * q.boost)
+            inner = self._explain_node(p, r, q.query, doc, boost * q.boost)
             return {"description": f"boost({q.boost}) of", "value": inner["value"],
                     "match": inner["match"], "details": [inner]}
         if isinstance(q, BooleanQuery):
@@ -837,7 +879,7 @@ class IndexSearcher:
             for tag, clauses in (("MUST", q.must), ("SHOULD", q.should),
                                  ("FILTER", q.filter), ("MUST_NOT", q.must_not)):
                 for c in clauses:
-                    sub = self._explain_node(r, c, doc, boost)
+                    sub = self._explain_node(p, r, c, doc, boost)
                     sub["clause"] = tag
                     details.append(sub)
             v = value_of(q, boost)
@@ -847,21 +889,21 @@ class IndexSearcher:
                         for d in details),
                     "details": details}
         if isinstance(q, DisjunctionMaxQuery):
-            details = [self._explain_node(r, d, doc, boost) for d in q.disjuncts]
+            details = [self._explain_node(p, r, d, doc, boost) for d in q.disjuncts]
             v = value_of(q, boost)
             return {"description": f"max plus {q.tie_breaker} times others",
                     "value": v, "match": any(d["match"] for d in details),
                     "details": details}
         if isinstance(q, TermQuery):
             fp = self._fp(q.field)
-            ti = r.term_index(fp + q.term)
+            ti = p.ord(r, fp + q.term)
             tf = 0
             if ti >= 0:
                 d_, f_ = r.postings(ti)
                 j = int(np.searchsorted(d_, doc))
                 if j < len(d_) and d_[j] == doc:
                     tf = int(f_[j])
-            ts = self.term_statistics(fp + q.term)
+            ts = p.statistics(fp + q.term)
             # the length of the term's own field (0 for a field not indexed)
             dl = (float(self._field_norms(r, q.field)[1][doc]) if not self._multi
                   or (q.field or self.default_field) in self.fields else 0.0)
@@ -902,53 +944,6 @@ class IndexSearcher:
                 return out
         return None
 
-    @staticmethod
-    def _wand_clauses(q: Query):
-        """(TermQuery, boost) per clause of a term query or a pure
-        disjunction of term queries, each optionally boosted by a factor
-        >= 0 — the WANDScorer shape (Boolean2ScorerSupplier.java:242-247) —
-        else None."""
-        subs = [q]
-        if isinstance(q, BooleanQuery):
-            if q.must or q.must_not or q.filter or q.minimum_should_match > 1:
-                return None
-            subs = q.should
-        out = []
-        for s in subs:
-            boost = 1.0
-            if isinstance(s, BoostQuery) and s.boost >= 0:
-                s, boost = s.query, float(s.boost)
-            if not isinstance(s, TermQuery):
-                return None
-            out.append((s, boost))
-        return out
-
-    def _wand_eligible(self, q: Query) -> bool:
-        return not self._multi and self._wand_clauses(q) is not None
-
-    # below this many total postings the vectorized exhaustive kernel wins:
-    # the Python-driven window walk costs tens of µs per window, so pruning
-    # has to save at least a few dozen 128-doc block decodes to pay for it.
-    WAND_AUTO_MIN_POSTINGS = 4096
-    # above this per-term density (df / docCount), posting lists are so hot
-    # that one vectorized whole-list pass beats any Python-driven skipping —
-    # and the near-uniform block bounds of a dense term prune nothing anyway
-    WAND_AUTO_MAX_DENSITY = 0.10
-
-    def _wand_worthwhile(self, q: Query) -> bool:
-        """``algo='auto'`` policy: WAND pays off for SELECTIVE terms over
-        large posting volumes (block skipping saves decode + score work);
-        dense terms (high df/docCount) have near-uniform block bounds, so
-        skipping saves nothing and the numpy exhaustive kernel's one
-        vectorized pass wins. Results are identical either way (tested) —
-        this only chooses the faster physical plan."""
-        terms = extract_terms(q)
-        dfs = [self.term_statistics(t).doc_freq for t in terms]
-        if sum(dfs) < self.WAND_AUTO_MIN_POSTINGS:
-            return False
-        dc = max(1, self.collection_stats.doc_count)
-        return max(dfs) <= self.WAND_AUTO_MAX_DENSITY * dc
-
     # ------------------------------------------------------------ evaluation
 
     def _score_arrays(self, r: SegmentReader, scorer, docs: np.ndarray,
@@ -958,19 +953,19 @@ class IndexSearcher:
             return scorer.score(freqs, norms[docs])
         return scorer.score(freqs, dls[docs])
 
-    def _eval(self, r: SegmentReader, q: Query, boost: float = 1.0) -> _SparseScores:
+    def _eval(self, p: _Plan, r: SegmentReader, q: Query, boost: float = 1.0) -> _SparseScores:
         """One segment's matches of ``q`` (deleted docs included), through
-        the evaluator of its exact type."""
+        the evaluator of its exact type; every term resolves in plan ``p``."""
         ev = self._EVALUATORS.get(type(q))
         if ev is None:
             raise TypeError(f"unsupported query {q!r}")
-        return ev(self, r, q, boost)
+        return ev(self, p, r, q, boost)
 
-    def _eval_term(self, r: SegmentReader, q: TermQuery, boost: float) -> _SparseScores:
+    def _eval_term(self, p: _Plan, r: SegmentReader, q: TermQuery, boost: float) -> _SparseScores:
         if self._multi and q.field and q.field not in self.fields:
             return _EMPTY
         full = self._fp(q.field) + q.term
-        ti = self._term_ord(r, full)
+        ti = p.ord(r, full)
         if ti < 0:
             return _EMPTY
         # per-(segment, term, boost) score cache: BM25 term scores are a
@@ -980,7 +975,7 @@ class IndexSearcher:
         hit = self._term_scores.get(ckey)
         if hit is not None:
             return _SparseScores(hit[0], hit[1])
-        scorer = self._term_scorer(full, boost, q.field)
+        scorer = p.scorer(full, boost, q.field)
         if scorer is None:
             return _EMPTY
         docs, freqs = r.postings(ti)
@@ -990,12 +985,12 @@ class IndexSearcher:
         self._term_scores.put(ckey, (docs, scores))
         return _SparseScores(docs, scores)
 
-    def _eval_payload(self, r: SegmentReader, q: PayloadScoreQuery,
+    def _eval_payload(self, p: _Plan, r: SegmentReader, q: PayloadScoreQuery,
                       boost: float) -> _SparseScores:
         """queries/payloads/PayloadScoreQuery.java: per-doc aggregate of the
         term's occurrence payloads (stream is doc-major, so one
         ufunc.reduceat per segment), optionally × the term's own score."""
-        ti = self._term_ord(r, self._fp(q.field) + q.term)
+        ti = p.ord(r, self._fp(q.field) + q.term)
         if ti < 0:
             return _EMPTY
         docs, freqs = r.postings(ti)
@@ -1020,27 +1015,27 @@ class IndexSearcher:
             raise ValueError(f"unknown payload function {q.func!r}")
         scores = agg * boost
         if q.include_span_score:
-            sub = self._eval(r, TermQuery(q.term, q.field))
+            sub = self._eval(p, r, TermQuery(q.term, q.field))
             scores = scores * sub.scores  # same doc order: one term
         return _SparseScores(docs, scores)
 
-    def _eval_function_score(self, r: SegmentReader, q: FunctionScoreQuery,
+    def _eval_function_score(self, p: _Plan, r: SegmentReader, q: FunctionScoreQuery,
                              boost: float) -> _SparseScores:
-        sub = self._eval(r, q.query, boost)
+        sub = self._eval(p, r, q.query, boost)
         if not len(sub.docs):
             return sub
         dv = {name: arr[sub.docs] for name, arr in r.doc_values.items()}
         new_scores = np.asarray(q.fn(sub.scores, dv), dtype=np.float64)
         return _SparseScores(sub.docs, new_scores, sub.counts)
 
-    def _eval_ordinals(self, r: SegmentReader, q: Query, boost: float) -> _SparseScores:
+    def _eval_ordinals(self, p: _Plan, r: SegmentReader, q: Query, boost: float) -> _SparseScores:
         """MultiTermQuery CONSTANT_SCORE rewrite: the dictionary ordinals
         ``_ORDINALS`` accepts for the query's type; their docs union and
         score ``boost``."""
-        ords = self._ORDINALS[type(q)](self, r, self._fp(q.field), q)
+        ords = self._ORDINALS[type(q)](self, p, r, self._fp(q.field), q)
         return _const(self._union_docs(r, ords), boost)
 
-    def _term_range_ords(self, r: SegmentReader, fp: str, q: TermRangeQuery):
+    def _term_range_ords(self, p: _Plan, r: SegmentReader, fp: str, q: TermRangeQuery):
         lo, hi = r.term_range(fp)  # an open end stops at the field's terms
         if q.lower is not None:
             lo = r.bisect(fp + q.lower, side="left" if q.include_lower else "right")
@@ -1050,7 +1045,7 @@ class IndexSearcher:
 
     # -- doc values, points and geo
 
-    def _eval_numeric_range(self, r: SegmentReader, q: NumericRangeQuery,
+    def _eval_numeric_range(self, p: _Plan, r: SegmentReader, q: NumericRangeQuery,
                             boost: float) -> _SparseScores:
         """BKD-style pruning: binary search the per-reader sorted column
         (PointRangeQuery over Lucene90PointsFormat semantics) — only the
@@ -1081,17 +1076,17 @@ class IndexSearcher:
         st["max_doc_total"] += r.max_doc
         return out
 
-    def _eval_point_box(self, r: SegmentReader, q: PointBoxQuery,
+    def _eval_point_box(self, p: _Plan, r: SegmentReader, q: PointBoxQuery,
                         boost: float) -> _SparseScores:
         kd = r.kd_index(q.field_x, q.field_y)
         return _const(self._kd_boxes(r, kd, [(q.x0, q.x1, q.y0, q.y1)])[0], boost)
 
-    def _eval_point_nd(self, r: SegmentReader, q: PointNDRangeQuery,
+    def _eval_point_nd(self, p: _Plan, r: SegmentReader, q: PointNDRangeQuery,
                        boost: float) -> _SparseScores:
         kd = r.kd_index_nd(q.fields)
         return _const(self._kd_boxes(r, kd, [(q.lows, q.highs)])[0], boost)
 
-    def _eval_geo_polygon(self, r: SegmentReader, q: GeoPolygonQuery,
+    def _eval_geo_polygon(self, p: _Plan, r: SegmentReader, q: GeoPolygonQuery,
                           boost: float) -> _SparseScores:
         from lucene_ray.functions.points import (polygon_bounding_box,
                                                  polygon_contains)
@@ -1104,7 +1099,7 @@ class IndexSearcher:
                                 r.doc_values[q.lon_field][cand], q.rings)
         return _const(cand[keep], boost)
 
-    def _eval_geo_distance(self, r: SegmentReader, q: GeoDistanceQuery,
+    def _eval_geo_distance(self, p: _Plan, r: SegmentReader, q: GeoDistanceQuery,
                            boost: float) -> _SparseScores:
         from lucene_ray.functions.points import distance_bounding_boxes, haversine_meters
 
@@ -1118,11 +1113,11 @@ class IndexSearcher:
         docs = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int32)
         return _const(docs, boost)
 
-    def _eval_dv_term(self, r: SegmentReader, q: DocValuesTermQuery,
+    def _eval_dv_term(self, p: _Plan, r: SegmentReader, q: DocValuesTermQuery,
                       boost: float) -> _SparseScores:
         return _const(np.flatnonzero(r.doc_values[q.field] == q.value).astype(np.int32), boost)
 
-    def _eval_sorted_set(self, r: SegmentReader, q: SortedSetContainsQuery,
+    def _eval_sorted_set(self, p: _Plan, r: SegmentReader, q: SortedSetContainsQuery,
                          boost: float) -> _SparseScores:
         dv = r.sorted_set_dv.get(q.field)
         if dv is None:
@@ -1141,18 +1136,18 @@ class IndexSearcher:
 
     # -- compound
 
-    def _eval_covering(self, r: SegmentReader, q: CoveringQuery,
+    def _eval_covering(self, p: _Plan, r: SegmentReader, q: CoveringQuery,
                        boost: float) -> _SparseScores:
-        u = self._union([self._eval(r, sub, boost) for sub in q.queries], r.max_doc)
+        u = self._union([self._eval(p, r, sub, boost) for sub in q.queries], r.max_doc)
         if not len(u.docs):
             return u
         mins = np.asarray(r.doc_values[q.min_match_field][u.docs], dtype=np.int64)
         keep = u.counts >= mins
         return _SparseScores(u.docs[keep], u.scores[keep], u.counts[keep])
 
-    def _eval_dismax(self, r: SegmentReader, q: DisjunctionMaxQuery,
+    def _eval_dismax(self, p: _Plan, r: SegmentReader, q: DisjunctionMaxQuery,
                      boost: float) -> _SparseScores:
-        return self._dismax([self._eval(r, d, boost) for d in q.disjuncts], q.tie_breaker)
+        return self._dismax([self._eval(p, r, d, boost) for d in q.disjuncts], q.tie_breaker)
 
     @staticmethod
     def _union_docs(r: SegmentReader, ords) -> np.ndarray:
@@ -1237,19 +1232,20 @@ class IndexSearcher:
         keep = ~np.isin(a.docs, not_docs, assume_unique=True)
         return _SparseScores(a.docs[keep], a.scores[keep], a.counts[keep])
 
-    def _filter_docs(self, r: SegmentReader, q: Query) -> np.ndarray:
+    def _filter_docs(self, p: _Plan, r: SegmentReader, q: Query) -> np.ndarray:
         try:
             hit = self._filters.get((r, q))
         except TypeError:  # unhashable query (custom fn) — evaluate directly
-            return self._eval(r, q).docs
+            return self._eval(p, r, q).docs
         if hit is None:
-            hit = self._filters.put((r, q), self._eval(r, q).docs)
+            hit = self._filters.put((r, q), self._eval(p, r, q).docs)
         return hit
 
-    def _eval_bool(self, r: SegmentReader, q: BooleanQuery, boost: float) -> _SparseScores:
+    def _eval_bool(self, p: _Plan, r: SegmentReader, q: BooleanQuery,
+                   boost: float) -> _SparseScores:
         result: _SparseScores | None = None
         for m in q.must:
-            sub = self._eval(r, m, boost)
+            sub = self._eval(p, r, m, boost)
             result = sub if result is None else self._intersect(result, sub)
             if not len(result.docs):
                 return _EMPTY
@@ -1259,14 +1255,14 @@ class IndexSearcher:
             # (search/LRUQueryCache.java caches filter-context DocIdSets on
             # reuse); our queries are immutable hashable values, so the doc
             # array itself is the cached bitset.
-            fdocs = self._filter_docs(r, f)
+            fdocs = self._filter_docs(p, r, f)
             sub = _SparseScores(fdocs, np.zeros(len(fdocs)),
                                 np.zeros(len(fdocs), dtype=np.int32))
             result = sub if result is None else self._intersect(result, sub)
             if not len(result.docs):
                 return _EMPTY
         if q.should:
-            union = self._union([self._eval(r, s, boost) for s in q.should], r.max_doc)
+            union = self._union([self._eval(p, r, s, boost) for s in q.should], r.max_doc)
             msm = q.minimum_should_match
             if result is None:
                 if msm > 1:
@@ -1290,30 +1286,30 @@ class IndexSearcher:
         if result is None:
             return _EMPTY
         for mn in q.must_not:
-            sub = self._eval(r, mn)
+            sub = self._eval(p, r, mn)
             result = self._exclude(result, sub.docs)
             if not len(result.docs):
                 return _EMPTY
         return result
 
-    def _join_lut(self, q: JoinQuery, boost: float):
+    def _join_lut(self, p: _Plan, q: JoinQuery, boost: float):
         """Global (from_field value → aggregated score) map for a JoinQuery —
         computed ONCE across all segments per (query, boost) and cached
         (JoinUtil's first phase: collect fromField terms + scores)."""
         return self._joins.get_or_put((q, float(boost)),
-                                      lambda: self._join_table(q, boost))
+                                      lambda: self._join_table(p, q, boost))
 
-    def _join_table(self, q: JoinQuery, boost: float):
+    def _join_table(self, p: _Plan, q: JoinQuery, boost: float):
         vals, scores = [], []
-        for r, docs, sc in self.matches(BoostQuery(q.from_query, boost)):
+        for r, docs, sc in self._matches(p, BoostQuery(q.from_query, boost)):
             vals.append(np.asarray(r.doc_values[q.from_field][docs]))
             scores.append(sc)
         if not vals:
             return np.empty(0), np.empty(0)
         return _aggregate(np.concatenate(vals), np.concatenate(scores), q.score_mode, boost)
 
-    def _eval_join(self, r: SegmentReader, q: JoinQuery, boost: float) -> _SparseScores:
-        uniq, agg = self._join_lut(q, boost)
+    def _eval_join(self, p: _Plan, r: SegmentReader, q: JoinQuery, boost: float) -> _SparseScores:
+        uniq, agg = self._join_lut(p, q, boost)
         if not len(uniq):
             return _EMPTY
         tvals = np.asarray(r.doc_values[q.to_field])
@@ -1327,9 +1323,9 @@ class IndexSearcher:
 
     # ---------------------------------------------------------- block join
 
-    def _eval_block_join_parent(self, r: SegmentReader, q: ToParentBlockJoinQuery,
+    def _eval_block_join_parent(self, p: _Plan, r: SegmentReader, q: ToParentBlockJoinQuery,
                                 boost: float) -> _SparseScores:
-        child = self._eval(r, q.child_query, boost)
+        child = self._eval(p, r, q.child_query, boost)
         if not len(child.docs):
             return _EMPTY
         parents = r.parent_docs()
@@ -1344,9 +1340,9 @@ class IndexSearcher:
         uniq, out = _aggregate(parents[pi[ok]], cscores[ok], q.score_mode, boost)
         return _SparseScores(uniq.astype(np.int32), out)
 
-    def _eval_block_join_child(self, r: SegmentReader, q: ToChildBlockJoinQuery,
+    def _eval_block_join_child(self, p: _Plan, r: SegmentReader, q: ToChildBlockJoinQuery,
                                boost: float) -> _SparseScores:
-        parent = self._eval(r, q.parent_query, boost)
+        parent = self._eval(p, r, q.parent_query, boost)
         if not len(parent.docs):
             return _EMPTY
         parents = r.parent_docs()
@@ -1486,7 +1482,8 @@ class IndexSearcher:
         self.mtq_stats["terms_scanned"] += examined
         return idxs
 
-    def _eval_fuzzy(self, r: SegmentReader, q: FuzzyQuery, boost: float) -> _SparseScores:
+    def _eval_fuzzy(self, p: _Plan, r: SegmentReader, q: FuzzyQuery,
+                    boost: float) -> _SparseScores:
         """Expand to dictionary terms within edit distance ≤ max_edits
         (FuzzyQuery.java; FuzzyTermsEnum boost = 1 − edits/min-length after
         the required exact prefix), then score as a boosted disjunction of
@@ -1507,15 +1504,16 @@ class IndexSearcher:
             else:
                 m = min(len(base), len(cand)) - q.prefix_length
                 tb = 1.0 - ed / max(m, 1)
-            subs.append(self._eval(r, TermQuery(cand), boost * tb))
+            subs.append(self._eval(p, r, TermQuery(cand), boost * tb))
         return self._dismax(subs, 0.0)
 
-    def _eval_synonym(self, r: SegmentReader, q: SynonymQuery, boost: float) -> _SparseScores:
+    def _eval_synonym(self, p: _Plan, r: SegmentReader, q: SynonymQuery,
+                      boost: float) -> _SparseScores:
         """One pseudo-term (SynonymQuery.java:52-214): per-doc tf = Σ tf over
         synonyms, statistics blended as df = max docFreq, ttf = Σ (documented
         blend), scored through BM25 once."""
         fp = self._fp(None)
-        stats = [self.term_statistics(fp + t) for t in q.terms]
+        stats = [p.statistics(fp + t) for t in q.terms]
         stats = [s for s in stats if s.doc_freq > 0]
         if not stats:
             return _EMPTY
@@ -1524,14 +1522,14 @@ class IndexSearcher:
             max(s.doc_freq for s in stats),
             sum(s.total_term_freq for s in stats),
         )
-        got = _summed_tf([r.postings(self._term_ord(r, fp + t)) for t in q.terms])
+        got = _summed_tf([r.postings(p.ord(r, fp + t)) for t in q.terms])
         if got is None:
             return _EMPTY
         docs, tf = got
         scorer = self.sim.scorer(self._field_cstats(None), blended, boost=boost)
         return _SparseScores(docs, self._score_arrays(r, scorer, docs, tf))
 
-    def _eval_combined_field(self, r: SegmentReader, q: CombinedFieldQuery,
+    def _eval_combined_field(self, p: _Plan, r: SegmentReader, q: CombinedFieldQuery,
                              boost: float) -> _SparseScores:
         """BM25F combined-field scoring (sandbox CombinedFieldQuery.java):
         one pseudo-term over every (field, term) pair — see the Query
@@ -1561,7 +1559,7 @@ class IndexSearcher:
         ttf = 0.0
         for f, w in q.fields:
             for t in q.terms:
-                ts = self.term_statistics(f + FIELD_SEP + t)
+                ts = p.statistics(f + FIELD_SEP + t)
                 df = max(df, ts.doc_freq)
                 ttf += w * ts.total_term_freq
         if df == 0:
@@ -1576,7 +1574,7 @@ class IndexSearcher:
         parts = []
         for f, w in q.fields:
             for t in q.terms:
-                d, fr = r.postings(self._term_ord(r, f + FIELD_SEP + t))
+                d, fr = r.postings(p.ord(r, f + FIELD_SEP + t))
                 parts.append((d, w * fr.astype(np.float64)))
         got = _summed_tf(parts)
         if got is None:
@@ -1637,7 +1635,7 @@ class IndexSearcher:
         return tuple(positions)
 
     def _eval_complex_phrase(
-        self, r: SegmentReader, q: "ComplexPhraseQuery", boost: float
+        self, p: _Plan, r: SegmentReader, q: "ComplexPhraseQuery", boost: float
     ) -> _SparseScores:
         """ComplexPhraseQueryParser query: global slot expansion (above),
         then the MultiPhraseQuery matcher on this segment. A slot that
@@ -1646,11 +1644,11 @@ class IndexSearcher:
         if positions is None:
             return _EMPTY
         return self._eval_multi_phrase(
-            r, MultiPhraseQuery(positions, slop=q.slop, field=q.field), boost
+            p, r, MultiPhraseQuery(positions, slop=q.slop, field=q.field), boost
         )
 
     def _eval_multi_phrase(
-        self, r: SegmentReader, q: PhraseQuery | MultiPhraseQuery, boost: float
+        self, p: _Plan, r: SegmentReader, q: PhraseQuery | MultiPhraseQuery, boost: float
     ) -> _SparseScores:
         """PhraseQuery and MultiPhraseQuery (search/PhraseQuery.java:71-147,
         MultiPhraseQuery.java:47); a PhraseQuery is the case of one term per
@@ -1673,12 +1671,12 @@ class IndexSearcher:
         if len(slots) == 1 and len(slots[0]) == 1:
             # a one-term phrase rewrites to a TermQuery (PhraseQuery /
             # MultiPhraseQuery rewrite; the matcher needs >= 2 positions)
-            return self._eval(r, TermQuery(slots[0][0], q.field), boost)
+            return self._eval(p, r, TermQuery(slots[0][0], q.field), boost)
         fp = self._fp(q.field)
         slot_keys: list[np.ndarray] = []
         for slot in slots:
             parts = [r.poskeys(i)
-                     for i in (self._term_ord(r, fp + t) for t in slot) if i >= 0]
+                     for i in (p.ord(r, fp + t) for t in slot) if i >= 0]
             if not parts:
                 return _EMPTY  # no accepted term of this slot exists here
             # distinct terms never share a position, so the union is disjoint
@@ -1720,7 +1718,7 @@ class IndexSearcher:
             match_docs = np.array(md, dtype=np.int32)
             match_freqs = np.array(mf, dtype=np.float64)
 
-        tstats = [self.term_statistics(fp + t) for slot in slots for t in slot]
+        tstats = [p.statistics(fp + t) for slot in slots for t in slot]
         tstats = [ts for ts in tstats if ts.doc_freq > 0]
         return self._score_positional(r, tstats, match_docs, match_freqs, boost, q.field)
 
@@ -1817,7 +1815,7 @@ class IndexSearcher:
                 subs.append(leaves[0] if len(leaves) == 1 else ia.IvSpanOr(leaves))
         return ia.IvSpanNear(tuple(subs), q.slop, q.in_order), terms
 
-    def _eval_span(self, r: SegmentReader, q: Query, boost: float) -> _SparseScores:
+    def _eval_span(self, p: _Plan, r: SegmentReader, q: Query, boost: float) -> _SparseScores:
         """SpanNearQuery, SpanPositionRangeQuery (SpanFirstQuery) and
         SpanNotQuery: the query's interval source (``_span_source``) through
         the two-phase loop shared with IntervalQuery. Slots with
@@ -1830,16 +1828,16 @@ class IndexSearcher:
             return _EMPTY
         src, terms = got
         docs, freqs = [], []
-        for d, ivs in self._two_phase(r, src, None):
+        for d, ivs in self._two_phase(p, r, src, None):
             docs.append(d)
             freqs.append(sum(1.0 / (1.0 + g) for _, _, _, g in ivs))
         if not docs:
             return _EMPTY
         fp = self._fp(None)
-        tstats = [self.term_statistics(fp + t) for t in terms]
+        tstats = [p.statistics(fp + t) for t in terms]
         return self._score_positional(r, tstats, docs, freqs, boost)
 
-    def _two_phase(self, r: SegmentReader, src, field: str | None):
+    def _two_phase(self, p: _Plan, r: SegmentReader, src, field: str | None):
         """The positional engine's two-phase loop (IntervalQuery.java:59,
         IntervalScorer.java; the spans' ConjunctionDISI approximation). The
         docID approximation comes from the source's doc_plan (conjunction →
@@ -1854,7 +1852,7 @@ class IndexSearcher:
         # per-leaf postings + flat positions, sliced per doc below
         post = {}
         for fld, t in leaves:
-            i = self._term_ord(r, self._fp(fld if fld is not None else field) + t)
+            i = p.ord(r, self._fp(fld if fld is not None else field) + t)
             if i < 0:
                 post[(fld, t)] = None
                 continue
@@ -1897,7 +1895,8 @@ class IndexSearcher:
             if ivs:
                 yield d, ivs
 
-    def _eval_interval(self, r: SegmentReader, q: IntervalQuery, boost: float) -> _SparseScores:
+    def _eval_interval(self, p: _Plan, r: SegmentReader, q: IntervalQuery,
+                       boost: float) -> _SparseScores:
         """IntervalQuery (IntervalQuery.java:59, IntervalScorer.java): the
         source's intervals from the two-phase loop, freq = Σ 1/max(extent -
         minExtent + 1, 1), scored through the saturation (or sigmoid)
@@ -1930,7 +1929,7 @@ class IndexSearcher:
         src = expand(q.source)
         min_extent = src.min_extent()
         match_docs, scores = [], []
-        for d, ivs in self._two_phase(r, src, q.field):
+        for d, ivs in self._two_phase(p, r, src, q.field):
             freq = ia.interval_freq(ivs, min_extent)
             if q.exp is not None:
                 s_ = ia.sigmoid_score(freq, q.pivot, q.exp, boost)
@@ -1990,9 +1989,9 @@ class IndexSearcher:
                         for a, b in zip(jlo.tolist(), jhi.tolist())])
         return self._term_bounds.put(key, (bld, w0, wub, jlo, jhi))
 
-    def _search_wand(self, clauses: list, k: int) -> TopDocs:
-        """Top-k of a disjunction of term clauses (``clauses``: (term, boost,
-        scorer) in clause order): MaxScore (Turtle & Flood;
+    def _search_wand(self, p: _Plan, k: int) -> TopDocs:
+        """Top-k of a disjunction of term clauses (``p.wand``: (term,
+        boost, scorer) in clause order): MaxScore (Turtle & Flood;
         MaxScoreBulkScorer.java), run once over the searcher's global doc-ID
         space in the windows of ``_doc_space``. Windows are visited in
         descending order of their summed clause bounds until that falls
@@ -2018,10 +2017,10 @@ class IndexSearcher:
         # block of a reader lying in one window (the bound would cost about
         # as much as scoring that block)
         terms = []
-        for term, boost, scorer in clauses:
+        for term, boost, scorer in p.wand:
             ents = []
             for r, base in zip(self.readers, bases):
-                ti = self._term_ord(r, term)
+                ti = p.ord(r, term)
                 if ti < 0:
                     continue
                 nb = -(-int(r.doc_freq[ti]) // BLOCK_SIZE)
@@ -2212,25 +2211,25 @@ class IndexSearcher:
             return docs[0], scores[0]
         return np.concatenate(docs), np.concatenate(scores)
 
-    # exact query type -> evaluator(self, reader, query, boost). Every Query
+    # exact query type -> evaluator(self, plan, reader, query, boost). Every Query
     # subclasses Query directly, so the exact type is enough.
     _ORDINALS = {
-        PrefixQuery: lambda self, r, fp, q: range(*r.term_range(fp + q.prefix)),
-        TermInSetQuery: lambda self, r, fp, q: [
-            i for t in q.terms if (i := r.term_index(fp + t)) >= 0],
+        PrefixQuery: lambda self, p, r, fp, q: range(*r.term_range(fp + q.prefix)),
+        TermInSetQuery: lambda self, p, r, fp, q: [
+            i for t in q.terms if (i := p.ord(r, fp + t)) >= 0],
         TermRangeQuery: _term_range_ords,
-        WildcardQuery: lambda self, r, fp, q: self._wildcard_idxs(r, fp, q.pattern),
-        RegexpQuery: lambda self, r, fp, q: self._regexp_idxs(r, fp, q.pattern),
+        WildcardQuery: lambda self, p, r, fp, q: self._wildcard_idxs(r, fp, q.pattern),
+        RegexpQuery: lambda self, p, r, fp, q: self._regexp_idxs(r, fp, q.pattern),
     }
     _EVALUATORS = {
         TermQuery: _eval_term,
         BooleanQuery: _eval_bool,
-        BoostQuery: lambda self, r, q, boost: self._eval(r, q.query, boost * q.boost),
-        ConstantScoreQuery: lambda self, r, q, boost: _const(
-            self._eval(r, q.query).docs, q.score * boost),
-        MatchAllDocsQuery: lambda self, r, q, boost: _const(
+        BoostQuery: lambda self, p, r, q, boost: self._eval(p, r, q.query, boost * q.boost),
+        ConstantScoreQuery: lambda self, p, r, q, boost: _const(
+            self._eval(p, r, q.query).docs, q.score * boost),
+        MatchAllDocsQuery: lambda self, p, r, q, boost: _const(
             np.arange(r.max_doc, dtype=np.int32), boost),
-        MatchNoDocsQuery: lambda self, r, q, boost: _EMPTY,
+        MatchNoDocsQuery: lambda self, p, r, q, boost: _EMPTY,
         DisjunctionMaxQuery: _eval_dismax,
         FunctionScoreQuery: _eval_function_score,
         CoveringQuery: _eval_covering,

@@ -10,8 +10,12 @@ every ``--k``. Every shape is searched with ``auto`` and ``exhaustive``, and
 term, or and or3 queries also with ``wand``. A line hashes, for each query
 in log order, the doc keys, the ``float.hex`` scores and ``total_hits``;
 wand's ``total_hits`` (a lower bound once MaxScore prunes) is hashed on a
-line of its own. The last line counts the queries whose wand ``total_hits``
-exceeds exhaustive's, which must be 0 (the exit status is 1 otherwise)::
+line of its own. Two more lines pin the other entries on the first
+``min(--queries, 1000)`` queries of each log: ``count`` hashes ``count(q)``,
+and ``explain`` hashes the ``float.hex`` of ``explain(q, key)["value"]`` for
+the key of the exhaustive top hit. The last line counts the queries whose
+wand ``total_hits`` exceeds exhaustive's, which must be 0 (the exit status
+is 1 otherwise)::
 
     python scripts/answer_digest.py /path/to/index 5 --queries 6000 > digest.txt
 
@@ -32,16 +36,17 @@ from lucene_ray.searcher import IndexSearcher
 from perfbench.run import N_DOCS
 
 WAND_SHAPES = ("term", "or", "or3")
+ENTRY_QUERIES = 1000  # queries per log for the count and explain lines
 
 
-def query_logs(seed: int, n: int, n_docs: int) -> list[tuple[str, str]]:
-    """The first ``n`` (shape, query) pairs of the hot log, then of the
-    tail log, of the seed's ``n_docs``-doc corpus."""
+def query_logs(seed: int, n: int, n_docs: int) -> list[list[tuple[str, str]]]:
+    """The first ``n`` (shape, query) pairs of the hot log and of the tail
+    log of the seed's ``n_docs``-doc corpus."""
     from perfbench import corpus as C
     from perfbench.run import HOT_LOG_LEN, TAIL_LOG_LEN
 
     corpus = C.make_corpus(seed, n_docs)
-    return C.hot_log(corpus, HOT_LOG_LEN)[:n] + C.tail_log(corpus, TAIL_LOG_LEN)[:n]
+    return [C.hot_log(corpus, HOT_LOG_LEN)[:n], C.tail_log(corpus, TAIL_LOG_LEN)[:n]]
 
 
 def digests(index_dir: str, seed: int, n: int, ks: list[int],
@@ -49,7 +54,8 @@ def digests(index_dir: str, seed: int, n: int, ks: list[int],
     """([(sha256 hex, label)], queries whose wand total_hits exceeds
     exhaustive's)."""
     s = IndexSearcher(index_dir)
-    log = query_logs(seed, n, n_docs)
+    logs = query_logs(seed, n, n_docs)
+    log = [sq for lg in logs for sq in lg]
     hashes = {}
     over = 0
 
@@ -73,6 +79,10 @@ def digests(index_dir: str, seed: int, n: int, ks: list[int],
                     feed(f"{algo} k={k}", q, ans, td.total_hits)
                 if algo == "exhaustive":
                     exact = td.total_hits
+    for _, q in (sq for lg in logs for sq in lg[:ENTRY_QUERIES]):
+        feed("count", q, s.count(q))
+        top = s.search(q, k=1, algo="exhaustive").score_docs
+        feed("explain", q, float(s.explain(q, top[0].doc_key)["value"]).hex() if top else None)
     return [(h.hexdigest(), label) for label, h in hashes.items()], over
 
 

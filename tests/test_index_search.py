@@ -19,7 +19,8 @@ from lucene_ray.collectors import (diversified_topk, dv_stats, facet_counts,
                                    taxonomy_counts)
 from lucene_ray.functions.analysis import Analyzer
 from lucene_ray.functions.norms import decode_norms, encode_lengths
-from lucene_ray.query import BooleanQuery, PhraseQuery, PrefixQuery, TermQuery, parse_query
+from lucene_ray.query import (BooleanQuery, PhraseQuery, PrefixQuery, TermInSetQuery,
+                              TermQuery, parse_query)
 from lucene_ray.searcher import IndexSearcher
 from lucene_ray.state.manifest import Manifest, completed_part_metas
 from lucene_ray.state.segment import check_segment
@@ -672,6 +673,17 @@ def test_from_readers_uses_config_analyzer():
         [sd.doc_key for sd in m.search(TermQuery("run")).score_docs]
 
 
+def _count_probes(s):
+    """Record every dictionary probe of ``s``'s readers, in call order."""
+    from lucene_ray.state.segment import SegmentReader
+
+    probes = []
+    real_term_index = SegmentReader.term_index
+    for r in s.readers:
+        r.term_index = lambda t, r=r: probes.append(t) or real_term_index(r, t)
+    return probes
+
+
 @pytest.mark.parametrize("algo", ["wand", "exhaustive"])
 def test_terms_resolved_once_per_query(index_dir, algo):
     """The dictionary is probed once per (segment, term) per query, and a
@@ -679,28 +691,26 @@ def test_terms_resolved_once_per_query(index_dir, algo):
     over a subset of the segments looks each query term's global
     statistics up once per query, not once per segment; nothing per term
     outlives the query."""
-    from lucene_ray.state.segment import SegmentReader
-
-    def count_probes(s):
-        probes = []
-        real_term_index = SegmentReader.term_index
-        for r in s.readers:
-            r.term_index = lambda t, r=r: probes.append(t) or real_term_index(r, t)
-        return probes
-
     s = IndexSearcher(index_dir)
     assert len(s.readers) == 4
     assert s.global_term_stats is None
-    probes = count_probes(s)
+    probes = _count_probes(s)
     want = s.search("merge spark window", k=5, algo=algo).score_docs
     assert sorted(probes) == sorted(["merge", "spark", "window"] * 4)
     assert want
-    # a long run of distinct terms: the per-query resolution is released
-    # after every query, so the searcher holds no per-term state
+    # a term set shares the query's probes too
+    probes.clear()
+    s.search(BooleanQuery(must=[TermQuery("merge")],
+                          filter=[TermInSetQuery(["merge", "spark"])]), k=5, algo=algo)
+    assert sorted(probes) == sorted(["merge", "spark"] * 4)
+    # a long run of distinct terms, then a repeat: each query resolves its
+    # terms afresh, so the repeat probes every reader again
     vocab = sorted(set(s.readers[0].terms.tolist()))[:300]
     for t in vocab:
         s.search(t, k=3)
-        assert s._query_terms is None
+    probes.clear()
+    s.search(vocab[-1], k=3)
+    assert probes == [vocab[-1]] * 4
 
     names = [r.name for r in s.readers][:3]
     sub = IndexSearcher(index_dir, segment_names=names)
@@ -708,15 +718,53 @@ def test_terms_resolved_once_per_query(index_dir, algo):
     lookups = []
     real_lookup = sub.global_term_stats.lookup
     sub.global_term_stats.lookup = lambda t: lookups.append(t) or real_lookup(t)
-    probes = count_probes(sub)
+    probes = _count_probes(sub)
     sub.search("merge spark window", k=5, algo=algo)
     assert sorted(lookups) == ["merge", "spark", "window"]
     assert sorted(probes) == sorted(["merge", "spark", "window"] * 3)
     vocab = sorted(set(sub.readers[0].terms.tolist()))[:300]
     for t in vocab:
         sub.search(t, k=3)
-        assert sub._query_terms is None
     assert len(lookups) == 3 + len(vocab)
+    probes.clear()
+    sub.search(vocab[-1], k=3)
+    assert probes == [vocab[-1]] * 3
+    assert len(lookups) == 4 + len(vocab)
+
+
+def test_open_iterator_shares_no_terms(index_dir):
+    """A suspended ``matches`` iterator keeps its terms to itself: queries
+    run while it is open resolve their own terms every time, and the
+    iterator still yields the rest of its segments."""
+    s = IndexSearcher(index_dir)
+    want = [(r.name, d.tolist(), sc.tolist()) for r, d, sc in s.matches("merge")]
+    assert len(want) > 1
+    probes = _count_probes(s)
+    it = s.matches("merge")
+    got = [next(it)]
+    for _ in range(2):
+        probes.clear()
+        s.search("spark", k=5)
+        assert probes == ["spark"] * len(s.readers)
+    got += list(it)
+    assert [(r.name, d.tolist(), sc.tolist()) for r, d, sc in got] == want
+
+
+def test_unknown_algo_rejected(index_dir):
+    """``algo`` names one of three paths; anything else raises, and
+    ``search_distributed`` raises before it opens the index or starts an
+    actor."""
+    from lucene_ray.pipelines.search_pipeline import search_distributed
+
+    s = IndexSearcher(index_dir)
+    for algo in ("WAND", "maxscore", ""):
+        with pytest.raises(ValueError, match="unknown algo"):
+            s.search("merge", algo=algo)
+    for algo in ("auto", "wand", "exhaustive"):
+        assert s.search("merge", algo=algo).score_docs
+    with pytest.raises(ValueError, match="unknown algo"):
+        search_distributed(os.path.join(index_dir, "no-such-index"), ["merge"],
+                           algo="WAND")
 
 
 def test_search_builds_no_term_lists(index_dir):

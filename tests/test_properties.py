@@ -209,9 +209,10 @@ def test_competitive_impacts_equal_true_block_max(rand_idx):
     checked = 0
     for ti in range(min(len(r.terms), 40)):
         term = r.terms[ti]
-        scorer = s._scorers_for([term]).get(term)
-        if scorer is None:
+        ts = s.term_statistics(term)
+        if ts.doc_freq == 0:
             continue
+        scorer = s.sim.scorer(s.collection_stats, ts)
         counts, flat_f, flat_l = r.impacts(ti)
         starts = np.concatenate([[0], np.cumsum(counts)])
         docs, freqs = r.postings(ti)
